@@ -34,7 +34,6 @@ def main():
         help="spin-reversal count; 100 matches the study-scale protocol but is ~10x slower",
     )
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="results/jf_sweep.csv")
     args = ap.parse_args()
 
@@ -52,7 +51,6 @@ def main():
         reads=args.reads,
         gauges=args.gauges,
         seed=args.seed,
-        workers=args.threads,
     )
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -31,7 +31,6 @@ class RunConfig:
     out: str | None
     seed: int
     fmt: str
-    threads: int
     params: dict
 
 
@@ -55,7 +54,6 @@ def build_parser() -> _Parser:
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=None, help="master seed (default POSTMAN_SEED or 0)")
         p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt_default)
-        p.add_argument("--threads", type=int, default=1, help="worker cap for parallel maps")
 
     p = sub.add_parser("gen", help="generate a random non-Eulerian ensemble")
     common(p, needs_input=False)
@@ -251,10 +249,12 @@ def cmd_sample(cfg: RunConfig) -> int:
         spins = samplers.simulated_annealing(
             ising, schedule=schedule, reads=cfg.params["reads"], seed=cfg.seed
         )
-        bits = []
-        for r in spins.records:
-            bits.extend([tuple((s + 1) // 2 for s in r.config)] * r.multiplicity)
-        result = samplers.SampleSet.from_configs(model, bits, spins.metadata)
+        # s -> (s + 1) / 2 keeps each energy and, being monotone, the record order
+        records = tuple(
+            dataclasses.replace(r, config=tuple((s + 1) // 2 for s in r.config))
+            for r in spins.records
+        )
+        result = samplers.SampleSet(records=records, metadata=spins.metadata)
     if cfg.fmt == "csv":
         _emit(result.to_csv(), cfg.out)
     else:
@@ -380,7 +380,6 @@ def cmd_jf_sweep(cfg: RunConfig) -> int:
         gauges=cfg.params["gauges"],
         seed=cfg.seed,
         anneal_time=cfg.params["anneal_time"],
-        workers=cfg.threads,
     )
     if cfg.fmt == "json":
         payload = {
@@ -417,10 +416,7 @@ def cmd_penalty_sweep(cfg: RunConfig) -> int:
     rows = []
     for p in grid:
         model = qubo.build_qubo(table, p)
-        if model.dim <= samplers.BRUTE_FORCE_GUARD:
-            e0, e1, gap = samplers.spectral_gap(model)
-        else:
-            e0, e1, gap = samplers.spectral_gap_large(model)
+        e0, e1, gap = samplers.spectral_gap_large(model)
         ising = qubo.to_ising(model)
         sa = samplers.simulated_annealing(
             ising, schedule=schedule, reads=cfg.params["reads"], seed=cfg.seed
@@ -453,7 +449,7 @@ def cmd_penalty_sweep(cfg: RunConfig) -> int:
 def cmd_defects(cfg: RunConfig) -> int:
     g = _load_graph(cfg.input_path)
     deltas = [parse_number(x) for x in cfg.params["deltas"].split(",") if x]
-    scan = defects.defect_map(g, deltas, k=cfg.params["k"], workers=cfg.threads)
+    scan = defects.defect_map(g, deltas, k=cfg.params["k"])
     if cfg.params["k"] == 1 and cfg.out and not cfg.out.endswith(".csv"):
         out_dir = Path(cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -513,7 +509,7 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "input", "out", "seed", "fmt", "threads")
+        if k not in ("command", "input", "out", "seed", "fmt")
     }
     return RunConfig(
         command=args.command,
@@ -521,7 +517,6 @@ def _to_config(args: argparse.Namespace) -> RunConfig:
         out=args.out,
         seed=args.seed if args.seed is not None else _default_seed(),
         fmt=args.fmt,
-        threads=args.threads,
         params=params,
     )
 

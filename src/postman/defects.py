@@ -8,7 +8,6 @@ matrix (heatmap CSV); multi-defect scans are keyed by edge combinations.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -50,7 +49,6 @@ def defect_map(
     g: Graph,
     deltas: Sequence[Number] = DEFAULT_DELTAS,
     k: int = 1,
-    workers: int = 1,
 ) -> DefectScan:
     if k not in (1, 2, 3):
         raise ValueError("defects per configuration must be 1, 2, or 3")
@@ -67,23 +65,13 @@ def defect_map(
     base = m_min(g).m_min
     edge_pairs = [(u, v) for u, v, _ in g.edges]
     combos = list(combinations(edge_pairs, k))
-
-    def solve_cell(job: tuple[Number, Combo]) -> Number:
-        delta, combo = job
-        bumped = g
-        for (u, v) in combo:
-            bumped = bumped.with_weight(u, v, bumped.weight(u, v) + delta)
-        return m_min(bumped).m_min
-
-    jobs = [(delta, combo) for delta in exact_deltas for combo in combos]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(solve_cell, jobs))
-    else:
-        values = [solve_cell(j) for j in jobs]
     results: dict[Number, dict[Combo, Number]] = {d: {} for d in exact_deltas}
-    for (delta, combo), value in zip(jobs, values):
-        results[delta][combo] = value
+    for delta in exact_deltas:
+        for combo in combos:
+            bumped = g
+            for (u, v) in combo:
+                bumped = bumped.with_weight(u, v, bumped.weight(u, v) + delta)
+            results[delta][combo] = m_min(bumped).m_min
     return DefectScan(graph=g, deltas=exact_deltas, k=k, base=base, results=results)
 
 

@@ -9,7 +9,6 @@ compared directly). Rejected reads stay in the denominator.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -28,7 +27,7 @@ from .chimera import (
 from .errors import EmptySampleSetError
 from .numbers import Number, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleRecord, SampleSet, Schedule, simulated_annealing
+from .samplers import SampleRecord, SampleSet, Schedule, _record_key, simulated_annealing
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -128,33 +127,21 @@ def decode_sampleset(
     policy is in force; under DISCARD_BROKEN those reads become rejected
     records, under MAJORITY_VOTE they decode anyway.
     """
-    counts: dict[tuple[int, ...], int] = {}
+    configs: list[tuple[int, ...]] = []
     rejected = 0
     broken_reads = 0
-    total = 0
     for r in physical.records:
-        if r.config is None:
-            rejected += r.multiplicity
-            total += r.multiplicity
-            continue
-        logical, broken = decode_chains(r.config, emb, policy)
-        total += r.multiplicity
+        logical, broken = (None, 0) if r.config is None else decode_chains(r.config, emb, policy)
         if broken:
             broken_reads += r.multiplicity
         if logical is None:
             rejected += r.multiplicity
         else:
-            counts[logical] = counts.get(logical, 0) + r.multiplicity
-    records = [
-        SampleRecord(config=c, energy=logical_model.energy(c), multiplicity=m)
-        for c, m in counts.items()
-    ]
-    if rejected:
-        records.append(SampleRecord(config=None, energy=None, multiplicity=rejected))
-    records.sort(key=lambda r: (r.config is None, r.energy if r.energy is not None else 0, r.config or ()))
+            configs.extend([logical] * r.multiplicity)
     meta = dict(physical.metadata)
     meta["decode_policy"] = policy.value
-    out = SampleSet(records=tuple(records), metadata=meta)
+    out = SampleSet.from_configs(logical_model, configs, meta, rejected=rejected)
+    total = physical.total_reads
     return out, (broken_reads / total if total else 0.0)
 
 
@@ -200,10 +187,12 @@ def sample_embedded(
         raw = simulated_annealing(
             gauged, schedule=schedule, reads=g_reads, seed=_derived_seed(seed, 2, g_index)
         )
-        configs = []
-        for r in raw.records:
-            configs.extend([ungauge_config(r.config, gauge)] * r.multiplicity)
-        part = SampleSet.from_configs(embedded.model, configs, raw.metadata)
+        # a gauge preserves energy, so each ungauged record keeps its energy
+        records = [
+            SampleRecord(ungauge_config(r.config, gauge), r.energy, r.multiplicity)
+            for r in raw.records
+        ]
+        part = SampleSet(records=tuple(sorted(records, key=_record_key)), metadata=raw.metadata)
         merged = part if merged is None else merged.merge(part)
     assert merged is not None
     meta = dict(merged.metadata)
@@ -222,23 +211,19 @@ def jf_sweep(
     gauges: int = 0,
     seed: int = 0,
     anneal_time: float = DEFAULT_ANNEAL_TIME,
-    workers: int = 1,
 ) -> list[CurvePoint]:
     """Success-probability curve over the intra-chain coupling grid.
 
     Per grid point: embed at jf, gauge, anneal, then decode the same raw
-    samples once per policy. Deterministic for a fixed master seed, whatever
-    the worker count.
+    samples once per policy. Deterministic for a fixed master seed.
     """
     schedule = schedule or Schedule()
-
-    def run_point(args: tuple[int, float]) -> list[CurvePoint]:
-        index, jf = args
+    points = []
+    for index, jf in enumerate(jf_grid):
         embedded = embed_ising(logical, emb, jf)
         physical = sample_embedded(
             embedded, schedule, reads, gauges, seed=_derived_seed(seed, index)
         )
-        points = []
         for policy in policies:
             decoded, broken = decode_sampleset(physical, emb, logical, policy)
             prob = p_gs(decoded, reference_energy)
@@ -253,15 +238,7 @@ def jf_sweep(
                     broken_fraction=broken,
                 )
             )
-        return points
-
-    jobs = list(enumerate(jf_grid))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_point, jobs))
-    else:
-        results = [run_point(j) for j in jobs]
-    return [pt for group in results for pt in group]
+    return points
 
 
 def curve_to_csv(points: Sequence[CurvePoint]) -> str:

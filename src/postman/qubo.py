@@ -3,8 +3,8 @@
 Variables are ordered pairs (i, j), i != j, over the d odd nodes, listed in
 lexicographic order (x01, x02, ..., x10, x12, ...). The objective carries the
 pairwise shortest distances on the diagonal; two penalty families (scaled by
-p >= d) enforce that every node is paired exactly once and that no node is
-shared between pairs. The closed-form coefficients are:
+p >= d) penalise every node not paired exactly once and every node shared
+between pairs. The closed-form coefficients are:
 
     constant            p * d
     linear  a(x_ij)     W_ij - 2p
@@ -14,7 +14,10 @@ shared between pairs. The closed-form coefficients are:
             node-disjoint pairs                                      0
 
 so the minimum over legal assignments equals the minimum matching weight.
-All coefficients and energies are exact ints/Fractions.
+Every illegal assignment carries penalty at least 2p, so the minimisers are
+all legal only when that weight M_min is below 2p; p >= d alone does not
+ensure it on weighted graphs. All coefficients and energies are exact
+ints/Fractions.
 """
 
 from __future__ import annotations
@@ -121,7 +124,9 @@ def build_qubo(table, p: Number | None = None) -> QuboModel:
     """Compile a pairwise-distance table into the penalized binary objective.
 
     `table` is an OddPairDistances or a symmetric d x d matrix; `p` defaults
-    to d, the smallest admissible penalty.
+    to d, the smallest admissible penalty. The ground states are legal
+    pairings of energy M_min when M_min < 2p; otherwise an illegal assignment
+    may sit lower (one edge of weight 10 at p = 2 has ground energy 4).
     """
     dist = _distance_matrix(table)
     d = len(dist)
@@ -285,14 +290,20 @@ def read_qubo(text: str) -> QuboModel:
         if parts[0] == "p":
             if len(parts) != 6 or parts[1] != "qubo":
                 raise ParseError("malformed problem header", lineno)
-            dim, n_diag, n_elem = int(parts[3]), int(parts[4]), int(parts[5])
+            try:
+                dim, n_diag, n_elem = int(parts[3]), int(parts[4]), int(parts[5])
+            except ValueError:
+                raise ParseError("problem header fields must be integers", lineno) from None
             linear = [0] * dim
             continue
         if dim is None:
             raise ParseError("entry before problem header", lineno)
         if len(parts) != 3:
             raise ParseError("expected 'k l value'", lineno)
-        k, l = int(parts[0]), int(parts[1])
+        try:
+            k, l = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError("indices must be integers", lineno) from None
         value = parse_number(parts[2], lineno)
         if not (0 <= k < dim and 0 <= l < dim):
             raise ParseError(f"index out of range for dim {dim}", lineno)

@@ -1,8 +1,9 @@
 """Classical solvers over binary-quadratic models.
 
-All samplers report exact energies: search loops run in float (integer-valued
-after scaling, so argmins are sound), and every emitted configuration is
-re-evaluated with exact rational arithmetic before it is stored. Randomized
+Every model is read through one integer form: its coefficients as integers
+over a common denominator. Search loops run in float over that form
+(integer-valued, so argmins are sound), and stored energies are exact integer
+products of the same arrays, divided by the denominator. Randomized
 samplers derive one RNG stream per read (or restart) from the master seed, so
 results are deterministic regardless of execution order or chunking.
 """
@@ -17,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptySampleSetError, NoGapError, TooLargeError
+from .errors import DimensionMismatchError, EmptySampleSetError, NoGapError, ParseError, TooLargeError
 from .numbers import Number, as_exact, format_number, normalize, to_jsonable
 from .qubo import IsingModel, QuboModel
 
@@ -47,15 +48,8 @@ class SampleSet:
 
     @staticmethod
     def from_configs(model, configs, metadata: dict, rejected: int = 0) -> "SampleSet":
-        counts = Counter(tuple(int(v) for v in c) for c in configs)
-        records = [
-            SampleRecord(config=c, energy=model.energy(c), multiplicity=m)
-            for c, m in counts.items()
-        ]
-        if rejected:
-            records.append(SampleRecord(config=None, energy=None, multiplicity=rejected))
-        records.sort(key=_record_key)
-        return SampleSet(records=tuple(records), metadata=dict(metadata))
+        """Deduplicated configs with their exact energies, plus `rejected` reads."""
+        return _sample_set(_int_form(model), configs, metadata, rejected)
 
     def best(self) -> SampleRecord:
         for r in self.records:
@@ -97,15 +91,18 @@ class SampleSet:
 
     @staticmethod
     def from_json(obj) -> "SampleSet":
-        records = tuple(
-            SampleRecord(
-                config=None if r["config"] is None else tuple(int(v) for v in r["config"]),
-                energy=None if r["energy"] is None else as_exact(r["energy"]),
-                multiplicity=int(r["multiplicity"]),
+        try:
+            records = tuple(
+                SampleRecord(
+                    config=None if r["config"] is None else tuple(int(v) for v in r["config"]),
+                    energy=None if r["energy"] is None else as_exact(r["energy"]),
+                    multiplicity=int(r["multiplicity"]),
+                )
+                for r in obj["records"]
             )
-            for r in obj["records"]
-        )
-        return SampleSet(records=records, metadata=dict(obj.get("metadata", {})))
+            return SampleSet(records=records, metadata=dict(obj.get("metadata", {})))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed sample set: {type(exc).__name__}: {exc}") from None
 
     def to_csv(self) -> str:
         """Energy histogram: one 'energy,multiplicity' row per level."""
@@ -147,52 +144,91 @@ class Schedule:
         return np.linspace(float(self.beta_start), float(self.beta_end), self.n_sweeps)
 
 
-# --- shared x-basis arrays ---------------------------------------------------
+# --- the integer form shared by every sampler and by exact energies --------
 
-def _xbasis(model) -> tuple[Fraction, list[Fraction], dict[tuple[int, int], Fraction], str, int]:
-    """(offset, linear, upper quadratic, kind, n) with x in {0,1}.
+@dataclass(frozen=True)
+class _IntForm:
+    """A model over its native variables as integers over one denominator.
 
-    Ising models are rewritten through s = 2x - 1 so one enumeration core
-    serves both forms; `kind` remembers the native basis for configs.
+    scale * energy(v) = offset + linear @ v + sum_k quad[k] * v[rows[k]] * v[cols[k]]
+    for v a bit vector (kind "qubo") or a spin vector (kind "ising"). The arrays
+    are int64 when the magnitudes of all coefficients sum below 2**63, which
+    bounds every partial sum for |v_i| <= 1, and Python ints otherwise.
     """
+
+    kind: str
+    n: int
+    scale: int
+    offset: int
+    linear: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    quad: np.ndarray
+
+
+def _int_form(model) -> _IntForm:
     if isinstance(model, QuboModel):
-        lin = [Fraction(a) for a in model.linear]
-        quad = {k: Fraction(b) for k, b in model.quadratic.items()}
-        return Fraction(model.offset), lin, quad, "qubo", model.dim
-    if isinstance(model, IsingModel):
-        n = model.n
-        off = Fraction(model.offset)
-        lin = [Fraction(0)] * n
-        quad: dict[tuple[int, int], Fraction] = {}
-        for i, h in enumerate(model.h):
-            lin[i] += 2 * Fraction(h)
-            off -= Fraction(h)
-        for (i, j), c in model.couplings.items():
-            c = Fraction(c)
-            quad[(i, j)] = 4 * c
+        kind, n, linear, couplings = "qubo", model.dim, model.linear, model.quadratic
+    elif isinstance(model, IsingModel):
+        kind, n, linear, couplings = "ising", model.n, model.h, model.couplings
+    else:
+        raise TypeError(f"unsupported model type {type(model).__name__}")
+    coeffs = [Fraction(v) for v in (model.offset, *linear, *couplings.values())]
+    scale = math.lcm(*(v.denominator for v in coeffs))
+    ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+    dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
+    keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
+    lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
+    return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
+
+
+def _sample_set(form: _IntForm, configs, metadata: dict, rejected: int = 0) -> SampleSet:
+    """Deduplicate configs and store their exact energies, one batched product."""
+    counts = Counter(tuple(int(v) for v in c) for c in configs)
+    unit, values = ("spins", (-1, 1)) if form.kind == "ising" else ("bits", (0, 1))
+    for c in counts:
+        if len(c) != form.n:
+            raise DimensionMismatchError(f"expected {form.n} {unit}, got {len(c)}")
+    C = np.array(list(counts), dtype=form.linear.dtype).reshape(len(counts), form.n)
+    if not np.isin(C, values).all():
+        raise ValueError(f"{unit} must take the values {values}")
+    step = max(1, (1 << 21) // max(1, len(form.quad)))  # ~2**21 products per block
+    scaled = []
+    for s in range(0, len(C), step):
+        V = C[s:s + step]
+        scaled += list(form.offset + V @ form.linear + (V[:, form.rows] * V[:, form.cols]) @ form.quad)
+    records = [
+        SampleRecord(config=c, energy=normalize(Fraction(int(e), form.scale)), multiplicity=m)
+        for (c, m), e in zip(counts.items(), scaled)
+    ]
+    if rejected:
+        records.append(SampleRecord(config=None, energy=None, multiplicity=rejected))
+    records.sort(key=_record_key)
+    return SampleSet(records=tuple(records), metadata=dict(metadata))
+
+
+def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
+    """(offset, linear, upper coupling matrix, scale) over x in {0,1}.
+
+    Ising forms are rewritten through s = 2x - 1 so one search core serves
+    both bases. The values are integers over `scale` in lowest terms, held in
+    float64, which is exact while their magnitudes sum below 2**53.
+    """
+    off, lin, quad = form.offset, form.linear.tolist(), form.quad.tolist()
+    if form.kind == "ising":
+        off += sum(quad) - sum(lin)
+        lin = [2 * v for v in lin]
+        for i, j, c in zip(form.rows.tolist(), form.cols.tolist(), quad):
             lin[i] -= 2 * c
             lin[j] -= 2 * c
-            off += c
-        return off, lin, quad, "ising", n
-    raise TypeError(f"unsupported model type {type(model).__name__}")
-
-
-def _scaled_int_arrays(model):
-    """Integer-scaled float arrays (exact below 2**53) plus the denominator."""
-    off, lin, quad, kind, n = _xbasis(model)
-    denoms = [off.denominator] + [v.denominator for v in lin] + [v.denominator for v in quad.values()]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    off_i = int(off * scale)
-    lin_i = np.array([int(v * scale) for v in lin], dtype=np.float64)
-    B = np.zeros((n, n))
-    for (k, l), v in quad.items():
-        B[k, l] = float(int(v * scale))
-    bound = abs(off_i) + np.abs(lin_i).sum() + np.abs(B).sum()
-    if bound >= 2**53:
+        quad = [4 * c for c in quad]
+    g = math.gcd(form.scale, off, *lin, *quad)
+    off, lin, quad = off // g, [v // g for v in lin], [v // g for v in quad]
+    if abs(off) + sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
         raise TooLargeError("coefficients too large for exact float enumeration")
-    return off_i, lin_i, B, scale, kind, n
+    B = np.zeros((form.n, form.n))
+    B[form.rows, form.cols] = quad
+    return off, np.array(lin, dtype=np.float64), B, form.scale // g
 
 
 def _native_config(bits: Sequence[int], kind: str) -> tuple[int, ...]:
@@ -201,51 +237,46 @@ def _native_config(bits: Sequence[int], kind: str) -> tuple[int, ...]:
     return tuple(int(b) for b in bits)
 
 
-def _bit_matrix(count: int, width: int) -> np.ndarray:
-    return ((np.arange(count)[:, None] >> np.arange(width)) & 1).astype(np.float64)
+def _bit_matrix(idx: np.ndarray, width: int) -> np.ndarray:
+    return ((idx[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
-def _all_energies(model) -> tuple[np.ndarray, int, str, int]:
+def _all_energies(form: _IntForm) -> tuple[np.ndarray, int]:
     """Integer-scaled energies of every configuration, indexed by bit pattern."""
-    off_i, lin_i, B, scale, kind, n = _scaled_int_arrays(model)
+    n = form.n
+    if n > BRUTE_FORCE_GUARD:
+        raise TooLargeError(f"dim {n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    off, lin, B, scale = _x_floats(form)
     out = np.empty(1 << n)
     block = 1 << min(n, 16)
     for start in range(0, 1 << n, block):
-        idx = np.arange(start, start + block)
-        bits = ((idx[:, None] >> np.arange(n)) & 1).astype(np.float64)
-        out[start:start + block] = off_i + bits @ lin_i + ((bits @ B) * bits).sum(axis=1)
-    return out, scale, kind, n
+        bits = _bit_matrix(np.arange(start, start + block), n)
+        out[start:start + block] = off + bits @ lin + ((bits @ B) * bits).sum(axis=1)
+    return out, scale
 
 
 def brute_force(model, keep: int = 1) -> SampleSet:
     """Exhaustive spectrum head: all configurations in the lowest `keep` levels.
 
-    Exact: coefficients are scaled to integers and enumerated in float64,
-    which represents them exactly; stored energies are re-evaluated in
-    rational arithmetic. Memory and time grow as 2**dim (guarded at 26).
+    Exact: the search runs over the integer form in float64, which holds it
+    exactly; stored energies are exact. Memory and time grow as 2**dim
+    (guarded at 26).
     """
-    _, _, _, _, n = _xbasis(model)
-    if n > BRUTE_FORCE_GUARD:
-        raise TooLargeError(f"dim {n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
     if keep < 1:
         raise ValueError("keep must be positive")
-    energies, scale, kind, n = _all_energies(model)
+    form = _int_form(model)
+    energies, _ = _all_energies(form)
     levels = np.unique(energies)
     cutoff = levels[min(keep, len(levels)) - 1]
     idx = np.nonzero(energies <= cutoff)[0]
-    configs = [
-        _native_config(((int(i) >> np.arange(n)) & 1), kind) for i in idx
-    ]
+    configs = [_native_config(bits, form.kind) for bits in _bit_matrix(idx, form.n).astype(int)]
     meta = {"sampler": "brute_force", "keep": keep, "levels": len(levels)}
-    return SampleSet.from_configs(model, configs, meta)
+    return _sample_set(form, configs, meta)
 
 
 def spectral_gap(model) -> tuple[Number, Number, Number]:
     """(E0, E1, E1 - E0) with E1 the lowest level strictly above E0."""
-    _, _, _, _, n = _xbasis(model)
-    if n > BRUTE_FORCE_GUARD:
-        raise TooLargeError(f"dim {n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    energies, scale, _, _ = _all_energies(model)
+    energies, scale = _all_energies(_int_form(model))
     levels = np.unique(energies)
     if len(levels) < 2:
         raise NoGapError("spectrum has a single level")
@@ -254,54 +285,61 @@ def spectral_gap(model) -> tuple[Number, Number, Number]:
     return e0, e1, normalize(e1 - e0)
 
 
-def _push_two_lowest(tracker: list, value: float) -> None:
-    """Keep the two smallest distinct values seen so far (in place)."""
-    if value in tracker:
-        return
-    tracker.append(value)
-    tracker.sort()
-    del tracker[2:]
+class _HalfSplit:
+    """Meet-in-the-middle set-up shared by the exact searches.
+
+    The x-basis variables split into halves A (the first n // 2) and B. EA and
+    EB are each half's energies with the other half at zero, offset excluded;
+    they are attained, so callers seed their incumbents from them. A-rows
+    whose cross-term lower bound exceeds a caller's cutoff are never scanned.
+    """
+
+    def __init__(self, model):
+        self.form = _int_form(model)
+        n = self.form.n
+        if n > GROUND_STATE_GUARD:
+            raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
+        self.offset, lin, B, self.scale = _x_floats(self.form)
+        self.nA, self.nB = nA, nB = n // 2, n - n // 2
+        bitsA = _bit_matrix(np.arange(1 << nA), nA)
+        bitsB = _bit_matrix(np.arange(1 << nB), nB)
+        self.EA = bitsA @ lin[:nA] + ((bitsA @ B[:nA, :nA]) * bitsA).sum(axis=1)
+        self.EB = bitsB @ lin[nA:] + ((bitsB @ B[nA:, nA:]) * bitsB).sum(axis=1)
+        self.V = bitsA @ B[:nA, nA:]
+        self.GB = bitsB.T
+
+    def candidates(self, cutoff: float) -> np.ndarray:
+        lower = self.EA + np.minimum(self.V, 0.0).sum(axis=1) + self.EB.min()
+        return np.nonzero(lower <= cutoff)[0]
+
+    def blocks(self, cand: np.ndarray):
+        """(rows, energies of rows x every B-assignment), ~2**21 floats at a time."""
+        chunk = max(1, (1 << 21) >> self.nB)
+        for s in range(0, len(cand), chunk):
+            rows = cand[s:s + chunk]
+            yield rows, self.V[rows] @ self.GB + self.EA[rows, None] + self.EB[None, :]
 
 
 def spectral_gap_large(model) -> tuple[Number, Number, Number]:
-    """(E0, E1, gap) for models past the exhaustive guard, up to 32 variables.
+    """(E0, E1, gap) for models of up to 32 variables.
 
     Split enumeration with sound pruning: the energies of both half-spaces are
     attained outright (zero complement), which seeds an upper bound for the
     second level; half-assignments whose cross-term lower bound exceeds that
     seed cannot host either of the two lowest levels and are skipped.
     """
-    _, _, _, _, n = _xbasis(model)
-    if n > GROUND_STATE_GUARD:
-        raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
-    off_i, lin_i, B, scale, kind, _ = _scaled_int_arrays(model)
-    nA = n // 2
-    nB = n - nA
-    bitsA = _bit_matrix(1 << nA, nA)
-    bitsB = _bit_matrix(1 << nB, nB)
-    EA = bitsA @ lin_i[:nA] + ((bitsA @ B[:nA, :nA]) * bitsA).sum(axis=1)
-    EB = bitsB @ lin_i[nA:] + ((bitsB @ B[nA:, nA:]) * bitsB).sum(axis=1)
-    V = bitsA @ B[:nA, nA:]
-    tracker: list[float] = []
-    for value in np.unique(np.concatenate([EA, EB]))[:2]:
-        _push_two_lowest(tracker, float(value))
-    cutoff = tracker[1] if len(tracker) > 1 else math.inf
-    lower = EA + np.minimum(V, 0.0).sum(axis=1) + EB.min()
-    cand = np.nonzero(lower <= cutoff)[0]
-    GB = bitsB.T
-    chunk = 4096
-    for s in range(0, len(cand), chunk):
-        rows = cand[s:s + chunk]
-        tot = V[rows] @ GB + EA[rows, None] + EB[None, :]
-        m0 = float(tot.min())
-        _push_two_lowest(tracker, m0)
+    split = _HalfSplit(model)
+    lows = list(np.unique(np.concatenate([split.EA, split.EB]))[:2])
+    cutoff = lows[1] if len(lows) > 1 else math.inf
+    for _, tot in split.blocks(split.candidates(cutoff)):
+        m0 = tot.min()
         above = tot[tot > m0]
-        if above.size:
-            _push_two_lowest(tracker, float(above.min()))
-    if len(tracker) < 2:
+        lows += [m0, above.min()] if above.size else [m0]
+    levels = np.unique(lows)
+    if len(levels) < 2:
         raise NoGapError("spectrum has a single level")
-    e0 = normalize(Fraction(int(tracker[0] + off_i), scale))
-    e1 = normalize(Fraction(int(tracker[1] + off_i), scale))
+    e0 = normalize(Fraction(int(levels[0] + split.offset), split.scale))
+    e1 = normalize(Fraction(int(levels[1] + split.offset), split.scale))
     return e0, e1, normalize(e1 - e0)
 
 
@@ -313,18 +351,8 @@ def ground_state(model) -> SampleSet:
     beats the best attained energy. Exact for any model whose scaled
     coefficients fit integer float64; handles dims up to 32.
     """
-    _, _, _, _, n = _xbasis(model)
-    if n > GROUND_STATE_GUARD:
-        raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
-    off_i, lin_i, B, scale, kind, _ = _scaled_int_arrays(model)
-    nA = n // 2
-    nB = n - nA
-    bitsA = _bit_matrix(1 << nA, nA)
-    bitsB = _bit_matrix(1 << nB, nB)
-    EA = bitsA @ lin_i[:nA] + ((bitsA @ B[:nA, :nA]) * bitsA).sum(axis=1)
-    EB = bitsB @ lin_i[nA:] + ((bitsB @ B[nA:, nA:]) * bitsB).sum(axis=1)
-    cross = B[:nA, nA:]
-    V = bitsA @ cross
+    split = _HalfSplit(model)
+    EA, EB = split.EA, split.EB
     # attained energies at xB = 0 / xA = 0 give the initial incumbent
     if EA.min() <= EB.min():
         best = EA.min()
@@ -332,21 +360,16 @@ def ground_state(model) -> SampleSet:
     else:
         best = EB.min()
         arg = (0, int(np.argmin(EB)))
-    lower = EA + np.minimum(V, 0.0).sum(axis=1) + EB.min()
-    cand = np.nonzero(lower <= best)[0]
-    GB = bitsB.T
-    chunk = 4096
-    for s in range(0, len(cand), chunk):
-        rows = cand[s:s + chunk]
-        tot = V[rows] @ GB + EA[rows, None] + EB[None, :]
+    cand = split.candidates(best)
+    for rows, tot in split.blocks(cand):
         i, j = np.unravel_index(np.argmin(tot), tot.shape)
         if tot[i, j] < best:
             best = tot[i, j]
             arg = (int(rows[i]), int(j))
-    bits = [(arg[0] >> k) & 1 for k in range(nA)] + [(arg[1] >> k) & 1 for k in range(nB)]
-    config = _native_config(bits, kind)
+    bits = [(arg[0] >> k) & 1 for k in range(split.nA)] + [(arg[1] >> k) & 1 for k in range(split.nB)]
+    config = _native_config(bits, split.form.kind)
     meta = {"sampler": "ground_state", "candidates": int(len(cand))}
-    return SampleSet.from_configs(model, [config], meta)
+    return _sample_set(split.form, [config], meta)
 
 
 # --- simulated annealing -----------------------------------------------------
@@ -369,12 +392,16 @@ def simulated_annealing(
     if reads < 1:
         raise ValueError("need at least one read")
     schedule = schedule or Schedule()
-    n = model.n
-    hf = np.array([float(v) for v in model.h])
+    form = _int_form(model)
+    if form.kind != "ising":
+        raise TypeError("simulated annealing needs an IsingModel")
+    n = form.n
+    # Python int / int is correctly rounded, so each entry equals float(J)
+    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
+    J = [v / form.scale for v in form.quad.tolist()]
     Jm = np.zeros((n, n))
-    for (i, j), c in model.couplings.items():
-        Jm[i, j] = float(c)
-        Jm[j, i] = float(c)
+    Jm[form.rows, form.cols] = J
+    Jm[form.cols, form.rows] = J
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
     finals = np.empty((reads, n), dtype=np.int8)
@@ -411,7 +438,7 @@ def simulated_annealing(
         "beta_start": schedule.beta_start,
         "beta_end": schedule.beta_end,
     }
-    return SampleSet.from_configs(model, finals, meta)
+    return _sample_set(form, finals, meta)
 
 
 # --- tabu search --------------------------------------------------------------
@@ -435,7 +462,9 @@ def tabu_search(
         raise ValueError("tenure must be positive")
     if max_restarts < 1:
         raise ValueError("need at least one restart")
-    off_i, lin_i, B, scale, kind, n = _scaled_int_arrays(model)
+    form = _int_form(model)
+    n = form.n
+    off_i, lin_i, B, _ = _x_floats(form)
     if stagnation_limit is None:
         stagnation_limit = 50 * n
     Bsym = B + B.T
@@ -474,7 +503,7 @@ def tabu_search(
                 since_improve = 0
             else:
                 since_improve += 1
-        bests.append(_native_config(best_x.astype(int), kind))
+        bests.append(_native_config(best_x.astype(int), form.kind))
     meta = {
         "sampler": "tabu_search",
         "seed": seed,
@@ -483,4 +512,4 @@ def tabu_search(
         "stagnation_limit": stagnation_limit,
         "reads": max_restarts,
     }
-    return SampleSet.from_configs(model, bests, meta)
+    return _sample_set(form, bests, meta)

@@ -195,14 +195,14 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out)["physical_qubits"] == 48
 
-    def test_jf_sweep_thread_count_stable(self, capsys, demo_file):
+    def test_jf_sweep_seed_stable(self, capsys, demo_file):
         args = [
             "jf-sweep", demo_file, "--m", "3", "--jf-grid", "0.5,1.0",
             "--reads", "20", "--sweeps", "50", "--seed", "4",
         ]
-        _, one, _ = run(capsys, *args, "--threads", "1")
-        _, four, _ = run(capsys, *args, "--threads", "4")
-        assert one == four
+        _, one, _ = run(capsys, *args)
+        _, again, _ = run(capsys, *args)
+        assert one == again
 
     def test_defects_heatmaps(self, capsys, demo_file, tmp_path):
         out_dir = tmp_path / "maps"
@@ -249,3 +249,24 @@ class TestExitCodes:
         bad.write_text("not a graph\n")
         code, _, err = run(capsys, "exact", str(bad))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("bad.qubo", "p qubo 0 x 1 0\n"),
+            ("bad.qubo", "p qubo 0 2 1 0\n0 zero 1\n"),
+            ("samples.json", '{"metadata": {}}'),
+            ("samples.json", '{"records": [{"config": "ab", "energy": 1, "multiplicity": 1}]}'),
+        ],
+    )
+    def test_malformed_parser_input_is_domain(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        if name.endswith(".qubo"):
+            argv = ["sample", str(path), "--sampler", "brute"]
+        else:
+            argv = ["metrics", str(path), "--reference", "5"]
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err

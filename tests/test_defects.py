@@ -71,9 +71,9 @@ class TestDefectMap:
         with pytest.raises(DisconnectedGraphError):
             defect_map(g, deltas=[1], k=1)
 
-    def test_workers_invariant(self, demo):
-        a = defect_map(demo, deltas=[1, 5], k=1, workers=1)
-        b = defect_map(demo, deltas=[1, 5], k=1, workers=3)
+    def test_deterministic(self, demo):
+        a = defect_map(demo, deltas=[1, 5], k=1)
+        b = defect_map(demo, deltas=[1, 5], k=1)
         assert a.results == b.results
 
     def test_matrix_requires_k1(self, demo):

@@ -304,6 +304,12 @@ class TestFiles:
         with pytest.raises(ParseError):
             read_qubo("0 0 5\n")
 
+    def test_non_integer_header_and_index(self):
+        with pytest.raises(ParseError, match="line 2"):
+            read_qubo("c offset 0\np qubo 0 x 1 0\n")
+        with pytest.raises(ParseError, match="line 2"):
+            read_qubo("p qubo 0 2 1 0\na 0 1\n")
+
     def test_json_round_trips(self, demo):
         model = build_qubo(demo_table(demo), 8)
         assert qubo_from_json(qubo_to_json(model)) == model

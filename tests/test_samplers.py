@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from postman.errors import NoGapError, TooLargeError
+from postman.errors import DimensionMismatchError, NoGapError, ParseError, TooLargeError
 from postman.exact import odd_pair_distances
+from postman.graphs import Graph
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
+    _HalfSplit,
     spectral_gap_large,
     SampleRecord,
     SampleSet,
@@ -75,6 +78,15 @@ class TestBruteForce:
         assert viaq.best().energy == best
 
 
+def test_penalty_bound_limit():
+    # p >= d is admissible, but only M_min < 2p makes every minimiser legal
+    table = odd_pair_distances(Graph(2, [(0, 1, 10)]))
+    low = brute_force(build_qubo(table, 2))
+    assert low.best().energy == 4
+    assert [r.config for r in low.records] == [(0, 0)]
+    assert brute_force(build_qubo(table, 6)).best().energy == 10
+
+
 class TestSpectralGap:
     def test_single_variable(self):
         model = QuboModel(dim=1, linear=(7,), quadratic={}, offset=0)
@@ -124,6 +136,10 @@ class TestSpectralGap:
         )
         e0, e1, gap = spectral_gap_large(model)
         assert (e0, e1) == (weights[0], weights[1])
+        # the scan holds one block of about 2**21 floats at a time
+        sizes = [(len(rows), tot.size) for rows, tot in _HalfSplit(model).blocks(np.arange(200))]
+        assert sum(rows for rows, _ in sizes) == 200
+        assert max(size for _, size in sizes) == 1 << 21
 
 
 class TestGroundState:
@@ -268,3 +284,70 @@ class TestSampleSet:
         text = brute_force(demo_qubo(demo)).to_csv()
         assert text.splitlines()[0] == "energy,multiplicity"
         assert "5,4" in text
+
+    def test_from_json_malformed(self):
+        for obj in ({"metadata": {}}, [1], {"records": [1]},
+                    {"records": [{"config": "ab", "energy": 1, "multiplicity": 1}]},
+                    {"records": [{"config": [1], "energy": [1], "multiplicity": 1}]}):
+            with pytest.raises(ParseError):
+                SampleSet.from_json(obj)
+
+    def test_malformed_configs(self):
+        model = IsingModel(n=2, h=(1, 0), couplings={}, offset=0)
+        with pytest.raises(DimensionMismatchError):
+            SampleSet.from_configs(model, [(1, -1), (1, 1, 1)], {})
+        with pytest.raises(ValueError):
+            SampleSet.from_configs(model, [(1, 0)], {})
+        with pytest.raises(ValueError):
+            SampleSet.from_configs(QuboModel(dim=2, linear=(3, 5), quadratic={}), [(2, 0)], {})
+
+
+def _coefficient(big: bool):
+    small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+    return small.map(lambda v: v * 2**70) if big else small
+
+
+@st.composite
+def model_and_configs(draw, big: bool):
+    n = draw(st.integers(1, 7))
+    coeff = _coefficient(big)
+    linear = tuple(draw(st.lists(coeff, min_size=n, max_size=n)))
+    quad = {
+        (i, j): draw(coeff)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if draw(st.booleans())
+    }
+    offset = draw(coeff)
+    if draw(st.booleans()):
+        model = QuboModel(dim=n, linear=linear, quadratic=quad, offset=offset)
+        values = st.sampled_from((0, 1))
+    else:
+        model = IsingModel(n=n, h=linear, couplings=quad, offset=offset)
+        values = st.sampled_from((-1, 1))
+    configs = draw(st.lists(st.tuples(*[values] * n), min_size=1, max_size=8))
+    return model, configs
+
+
+class TestFromConfigsExact:
+    @pytest.mark.parametrize("big", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stored_energies_are_exact(self, big, data):
+        model, configs = data.draw(model_and_configs(big))
+        ss = SampleSet.from_configs(model, configs, {})
+        assert ss.total_reads == len(configs)
+        for r in ss.records:
+            expected = model.energy(r.config)
+            assert r.energy == expected
+            assert type(r.energy) is type(expected)
+
+    def test_many_configs_span_blocks(self):
+        # 900 configs x 2415 couplings exceed one 2**21-product block
+        model = IsingModel(n=70, h=random_ising(70, seed=9).h, offset=1, couplings={
+            (i, j): (i * j) % 7 - 3 for i in range(70) for j in range(i + 1, 70)
+        })
+        configs = np.random.default_rng(2).choice([-1, 1], size=(900, 70))
+        ss = SampleSet.from_configs(model, configs, {})
+        assert len(ss.records) == 900
+        assert all(r.energy == model.energy(r.config) for r in ss.records)
