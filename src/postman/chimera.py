@@ -12,11 +12,12 @@ physical samples are tuples over the sorted union of chain qubits.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,9 @@ from .errors import (
     DisconnectedEmbeddingError,
     DoesNotFitError,
     FaultOutOfRangeError,
+    InvalidArgumentError,
     InvalidEmbeddingError,
+    ParseError,
 )
 from .numbers import Number, as_exact, normalize
 from .qubo import IsingModel
@@ -38,7 +41,7 @@ class ChimeraTopology:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("grid size must be at least 1")
+            raise InvalidArgumentError("grid size must be at least 1")
         for q in self.faulty:
             if not (0 <= q < 8 * self.m * self.m):
                 raise FaultOutOfRangeError(f"faulty qubit {q} outside 0..{8 * self.m * self.m - 1}")
@@ -59,15 +62,8 @@ class ChimeraTopology:
     def couplers(self) -> tuple[tuple[int, int], ...]:
         return _couplers(self)
 
-    def coupler_set(self) -> frozenset[tuple[int, int]]:
-        return _coupler_set(self)
-
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {q: [] for q in self.nodes()}
-        for a, b in self.couplers():
-            adj[a].append(b)
-            adj[b].append(a)
-        return {q: tuple(sorted(nb)) for q, nb in adj.items()}
+        return {q: tuple(sorted(nb)) for q, nb in _adjacency(self.nodes(), self.couplers()).items()}
 
 
 def chimera_graph(m: int, faulty: Iterable[int] = ()) -> ChimeraTopology:
@@ -99,11 +95,6 @@ def _couplers(topo: ChimeraTopology) -> tuple[tuple[int, int], ...]:
     return tuple(keep)
 
 
-@lru_cache(maxsize=64)
-def _coupler_set(topo: ChimeraTopology) -> frozenset[tuple[int, int]]:
-    return frozenset(_couplers(topo))
-
-
 @dataclass(frozen=True)
 class Embedding:
     """Ordered chain of physical qubits per logical variable."""
@@ -117,7 +108,28 @@ class Embedding:
 
     def qubit_order(self) -> tuple[int, ...]:
         """Canonical physical variable order: sorted union of chain qubits."""
-        return tuple(sorted(q for chain in self.chains for q in chain))
+        return self.chain_index.qubit_order
+
+    @cached_property
+    def chain_index(self) -> "ChainIndex":
+        """Chain positions and the couplers within and between chains, in one pass."""
+        order = tuple(sorted(q for chain in self.chains for q in chain))
+        pos = {q: i for i, q in enumerate(order)}
+        owners: dict[int, set[int]] = {}
+        for i, chain in enumerate(self.chains):
+            for q in chain:
+                owners.setdefault(q, set()).add(i)
+        within: list[list[tuple[int, int]]] = [[] for _ in self.chains]
+        between: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for a, b in self.topology.couplers():
+            if a in owners and b in owners:
+                # a < b and positions follow qubit order, so the pair stays ordered
+                pair = (pos[a], pos[b])
+                for i, j in {(min(x, y), max(x, y)) for x in owners[a] for y in owners[b]}:
+                    (within[i] if i == j else between.setdefault((i, j), [])).append(pair)
+        positions = tuple(tuple(pos[q] for q in chain) for chain in self.chains)
+        pairs = {k: tuple(c) for k, c in between.items()}
+        return ChainIndex(order, positions, tuple(map(tuple, within)), pairs)
 
     def to_json(self) -> dict:
         return {
@@ -128,15 +140,32 @@ class Embedding:
 
     @staticmethod
     def from_json(obj, topology: ChimeraTopology | None = None) -> "Embedding":
+        """Inverse of `to_json`; raises ParseError on a missing or ill-typed field."""
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict) or not isinstance(obj.get("chains"), dict) or "m" not in obj:
+            raise ParseError("embedding needs a grid size 'm' and a 'chains' object")
+        chains = obj["chains"]
+        if set(chains) != {str(i) for i in range(len(chains))}:
+            raise ParseError(f"chain keys must be '0'..'{len(chains) - 1}'")
+        lists = [[obj["m"]], obj.get("faulty", []), *chains.values()]
+        if any(not isinstance(v, list) or any(type(q) is not int for q in v) for v in lists):
+            raise ParseError("grid size, faulty qubits and chain qubits must be integers")
         if topology is None:
-            topology = chimera_graph(int(obj["m"]), obj.get("faulty", ()))
-        chains = tuple(
-            tuple(int(q) for q in obj["chains"][str(i)])
-            for i in range(len(obj["chains"]))
-        )
-        return Embedding(chains=chains, topology=topology)
+            topology = chimera_graph(obj["m"], obj.get("faulty", []))
+        return Embedding(tuple(tuple(chains[str(i)]) for i in range(len(chains))), topology)
+
+
+@dataclass(frozen=True)
+class ChainIndex:
+    """Qubits are named by position in `qubit_order` (monotone in qubit id); `positions[i]`
+    is chain i in its own order; `within[i]` and `between[(i, j)]` (i < j) are the sorted
+    couplers inside chain i and joining chains i and j. A qubit may be in several chains."""
+
+    qubit_order: tuple[int, ...]
+    positions: tuple[tuple[int, ...], ...]
+    within: tuple[tuple[tuple[int, int], ...], ...]
+    between: dict[tuple[int, int], tuple[tuple[int, int], ...]]
 
 
 def clique_embedding(n_logical: int, topo: ChimeraTopology) -> Embedding:
@@ -149,7 +178,7 @@ def clique_embedding(n_logical: int, topo: ChimeraTopology) -> Embedding:
     coupler. Requires n <= 4m and a fault-free triangular region.
     """
     if n_logical < 1:
-        raise ValueError("need at least one logical variable")
+        raise InvalidArgumentError("need at least one logical variable")
     if n_logical > 4 * topo.m:
         raise DoesNotFitError(
             f"K{n_logical} needs {n_logical} > {4 * topo.m} chain slots on C{topo.m}"
@@ -175,68 +204,58 @@ class Violation:
 
 def validate_embedding(
     emb: Embedding,
-    topo: ChimeraTopology,
     logical_couplers: Iterable[tuple[int, int]] = (),
 ) -> list[Violation]:
-    """Check disjointness, chain connectivity, and coupler coverage.
+    """Check disjointness, chain connectivity (through the couplers inside each
+    chain), and coupler coverage, all against the embedding's own topology.
 
     Returns the violation list (empty means valid); never raises.
     """
     violations: list[Violation] = []
-    couplers = topo.coupler_set()
     owner: dict[int, int] = {}
     for i, chain in enumerate(emb.chains):
         for q in chain:
-            if not topo.enabled(q):
+            if not emb.topology.enabled(q):
                 violations.append(Violation("missing-qubit", f"chain {i} uses disabled qubit {q}"))
             if q in owner and owner[q] != i:
                 violations.append(Violation("overlap", f"qubit {q} in chains {owner[q]} and {i}"))
             owner.setdefault(q, i)
-    for i, chain in enumerate(emb.chains):
-        if not chain:
+    index = emb.chain_index
+    for i, positions in enumerate(index.positions):
+        if not positions:
             violations.append(Violation("connectivity", f"chain {i} is empty"))
             continue
-        nodes = set(chain)
-        seen = {chain[0]}
-        frontier = deque([chain[0]])
-        while frontier:
-            q = frontier.popleft()
-            for other in nodes - seen:
-                if (min(q, other), max(q, other)) in couplers:
-                    seen.add(other)
-                    frontier.append(other)
-        if seen != nodes:
+        adj = _adjacency(positions, index.within[i])
+        if len(_hops(adj, positions[0])) != len(adj):
             violations.append(Violation("connectivity", f"chain {i} is not connected"))
     for (i, j) in logical_couplers:
         if not (0 <= i < emb.n_logical and 0 <= j < emb.n_logical):
             violations.append(Violation("coverage", f"logical coupler ({i},{j}) out of range"))
             continue
-        if not _chain_couplers(emb, i, j):
+        if not (index.within[i] if i == j else index.between.get((min(i, j), max(i, j)))):
             violations.append(Violation("coverage", f"no physical coupler joins chains {i} and {j}"))
     return violations
 
 
-def _chain_couplers(emb: Embedding, i: int, j: int) -> list[tuple[int, int]]:
-    couplers = emb.topology.coupler_set()
-    found = [
-        (min(a, b), max(a, b))
-        for a in emb.chains[i]
-        for b in emb.chains[j]
-        if (min(a, b), max(a, b)) in couplers
-    ]
-    return sorted(set(found))
+def _adjacency(nodes: Iterable[int], couplers: Iterable[tuple[int, int]]) -> dict[int, list[int]]:
+    adj: dict[int, list[int]] = {q: [] for q in nodes}
+    for a, b in couplers:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
 
 
-def _intra_chain_couplers(emb: Embedding, i: int) -> list[tuple[int, int]]:
-    couplers = emb.topology.coupler_set()
-    chain = emb.chains[i]
-    found = {
-        (min(a, b), max(a, b))
-        for x, a in enumerate(chain)
-        for b in chain[x + 1:]
-        if (min(a, b), max(a, b)) in couplers
-    }
-    return sorted(found)
+def _hops(adj: dict[int, list[int]], start: int) -> dict[int, int]:
+    """Breadth-first hop distance from `start` to every node it reaches."""
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        u = frontier.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                frontier.append(v)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -264,32 +283,19 @@ class EccentricityStats:
     kurtosis: float
 
 
-def eccentricity_stats(emb: Embedding, topo: ChimeraTopology) -> EccentricityStats:
+def eccentricity_stats(emb: Embedding) -> EccentricityStats:
     """Hop-eccentricity moments of the embedded subgraph.
 
-    The subgraph is induced by the union of chain qubits together with every
-    hardware coupler joining two of them (intra-chain and inter-chain).
-    Variance is the population form, skewness is Fisher's g1, and kurtosis is
-    reported as excess.
+    The subgraph is induced by the union of chain qubits: its edges are the
+    couplers within and between chains. Variance is the population form,
+    skewness is Fisher's g1, and kurtosis is reported as excess.
     """
-    nodes = sorted({q for chain in emb.chains for q in chain})
-    index = {q: i for i, q in enumerate(nodes)}
-    adj: list[list[int]] = [[] for _ in nodes]
-    node_set = set(nodes)
-    for a, b in topo.couplers():
-        if a in node_set and b in node_set:
-            adj[index[a]].append(index[b])
-            adj[index[b]].append(index[a])
+    index = emb.chain_index
+    nodes = sorted({p for positions in index.positions for p in positions})
+    adj = _adjacency(nodes, itertools.chain(*index.within, *index.between.values()))
     ecc = []
-    for start in range(len(nodes)):
-        dist = {start: 0}
-        frontier = deque([start])
-        while frontier:
-            u = frontier.popleft()
-            for v in adj[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    frontier.append(v)
+    for start in nodes:
+        dist = _hops(adj, start)
         if len(dist) != len(nodes):
             raise DisconnectedEmbeddingError("embedded subgraph is not connected")
         ecc.append(max(dist.values()))
@@ -326,60 +332,45 @@ class EmbeddedIsing:
     constant: Number
 
 
-def embed_ising(
-    logical: IsingModel,
-    emb: Embedding,
-    jf: Number | float,
-    coupler_assignment: str = "split",
-) -> EmbeddedIsing:
+def embed_ising(logical: IsingModel, emb: Embedding, jf: Number | float) -> EmbeddedIsing:
     """Distribute a logical model over an embedding and add chain couplers.
 
-    Logical fields split equally over each chain's qubits. Each logical
-    coupling either splits equally over all physical couplers between the two
-    chains (default) or rides on the lexicographically first one
-    (coupler_assignment="single"). Every intra-chain coupler is set to
-    -jf * C with C the largest absolute distributed coefficient.
+    Logical fields split equally over each chain's qubits, and each logical
+    coupling splits equally over all physical couplers between its two
+    chains. Every intra-chain coupler is set to -jf * C with C the largest
+    absolute distributed coefficient. The embedding must pass
+    `validate_embedding` for the model's couplings.
     """
-    if coupler_assignment not in ("split", "single"):
-        raise ValueError("coupler_assignment must be 'split' or 'single'")
     if logical.n != emb.n_logical:
         raise InvalidEmbeddingError(
             f"model has {logical.n} variables, embedding has {emb.n_logical} chains"
         )
-    problems = validate_embedding(emb, emb.topology, logical.couplings.keys())
+    problems = validate_embedding(emb, logical.couplings.keys())
     if problems:
         raise InvalidEmbeddingError("; ".join(f"{v.kind}: {v.detail}" for v in problems))
-    order = emb.qubit_order()
-    pos = {q: i for i, q in enumerate(order)}
-    h = [Fraction(0)] * len(order)
+    index = emb.chain_index
+    h = [Fraction(0)] * len(index.qubit_order)
     couplings: dict[tuple[int, int], Fraction] = {}
-    for i, chain in enumerate(emb.chains):
-        share = Fraction(as_exact(logical.h[i]), len(chain))
-        for q in chain:
-            h[pos[q]] += share
+    for i, positions in enumerate(index.positions):
+        share = Fraction(as_exact(logical.h[i]), len(positions))
+        for p in positions:
+            h[p] += share
     for (i, j), value in logical.couplings.items():
-        available = _chain_couplers(emb, i, j)
-        if coupler_assignment == "single":
-            targets = available[:1]
-        else:
-            targets = available
+        targets = index.between[(i, j)]
         share = Fraction(as_exact(value), len(targets))
-        for a, b in targets:
-            key = (min(pos[a], pos[b]), max(pos[a], pos[b]))
+        for key in targets:
             couplings[key] = couplings.get(key, Fraction(0)) + share
     magnitudes = [abs(v) for v in h] + [abs(v) for v in couplings.values()]
     scale = max(magnitudes) if magnitudes else Fraction(0)
     jf_exact = as_exact(jf)
     chain_value = normalize(-Fraction(jf_exact) * scale)
     chain_offsets = []
-    for i in range(emb.n_logical):
-        intra = _intra_chain_couplers(emb, i)
-        for a, b in intra:
-            key = (min(pos[a], pos[b]), max(pos[a], pos[b]))
+    for intra in index.within:
+        for key in intra:
             couplings[key] = couplings.get(key, Fraction(0)) + chain_value
         chain_offsets.append(normalize(chain_value * len(intra)))
     model = IsingModel(
-        n=len(order),
+        n=len(index.qubit_order),
         h=tuple(normalize(v) for v in h),
         couplings={k: normalize(v) for k, v in couplings.items()},
         offset=logical.offset,
@@ -387,7 +378,7 @@ def embed_ising(
     return EmbeddedIsing(
         model=model,
         embedding=emb,
-        qubit_order=order,
+        qubit_order=index.qubit_order,
         jf=normalize(Fraction(jf_exact)),
         scale=normalize(Fraction(scale)),
         chain_offsets=tuple(chain_offsets),
@@ -437,7 +428,7 @@ def spin_reversal(
 ) -> list[tuple[IsingModel, tuple[int, ...]]]:
     """Gauged copies of the model; gauges=0 yields just the identity gauge."""
     if gauges < 0:
-        raise ValueError("gauge count must be nonnegative")
+        raise InvalidArgumentError("gauge count must be nonnegative")
     if gauges == 0:
         return [(model, (1,) * model.n)]
     out = []
@@ -470,11 +461,10 @@ def decode_chains(
     order = emb.qubit_order()
     if len(sample) != len(order):
         raise ValueError(f"sample has {len(sample)} spins, embedding uses {len(order)} qubits")
-    pos = {q: i for i, q in enumerate(order)}
     logical: list[int] = []
     broken = 0
-    for chain in emb.chains:
-        spins = [int(sample[pos[q]]) for q in chain]
+    for positions in emb.chain_index.positions:
+        spins = [int(sample[p]) for p in positions]
         first = spins[0]
         if all(s == first for s in spins):
             logical.append(first)
@@ -487,7 +477,7 @@ def decode_chains(
             elif total < 0:
                 logical.append(-1)
             else:
-                logical.append(int(sample[pos[min(chain)]]))
+                logical.append(int(sample[min(positions)]))
     if policy is DecodePolicy.DISCARD_BROKEN and broken:
         return None, broken
     return tuple(logical), broken

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
-from .errors import ParseError, PostmanError
+from .errors import ParseError, PenaltyTooSmallError, PostmanError
 from .numbers import parse_number, to_jsonable
 
 
@@ -287,7 +287,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     topo = chimera.chimera_graph(cfg.params["m"], _read_faults(cfg.params["faults"]))
     emb = chimera.clique_embedding(n_logical, topo)
     stats = chimera.chain_stats(emb)
-    ecc = chimera.eccentricity_stats(emb, topo)
+    ecc = chimera.eccentricity_stats(emb)
     payload = emb.to_json()
     payload["stats"] = {
         "physical_qubits": stats.physical_qubits,
@@ -300,23 +300,25 @@ def cmd_embed(cfg: RunConfig) -> int:
     return 0
 
 
-def _exact_reference(g: graphs.Graph, model: qubo.QuboModel, logical: qubo.IsingModel):
-    """Certified ground energy of the compiled model.
+def _exact_reference(table: exact.OddPairDistances, model: qubo.QuboModel):
+    """Certified ground energy of the compiled model: the exact M_min.
 
     Any assignment violating the pairing constraints carries penalty at least
-    2p (a parity argument rules out a single unit of violation), so whenever
-    the exact matching weight sits below 2p it is the ground energy outright;
-    otherwise fall back to exhaustive search while it fits.
+    2p (a parity argument rules out a single unit of violation), so M_min is
+    the ground energy when M_min < 2p. Otherwise PenaltyTooSmallError names the
+    smallest integer p that certifies it, max(d, floor(M_min/2) + 1).
     """
-    matching_weight = exact.m_min(g).m_min
-    if model.penalty is not None and matching_weight < 2 * model.penalty:
+    matching_weight = exact.minimum_matching(table).weight
+    if matching_weight < 2 * model.penalty:
         return matching_weight
-    return samplers.ground_state(logical).best().energy
+    raise PenaltyTooSmallError(
+        f"M_min {matching_weight} >= 2p = {2 * model.penalty} leaves the reference energy"
+        f" uncertified; use --p {max(table.d, matching_weight // 2 + 1)} or more"
+    )
 
 
 def _pipeline_pieces(cfg: RunConfig):
-    g = _load_graph(cfg.input_path)
-    table = exact.odd_pair_distances(g)
+    table = exact.odd_pair_distances(_load_graph(cfg.input_path))
     penalty = None if cfg.params["penalty"] is None else parse_number(cfg.params["penalty"])
     model = qubo.build_qubo(table, penalty)
     logical = qubo.to_ising(model)
@@ -324,17 +326,17 @@ def _pipeline_pieces(cfg: RunConfig):
         emb = chimera.Embedding.from_json(json.loads(Path(cfg.params["embedding"]).read_text()))
     else:
         emb = chimera.clique_embedding(model.dim, chimera.chimera_graph(cfg.params["m"]))
-    reference = _exact_reference(g, model, logical)
+    reference = _exact_reference(table, model)
     schedule = samplers.Schedule(
         beta_start=cfg.params["beta_start"],
         beta_end=cfg.params["beta_end"],
         n_sweeps=cfg.params["sweeps"],
     )
-    return g, model, logical, emb, reference, schedule
+    return model, logical, emb, reference, schedule
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    g, model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
+    model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
     embedded = chimera.embed_ising(logical, emb, cfg.params["jf"])
     factor = 1
     if cfg.params["autoscale"]:
@@ -367,7 +369,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_jf_sweep(cfg: RunConfig) -> int:
-    g, model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
+    model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
     grid = [float(x) for x in cfg.params["jf_grid"].split(",") if x]
     points = metrics.jf_sweep(
         logical,

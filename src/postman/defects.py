@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import CombinationExplosionError, DisconnectedGraphError
+from .errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
 from .exact import m_min
 from .graphs import Graph, graph_features, is_connected
 from .numbers import Number, as_exact, format_number
@@ -51,12 +51,12 @@ def defect_map(
     k: int = 1,
 ) -> DefectScan:
     if k not in (1, 2, 3):
-        raise ValueError("defects per configuration must be 1, 2, or 3")
+        raise InvalidArgumentError("defects per configuration must be 1, 2, or 3")
     if not is_connected(g):
         raise DisconnectedGraphError("defect scan requires a connected graph")
     exact_deltas = tuple(as_exact(d) for d in deltas)
     if any(d < 0 for d in exact_deltas):
-        raise ValueError("deltas must be nonnegative")
+        raise InvalidArgumentError("deltas must be nonnegative")
     if k == 3 and len(g.edges) > COMBINATION_GUARD_EDGES:
         raise CombinationExplosionError(
             f"triple-defect scan over {len(g.edges)} edges exceeds the guard "

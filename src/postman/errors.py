@@ -9,6 +9,10 @@ class PostmanError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidArgumentError(PostmanError, ValueError):
+    """Argument outside its range: a count below one, a negative weight, ..."""
+
+
 class DisconnectedGraphError(PostmanError):
     """Operation requires a connected graph."""
 
@@ -26,7 +30,7 @@ class NotEulerianError(PostmanError):
 
 
 class PenaltyTooSmallError(PostmanError):
-    """QUBO penalty must be at least the odd-node count."""
+    """QUBO penalty is below d, or too small (M_min >= 2p) to certify M_min."""
 
 
 class OddCountNotEvenError(PostmanError):

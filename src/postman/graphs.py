@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InfeasibleSpecError, ParseError
+from .errors import DisconnectedGraphError, InfeasibleSpecError, InvalidArgumentError, ParseError
 from .numbers import Number, as_exact, format_number, parse_number, to_jsonable
 
 Edge = tuple[int, int, Number]
@@ -28,14 +28,14 @@ def _canonical_edges(n: int, edges: Iterable[Sequence]) -> tuple[Edge, ...]:
     for e in edges:
         u, v, w = int(e[0]), int(e[1]), as_exact(e[2])
         if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+            raise InvalidArgumentError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
-            raise ValueError(f"self-loop at node {u}")
+            raise InvalidArgumentError(f"self-loop at node {u}")
         if w <= 0:
-            raise ValueError(f"edge ({u},{v}) has non-positive weight {w}")
+            raise InvalidArgumentError(f"edge ({u},{v}) has non-positive weight {w}")
         a, b = (u, v) if u < v else (v, u)
         if (a, b) in seen:
-            raise ValueError(f"duplicate edge ({a},{b})")
+            raise InvalidArgumentError(f"duplicate edge ({a},{b})")
         seen.add((a, b))
         out.append((a, b, w))
     out.sort(key=lambda e: (e[0], e[1]))
@@ -51,7 +51,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Sequence]):
         if n < 1:
-            raise ValueError("graph needs at least one node")
+            raise InvalidArgumentError("graph needs at least one node")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", _canonical_edges(n, edges))
 
@@ -258,13 +258,13 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("ensemble graphs need n >= 3")
+            raise InvalidArgumentError("ensemble graphs need n >= 3")
         if not (0.0 < self.edge_prob < 1.0):
-            raise ValueError("edge probability must be in (0,1)")
+            raise InvalidArgumentError("edge probability must be in (0,1)")
         if not (1 <= self.w_lo <= self.w_hi):
-            raise ValueError("need 1 <= w_lo <= w_hi")
+            raise InvalidArgumentError("need 1 <= w_lo <= w_hi")
         if self.count < 0:
-            raise ValueError("count must be nonnegative")
+            raise InvalidArgumentError("count must be nonnegative")
 
 
 def _sample_graph(spec: EnsembleSpec, rng: np.random.Generator) -> Graph:

@@ -24,7 +24,7 @@ from .chimera import (
     spin_reversal,
     ungauge_config,
 )
-from .errors import EmptySampleSetError
+from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, normalize, to_jsonable
 from .qubo import IsingModel
 from .samplers import SampleRecord, SampleSet, Schedule, _record_key, simulated_annealing
@@ -57,9 +57,9 @@ def t_99(p: Number | float, anneal_time: float = DEFAULT_ANNEAL_TIME) -> float:
     """
     p = float(p)
     if not (0.0 <= p <= 1.0):
-        raise ValueError("success probability must be in [0,1]")
+        raise InvalidArgumentError("success probability must be in [0,1]")
     if anneal_time <= 0:
-        raise ValueError("anneal time must be positive")
+        raise InvalidArgumentError("anneal time must be positive")
     if p == 0.0:
         return math.inf
     if p == 1.0:
@@ -80,9 +80,9 @@ def tts_sa(
     """
     p = float(p)
     if not (0.0 <= p <= 1.0):
-        raise ValueError("success probability must be in [0,1]")
+        raise InvalidArgumentError("success probability must be in [0,1]")
     if n_variables < 1 or n_sweeps < 1 or tau_s <= 0:
-        raise ValueError("need N >= 1, n_sweeps >= 1, tau_s > 0")
+        raise InvalidArgumentError("need N >= 1, n_sweeps >= 1, tau_s > 0")
     base = n_variables**2 * tau_s * n_sweeps
     if p == 0.0:
         return math.inf
@@ -97,9 +97,9 @@ def bootstrap(
     """Resample-with-replacement means; returns (their mean, 2 * their sd)."""
     arr = np.asarray(successes, dtype=float)
     if arr.size == 0:
-        raise ValueError("need at least one observation")
+        raise InvalidArgumentError("need at least one observation")
     if resamples < 1:
-        raise ValueError("need at least one resample")
+        raise InvalidArgumentError("need at least one resample")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     idx = rng.integers(0, arr.size, size=(resamples, arr.size))
     means = arr[idx].mean(axis=1)
@@ -175,15 +175,15 @@ def sample_embedded(
     back through the gauge before merging, so the result is a plain physical
     sample set. gauges=0 runs the identity gauge only.
     """
+    if reads < 1:
+        raise InvalidArgumentError("need at least one read")
     gauge_models = spin_reversal(embedded.model, gauges, seed=_derived_seed(seed, 1, 0))
     n_gauges = len(gauge_models)
     base = reads // n_gauges
     extras = reads % n_gauges
     merged: SampleSet | None = None
-    for g_index, (gauged, gauge) in enumerate(gauge_models):
+    for g_index, (gauged, gauge) in enumerate(gauge_models[:reads]):  # later gauges get no read
         g_reads = base + (1 if g_index < extras else 0)
-        if g_reads == 0:
-            continue
         raw = simulated_annealing(
             gauged, schedule=schedule, reads=g_reads, seed=_derived_seed(seed, 2, g_index)
         )
@@ -194,7 +194,6 @@ def sample_embedded(
         ]
         part = SampleSet(records=tuple(sorted(records, key=_record_key)), metadata=raw.metadata)
         merged = part if merged is None else merged.merge(part)
-    assert merged is not None
     meta = dict(merged.metadata)
     meta.update(reads=reads, gauges=gauges, seed=seed, jf=float(embedded.jf))
     return SampleSet(records=merged.records, metadata=meta)

@@ -18,7 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySampleSetError, NoGapError, ParseError, TooLargeError
+from .errors import (
+    DimensionMismatchError, EmptySampleSetError, InvalidArgumentError, NoGapError, ParseError,
+    TooLargeError,
+)
 from .numbers import Number, as_exact, format_number, normalize, to_jsonable
 from .qubo import IsingModel, QuboModel
 
@@ -134,9 +137,9 @@ class Schedule:
 
     def __post_init__(self):
         if self.n_sweeps < 1:
-            raise ValueError("need at least one sweep")
+            raise InvalidArgumentError("need at least one sweep")
         if not (0 < self.beta_start <= self.beta_end):
-            raise ValueError("need 0 < beta_start <= beta_end")
+            raise InvalidArgumentError("need 0 < beta_start <= beta_end")
 
     def betas(self) -> np.ndarray:
         if self.beta_start == self.beta_end:
@@ -263,7 +266,7 @@ def brute_force(model, keep: int = 1) -> SampleSet:
     (guarded at 26).
     """
     if keep < 1:
-        raise ValueError("keep must be positive")
+        raise InvalidArgumentError("keep must be positive")
     form = _int_form(model)
     energies, _ = _all_energies(form)
     levels = np.unique(energies)
@@ -390,7 +393,7 @@ def simulated_annealing(
     semantics (and hence the output) unchanged.
     """
     if reads < 1:
-        raise ValueError("need at least one read")
+        raise InvalidArgumentError("need at least one read")
     schedule = schedule or Schedule()
     form = _int_form(model)
     if form.kind != "ising":
@@ -459,9 +462,9 @@ def tabu_search(
     restart-best is reported, deduplicated with multiplicities.
     """
     if tenure < 1:
-        raise ValueError("tenure must be positive")
+        raise InvalidArgumentError("tenure must be positive")
     if max_restarts < 1:
-        raise ValueError("need at least one restart")
+        raise InvalidArgumentError("need at least one restart")
     form = _int_form(model)
     n = form.n
     off_i, lin_i, B, _ = _x_floats(form)

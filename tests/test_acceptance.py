@@ -165,7 +165,7 @@ def test_c07_embedding_correctness():
     assert topo.node_count == 1152
     emb = clique_embedding(12, topo)
     couplers = [(i, j) for i in range(12) for j in range(i + 1, 12)]
-    assert validate_embedding(emb, topo, couplers) == []
+    assert validate_embedding(emb, couplers) == []
     lengths = [len(c) for c in emb.chains]
     assert sum(lengths) == 48
     assert max(lengths) == 4

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -83,13 +82,13 @@ class TestCliqueEmbedding:
         assert stats.physical_qubits == 48
         assert stats.max_chain_length == 4
         assert stats.chains_at_max == 12
-        assert validate_embedding(emb, topo, k_couplers(12)) == []
+        assert validate_embedding(emb, k_couplers(12)) == []
 
     def test_k4_on_c1(self):
         topo = chimera_graph(1)
         emb = clique_embedding(4, topo)
         assert all(len(c) == 2 for c in emb.chains)
-        assert validate_embedding(emb, topo, k_couplers(4)) == []
+        assert validate_embedding(emb, k_couplers(4)) == []
 
     def test_k56_does_not_fit_c12(self):
         with pytest.raises(DoesNotFitError):
@@ -98,7 +97,7 @@ class TestCliqueEmbedding:
     def test_k56_fits_c14(self):
         topo = chimera_graph(14)
         emb = clique_embedding(56, topo)
-        assert validate_embedding(emb, topo, k_couplers(56)) == []
+        assert validate_embedding(emb, k_couplers(56)) == []
         assert chain_stats(emb).max_chain_length == 15  # ceil(56/4) + 1
 
     def test_fault_in_region(self):
@@ -116,58 +115,85 @@ class TestValidate:
     def test_overlap_detected(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((0, 4), (4, 1)), topology=topo)
-        kinds = {v.kind for v in validate_embedding(emb, topo, [])}
+        kinds = {v.kind for v in validate_embedding(emb, [])}
         assert "overlap" in kinds
 
     def test_disconnected_chain(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((0, 1),), topology=topo)  # same shore, no coupler
-        kinds = {v.kind for v in validate_embedding(emb, topo, [])}
+        kinds = {v.kind for v in validate_embedding(emb, [])}
         assert "connectivity" in kinds
 
     def test_chain_through_fault(self):
         topo = chimera_graph(1, faulty=[4])
         emb = Embedding(chains=((0, 4, 1),), topology=topo)
-        kinds = {v.kind for v in validate_embedding(emb, topo, [])}
+        kinds = {v.kind for v in validate_embedding(emb, [])}
         assert "missing-qubit" in kinds and "connectivity" in kinds
 
     def test_missing_coverage(self):
         topo = chimera_graph(2)
         # chains in different cells with no joining coupler
         emb = Embedding(chains=((topo.qubit(0, 0, 0, 0),), (topo.qubit(1, 1, 1, 0),)), topology=topo)
-        kinds = {v.kind for v in validate_embedding(emb, topo, [(0, 1)])}
+        kinds = {v.kind for v in validate_embedding(emb, [(0, 1)])}
         assert "coverage" in kinds
 
     def test_never_raises(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((),), topology=topo)
-        assert validate_embedding(emb, topo, [(0, 5)])  # reports, does not throw
+        assert validate_embedding(emb, [(0, 5)])  # reports, does not throw
+
+
+class TestChainIndex:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_pairwise_probe(self, seed):
+        """The one-pass index equals probing every qubit pair of two chains,
+        including chains that overlap or hold a faulty qubit."""
+        topo = chimera_graph(2, faulty=[3])
+        rng = np.random.default_rng(seed)
+        chains = tuple(
+            tuple(int(q) for q in rng.choice(32, size=int(rng.integers(1, 6)), replace=False))
+            for _ in range(5)
+        )
+        index = Embedding(chains=chains, topology=topo).chain_index
+        assert index.qubit_order == tuple(sorted(q for chain in chains for q in chain))
+        pos = {q: i for i, q in enumerate(index.qubit_order)}
+        assert index.positions == tuple(tuple(pos[q] for q in chain) for chain in chains)
+        couplers = set(topo.couplers())
+
+        def probe(one, other):
+            pairs = {(min(a, b), max(a, b)) for a in one for b in other}
+            return tuple(sorted((pos[a], pos[b]) for a, b in pairs if (a, b) in couplers))
+
+        for i, chain in enumerate(chains):
+            assert index.within[i] == probe(chain, chain)
+            for j in range(i + 1, len(chains)):
+                assert index.between.get((i, j), ()) == probe(chain, chains[j])
 
 
 class TestStats:
     def test_path_of_three(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((0, 4, 1),), topology=topo)
-        stats = eccentricity_stats(emb, topo)
+        stats = eccentricity_stats(emb)
         assert stats.mean == pytest.approx(5 / 3)
         assert stats.variance == pytest.approx(2 / 9)
 
     def test_star_three_leaves(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((4, 0, 1, 2),), topology=topo)
-        stats = eccentricity_stats(emb, topo)
+        stats = eccentricity_stats(emb)
         assert stats.mean == pytest.approx(7 / 4)  # ecc {1,2,2,2}
 
     def test_disconnected_raises(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((0, 1),), topology=topo)
         with pytest.raises(DisconnectedEmbeddingError):
-            eccentricity_stats(emb, topo)
+            eccentricity_stats(emb)
 
     def test_uniform_eccentricities_degenerate_moments(self):
         topo = chimera_graph(1)
         emb = Embedding(chains=((0, 4),), topology=topo)
-        stats = eccentricity_stats(emb, topo)
+        stats = eccentricity_stats(emb)
         assert (stats.variance, stats.skewness, stats.kurtosis) == (0.0, 0.0, 0.0)
 
     def test_embedding_json_round_trip(self):
@@ -205,16 +231,6 @@ class TestEmbedIsing:
         for jf in (0.2, 0.6, 1.4, 2.0):
             other = embed_ising(logical, emb, jf)
             assert other.constant == Fraction(str(jf)) * one.constant
-
-    def test_single_coupler_assignment(self):
-        logical = random_logical(4, seed=6)
-        emb = clique_embedding(4, chimera_graph(1))
-        split = embed_ising(logical, emb, 0, coupler_assignment="split")
-        single = embed_ising(logical, emb, 0, coupler_assignment="single")
-        # same logical energies on unbroken states either way
-        for s_log in itertools.product((-1, 1), repeat=4):
-            a = expand_unbroken(s_log, emb, split)
-            assert split.model.energy(a) == single.model.energy(a) == logical.energy(s_log)
 
     def test_size_mismatch_raises(self):
         logical = random_logical(5, seed=7)

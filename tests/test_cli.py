@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def assert_domain_error(code, err):
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestExact:
@@ -266,7 +273,70 @@ class TestExitCodes:
             argv = ["sample", str(path), "--sampler", "brute"]
         else:
             argv = ["metrics", str(path), "--reference", "5"]
-        code, _, err = run(capsys, *argv)
-        assert code == 3
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert "Traceback" not in err
+        assert_domain_error(*run(capsys, *argv)[::2])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "QUBO", "--reads", "0"],
+            ["sample", "QUBO", "--sweeps", "0"],
+            ["sample", "QUBO", "--sampler", "tabu", "--tenure", "0"],
+            ["sample", "QUBO", "--sampler", "tabu", "--restarts", "0"],
+            ["sample", "QUBO", "--sampler", "brute", "--keep", "0"],
+            ["simulate", "DEMO", "--m", "3", "--reads", "0"],
+            ["exact", "NEGATIVE"],
+            ["gen", "--n", "6", "--edge-prob", "1.5"],
+            ["embed", "--n-logical", "0"],
+            ["defects", "DEMO", "--deltas", "-1"],
+        ],
+    )
+    def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):
+        negative = tmp_path / "negative.edgelist"
+        negative.write_text("2 1\n0 1 -3\n")
+        files = {
+            "QUBO": str(Path(__file__).parent / "golden" / "demo.qubo"),
+            "DEMO": demo_file,
+            "NEGATIVE": str(negative),
+        }
+        assert_domain_error(*run(capsys, *[files.get(a, a) for a in argv])[::2])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"chains": {"0": [0]}},
+            {"m": 3},
+            {"m": 3, "chains": {"0": [0], "2": [4]}},
+            {"m": 3, "chains": {"0": ["a"]}},
+        ],
+        ids=["no-m", "no-chains", "chain-keys", "qubit-id"],
+    )
+    def test_malformed_embedding_is_domain(self, capsys, tmp_path, demo_file, payload):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(
+            capsys, "simulate", demo_file, "--embedding", str(path), "--reads", "4", "--sweeps", "4"
+        )
+        assert_domain_error(code, err)
+
+
+class TestCertifiedReference:
+    """One edge of weight 10: M_min = 10, certified only when 10 < 2p."""
+
+    @pytest.fixture()
+    def heavy_edge(self, tmp_path):
+        path = tmp_path / "heavy.edgelist"
+        path.write_text("2 1\n0 1 10\n")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["simulate", "jf-sweep"])
+    def test_uncertified_reference_is_domain(self, capsys, heavy_edge, command):
+        code, _, err = run(capsys, command, heavy_edge, "--m", "1", "--reads", "20", "--sweeps", "50")
+        assert_domain_error(code, err)
+        assert "--p 6" in err
+
+    def test_smallest_certifying_penalty(self, capsys, heavy_edge):
+        code, out, _ = run(
+            capsys, "simulate", heavy_edge, "--p", "6", "--m", "1", "--reads", "20", "--sweeps", "50"
+        )
+        assert code == 0
+        assert json.loads(out)["reference_energy"] == 10

@@ -1,10 +1,12 @@
-"""Byte-for-byte golden outputs of the CLI and of the exact ground-state search.
+"""Byte-for-byte golden outputs of the CLI, of the exact ground-state search
+and of the Chimera embedding layer.
 
 Inputs and expected outputs live in tests/golden/. After a deliberate change
 of output, rewrite the expected files with `PYTHONPATH=src python
 tests/test_golden.py` and review the diff.
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -13,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from postman import exact, graphs, qubo, samplers
+from postman import chimera, exact, graphs, qubo, samplers
 from postman.cli import main
+from postman.numbers import to_jsonable
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMO = str(GOLDEN / "demo.edgelist")
@@ -57,9 +60,48 @@ def _ground_states() -> str:
     return json.dumps({k: v.to_json() for k, v in sets.items()}, indent=2, sort_keys=True) + "\n"
 
 
+def _embedded(path: str, p: int, n: int, m: int) -> str:
+    """The pair-QUBO of an edge list clique-embedded as K_n on C_m at jf 1.5."""
+    model = qubo.build_qubo(exact.odd_pair_distances(graphs.read_edge_list(Path(path).read_text())), p)
+    emb = chimera.clique_embedding(n, chimera.chimera_graph(m))
+    embedded = chimera.embed_ising(qubo.to_ising(model), emb, 1.5)
+    payload = {
+        "model": qubo.ising_to_json(embedded.model),
+        "coupling_insertion_order": [list(k) for k in embedded.model.couplings],
+        "chain_offsets": [to_jsonable(v) for v in embedded.chain_offsets],
+        "constant": to_jsonable(embedded.constant),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _invalid_embeddings() -> str:
+    """Violations reported for the five invalid embeddings of test_chimera.TestValidate."""
+    c1, c2 = chimera.chimera_graph(1), chimera.chimera_graph(2)
+    cases = {
+        "overlap": (((0, 4), (4, 1)), c1, []),
+        "disconnected": (((0, 1),), c1, []),
+        "through_fault": (((0, 4, 1),), chimera.chimera_graph(1, faulty=[4]), []),
+        "no_coverage": (((c2.qubit(0, 0, 0, 0),), (c2.qubit(1, 1, 1, 0),)), c2, [(0, 1)]),
+        "empty_chain": (((),), c1, [(0, 5)]),
+    }
+    out = {
+        name: [[v.kind, v.detail] for v in chimera.validate_embedding(chimera.Embedding(chains, topo), couplers)]
+        for name, (chains, topo, couplers) in cases.items()
+    }
+    return json.dumps(out, indent=2, sort_keys=True) + "\n"
+
+
+PRODUCERS = {
+    "ground_state_d6": _ground_states,
+    "embed_k12_c3": lambda: _embedded(DEMO, 8, 12, 3),
+    "embed_k30_c8_sha256": lambda: hashlib.sha256(_embedded(D6, 6, 30, 8).encode()).hexdigest() + "\n",
+    "validate_invalid": _invalid_embeddings,
+}
+
+
 def produce(name: str) -> str:
-    if name == "ground_state_d6":
-        return _ground_states()
+    if name in PRODUCERS:
+        return PRODUCERS[name]()
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = main(CASES[name])
@@ -67,7 +109,7 @@ def produce(name: str) -> str:
     return buf.getvalue()
 
 
-NAMES = [*CASES, "ground_state_d6"]
+NAMES = [*CASES, *PRODUCERS]
 
 
 @pytest.mark.parametrize("name", NAMES)
