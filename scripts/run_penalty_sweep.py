@@ -1,55 +1,40 @@
 #!/usr/bin/env python3
-"""Penalty sweep on the demo instance: spectrum gap vs. sampler success.
+"""Penalty sweep on the demo instance: a preset of `postman penalty-sweep`.
 
-For each penalty value, compiles the model, measures the exact gap between
-the two lowest levels, and runs both classical samplers against the exact
-ground energy. Rows are (p, p/N, gap, P_gs for annealing, P_gs for tabu).
+Writes the 6-node demo graph as demo.edgelist next to the output, then runs
+
+    postman penalty-sweep demo.edgelist --p-grid 4,8,16,32 --reads 1000 --sweeps 500 \
+        --seed 7 --out results/penalty_sweep.csv
+
+with this script's arguments appended, so any `postman penalty-sweep` flag may
+be given and overrides the preset. Rows are (p, p/N, exact gap between the two
+lowest levels, P_gs for annealing, P_gs for tabu).
 """
 
-import argparse
+import sys
 from pathlib import Path
 
-from postman.exact import odd_pair_distances
-from postman.graphs import Graph
-from postman.metrics import p_gs
-from postman.qubo import build_qubo, to_ising
-from postman.samplers import Schedule, simulated_annealing, spectral_gap, tabu_search
+from postman import cli
+from postman.graphs import Graph, write_edge_list
 
 DEMO_EDGES = [
     (0, 1, 2), (0, 2, 5), (0, 4, 3), (1, 3, 5),
     (1, 4, 1), (2, 3, 6), (2, 5, 2), (3, 5, 1),
 ]
+PRESET = [
+    "--p-grid", "4,8,16,32", "--reads", "1000", "--sweeps", "500",
+    "--seed", "7", "--out", "results/penalty_sweep.csv",
+]
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--p-grid", default="4,8,16,32")
-    ap.add_argument("--reads", type=int, default=1000)
-    ap.add_argument("--sweeps", type=int, default=500)
-    ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--out", default="results/penalty_sweep.csv")
-    args = ap.parse_args()
-
-    g = Graph(6, DEMO_EDGES)
-    table = odd_pair_distances(g)
-    lines = ["p,p_over_n,gap,p_gs_sa,p_gs_tabu"]
-    for p in (int(x) for x in args.p_grid.split(",") if x):
-        model = build_qubo(table, p)
-        e0, _, gap = spectral_gap(model)
-        sa = simulated_annealing(
-            to_ising(model), schedule=Schedule(n_sweeps=args.sweeps),
-            reads=args.reads, seed=args.seed,
-        )
-        tabu = tabu_search(model, seed=args.seed)
-        lines.append(
-            f"{p},{p / g.n},{float(gap)},{float(p_gs(sa, e0))},{float(p_gs(tabu, e0))}"
-        )
-        print(lines[-1])
-    out = Path(args.out)
+def main() -> int:
+    argv = ["penalty-sweep", "demo.edgelist", *PRESET, *sys.argv[1:]]
+    out = Path(cli.build_parser().parse_args(argv).out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(lines) + "\n")
-    print(f"-> {out}")
+    argv[1] = str(out.parent / "demo.edgelist")
+    Path(argv[1]).write_text(write_edge_list(Graph(6, DEMO_EDGES), comments=["demo"]))
+    return cli.main(argv)
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

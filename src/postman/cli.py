@@ -2,9 +2,13 @@
 embedding, the annealer-style simulation loop, sweeps, defect scans, and
 metric reports.
 
-Exit codes: 0 success, 1 usage, 2 I/O failure, 3 domain error (the message
-names the violated precondition). Every stochastic subcommand records its
-seed in the output metadata; POSTMAN_SEED provides the default seed.
+Exit codes: 0 success, 1 usage, 2 I/O failure, 3 domain error (one
+`error: ...` line naming the violated precondition or the malformed input).
+A flag that a subcommand does not take is a usage error. The subcommands
+that draw random numbers (gen, sample, simulate, jf-sweep, penalty-sweep,
+metrics) take `--seed`, default POSTMAN_SEED or 0, and record it in their
+output; those with two output forms (qubo, sample, jf-sweep, penalty-sweep)
+take `--format json|csv`.
 """
 
 from __future__ import annotations
@@ -14,24 +18,11 @@ import dataclasses
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
 from .errors import ParseError, PenaltyTooSmallError, PostmanError
 from .numbers import parse_number, to_jsonable
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation: subcommand, paths, seed, format, and parameters."""
-
-    command: str
-    input_path: str | None
-    out: str | None
-    seed: int
-    fmt: str
-    params: dict
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,102 +31,88 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("POSTMAN_SEED", "0"))
+# Options taken by more than one subcommand, declared once.
+_SHARED = {
+    "--reads": dict(type=int, default=1000),
+    "--sweeps": dict(type=int, default=1000),
+    "--beta-start": dict(type=float, default=0.1),
+    "--beta-end": dict(type=float, default=5.0),
+    "--p": dict(dest="penalty", default=None, help="penalty constant (default d)"),
+    "--m": dict(type=int, default=12, help="Chimera grid size"),
+    "--embedding": dict(help="embedding JSON to use instead of the built-in clique embedding"),
+    "--gauges": dict(type=int, default=0),
+    "--policy": dict(choices=("majority", "discard", "both"), default="both"),
+    "--anneal-time": dict(type=float, default=metrics.DEFAULT_ANNEAL_TIME),
+    "--restarts": dict(type=int, default=20),
+}
+_SCHEDULE = ("--reads", "--sweeps", "--beta-start", "--beta-end")
+_PIPELINE = ("--p", "--m", "--embedding", "--gauges", "--policy", "--anneal-time")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="postman", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int, so a bad POSTMAN_SEED is a usage error
+    seed_default = os.environ.get("POSTMAN_SEED", "0")
 
-    def common(p, needs_input=True, fmt_default="json"):
+    def command(name, help, *shared, needs_input=True, seed=False, fmt=None):
+        p = sub.add_parser(name, help=help)
         if needs_input:
             p.add_argument("input", help="input file")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=None, help="master seed (default POSTMAN_SEED or 0)")
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt_default)
+        if seed:
+            p.add_argument("--seed", type=int, default=seed_default,
+                           help="master seed (default POSTMAN_SEED or 0)")
+        if fmt:
+            p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=fmt)
+        for flag in shared:
+            p.add_argument(flag, **_SHARED[flag])
+        return p
 
-    p = sub.add_parser("gen", help="generate a random non-Eulerian ensemble")
-    common(p, needs_input=False)
+    p = command("gen", "generate a random non-Eulerian ensemble", needs_input=False, seed=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
     p.add_argument("--edge-prob", type=float, default=0.4)
     p.add_argument("--w-lo", type=int, default=1)
     p.add_argument("--w-hi", type=int, default=1)
 
-    p = sub.add_parser("exact", help="solve the route-inspection problem exactly")
-    common(p)
+    p = command("exact", "solve the route-inspection problem exactly")
     p.add_argument("--circuit", action="store_true", help="include a closed route")
 
-    p = sub.add_parser("qubo", help="compile a graph into a .qubo file")
-    common(p, fmt_default="csv")  # text format by default; --format json for JSON
-    p.add_argument("--p", dest="penalty", default=None, help="penalty constant (default d)")
+    # the .qubo text form by default; --format json for JSON
+    command("qubo", "compile a graph into a .qubo file", "--p", fmt="csv")
 
-    p = sub.add_parser("sample", help="run a sampler on a .qubo file")
-    common(p)
+    p = command("sample", "run a sampler on a .qubo file", *_SCHEDULE, "--restarts",
+                seed=True, fmt="json")
     p.add_argument("--sampler", choices=("sa", "tabu", "brute"), default="sa")
-    p.add_argument("--reads", type=int, default=1000)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=5.0)
     p.add_argument("--tenure", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--keep", type=int, default=1)
 
-    p = sub.add_parser("embed", help="clique-embed a model on a Chimera grid")
-    common(p, needs_input=False)
+    p = command("embed", "clique-embed a model on a Chimera grid", "--m", needs_input=False)
     p.add_argument("--qubo", help=".qubo file whose dimension sets the clique size")
     p.add_argument("--n-logical", type=int, help="explicit clique size")
-    p.add_argument("--m", type=int, default=12, help="Chimera grid size")
     p.add_argument("--faults", help="file of faulty qubit ids, one per line")
 
-    p = sub.add_parser("simulate", help="full embedded-annealing pipeline on a graph")
-    common(p)
-    p.add_argument("--p", dest="penalty", default=None)
-    p.add_argument("--m", type=int, default=12)
-    p.add_argument("--embedding", help="embedding JSON to use instead of the built-in clique embedding")
+    p = command("simulate", "full embedded-annealing pipeline on a graph", *_SCHEDULE, *_PIPELINE,
+                seed=True)
     p.add_argument("--jf", type=float, default=1.0)
-    p.add_argument("--gauges", type=int, default=0)
-    p.add_argument("--reads", type=int, default=1000)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=5.0)
-    p.add_argument("--policy", choices=("majority", "discard", "both"), default="both")
     p.add_argument("--autoscale", action="store_true")
-    p.add_argument("--anneal-time", type=float, default=metrics.DEFAULT_ANNEAL_TIME)
 
-    p = sub.add_parser("jf-sweep", help="success probability vs intra-chain coupling")
-    common(p, fmt_default="csv")
-    p.add_argument("--p", dest="penalty", default=None)
-    p.add_argument("--m", type=int, default=12)
-    p.add_argument("--embedding", help="embedding JSON to use instead of the built-in clique embedding")
+    p = command("jf-sweep", "success probability vs intra-chain coupling", *_SCHEDULE, *_PIPELINE,
+                seed=True, fmt="csv")
     p.add_argument("--jf-grid", default="0.2,0.4,0.6,0.8,1.0,1.2,1.4,1.6,1.8,2.0")
-    p.add_argument("--gauges", type=int, default=0)
-    p.add_argument("--reads", type=int, default=1000)
-    p.add_argument("--sweeps", type=int, default=1000)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=5.0)
-    p.add_argument("--policy", choices=("majority", "discard", "both"), default="both")
-    p.add_argument("--anneal-time", type=float, default=metrics.DEFAULT_ANNEAL_TIME)
 
-    p = sub.add_parser("penalty-sweep", help="gap and sampler success vs penalty")
-    common(p, fmt_default="csv")
+    p = command("penalty-sweep", "gap and sampler success vs penalty", *_SCHEDULE, "--restarts",
+                seed=True, fmt="csv")
+    p.set_defaults(reads=400, sweeps=500)
     p.add_argument("--p-grid", default="", help="comma list; default d,2d,4d,8d")
-    p.add_argument("--reads", type=int, default=400)
-    p.add_argument("--sweeps", type=int, default=500)
-    p.add_argument("--beta-start", type=float, default=0.1)
-    p.add_argument("--beta-end", type=float, default=5.0)
-    p.add_argument("--restarts", type=int, default=20)
 
-    p = sub.add_parser("defects", help="exact defect maps over edge combinations")
-    common(p, fmt_default="csv")
+    p = command("defects", "exact defect maps over edge combinations")
     p.add_argument("--k", type=int, default=1, choices=(1, 2, 3))
     p.add_argument("--deltas", default=",".join(str(d) for d in defects.DEFAULT_DELTAS))
 
-    p = sub.add_parser("metrics", help="success metrics from a sample-set file")
-    common(p)
+    p = command("metrics", "success metrics from a sample-set file", "--anneal-time", seed=True)
     p.add_argument("--reference", required=True, help="exact reference energy")
-    p.add_argument("--anneal-time", type=float, default=metrics.DEFAULT_ANNEAL_TIME)
     p.add_argument("--n", type=int, default=None, help="size N for the sweep-cost formula")
     p.add_argument("--sweeps", type=int, default=None, help="n_s override for the sweep-cost formula")
     p.add_argument("--tau-s", type=float, default=metrics.DEFAULT_TAU_S)
@@ -177,28 +154,45 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _schedule(args: argparse.Namespace) -> samplers.Schedule:
+    return samplers.Schedule(
+        beta_start=args.beta_start, beta_end=args.beta_end, n_sweeps=args.sweeps
+    )
+
+
+def _penalty(args: argparse.Namespace):
+    return None if args.penalty is None else parse_number(args.penalty)
+
+
+def _jf_grid(text: str) -> list[float]:
+    try:
+        return [float(x) for x in text.split(",") if x]
+    except ValueError:
+        raise ParseError(f"--jf-grid needs a comma list of numbers, got {text!r}") from None
+
+
 # --- subcommand handlers ----------------------------------------------------
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(args: argparse.Namespace) -> int:
     spec = graphs.EnsembleSpec(
-        n=cfg.params["n"],
-        edge_prob=cfg.params["edge_prob"],
-        count=cfg.params["count"],
-        seed=cfg.seed,
-        w_lo=cfg.params["w_lo"],
-        w_hi=cfg.params["w_hi"],
+        n=args.n,
+        edge_prob=args.edge_prob,
+        count=args.count,
+        seed=args.seed,
+        w_lo=args.w_lo,
+        w_hi=args.w_hi,
     )
     chunks = []
     for index in range(spec.count):
         g = graphs.random_graph(spec, index)
         f = g.features()
         comments = [
-            f"generated seed={cfg.seed} index={index} n={spec.n} p={spec.edge_prob}",
+            f"generated seed={args.seed} index={index} n={spec.n} p={spec.edge_prob}",
             f"features d={f.d} c_max={f.c_max} c_min={f.c_min} c_1={f.c_1}",
         ]
         chunks.append((index, graphs.write_edge_list(g, comments)))
-    if cfg.out:
-        out_dir = Path(cfg.out)
+    if args.out:
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for index, text in chunks:
             (out_dir / f"g{index:04d}.edgelist").write_text(text)
@@ -208,46 +202,33 @@ def cmd_gen(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_exact(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input_path)
-    sol = exact.solve(g, with_circuit=cfg.params["circuit"])
-    _emit(_json_dump(sol.to_json()), cfg.out)
+def cmd_exact(args: argparse.Namespace) -> int:
+    sol = exact.solve(_load_graph(args.input), with_circuit=args.circuit)
+    _emit(_json_dump(sol.to_json()), args.out)
     return 0
 
 
-def cmd_qubo(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input_path)
-    table = exact.odd_pair_distances(g)
-    penalty = None if cfg.params["penalty"] is None else parse_number(cfg.params["penalty"])
-    model = qubo.build_qubo(table, penalty)
-    if cfg.fmt == "json":
-        _emit(_json_dump(qubo.qubo_to_json(model)), cfg.out)
+def cmd_qubo(args: argparse.Namespace) -> int:
+    table = exact.odd_pair_distances(_load_graph(args.input))
+    model = qubo.build_qubo(table, _penalty(args))
+    if args.fmt == "json":
+        _emit(_json_dump(qubo.qubo_to_json(model)), args.out)
     else:
-        _emit(qubo.write_qubo(model), cfg.out)
+        _emit(qubo.write_qubo(model), args.out)
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    model = _load_qubo(cfg.input_path)
-    name = cfg.params["sampler"]
-    if name == "brute":
-        result = samplers.brute_force(model, keep=cfg.params["keep"])
-    elif name == "tabu":
+def cmd_sample(args: argparse.Namespace) -> int:
+    model = _load_qubo(args.input)
+    if args.sampler == "brute":
+        result = samplers.brute_force(model, keep=args.keep)
+    elif args.sampler == "tabu":
         result = samplers.tabu_search(
-            model,
-            tenure=cfg.params["tenure"],
-            max_restarts=cfg.params["restarts"],
-            seed=cfg.seed,
+            model, tenure=args.tenure, max_restarts=args.restarts, seed=args.seed
         )
     else:
-        schedule = samplers.Schedule(
-            beta_start=cfg.params["beta_start"],
-            beta_end=cfg.params["beta_end"],
-            n_sweeps=cfg.params["sweeps"],
-        )
-        ising = qubo.to_ising(model)
         spins = samplers.simulated_annealing(
-            ising, schedule=schedule, reads=cfg.params["reads"], seed=cfg.seed
+            qubo.to_ising(model), schedule=_schedule(args), reads=args.reads, seed=args.seed
         )
         # s -> (s + 1) / 2 keeps each energy and, being monotone, the record order
         records = tuple(
@@ -255,10 +236,10 @@ def cmd_sample(cfg: RunConfig) -> int:
             for r in spins.records
         )
         result = samplers.SampleSet(records=records, metadata=spins.metadata)
-    if cfg.fmt == "csv":
-        _emit(result.to_csv(), cfg.out)
+    if args.fmt == "csv":
+        _emit(result.to_csv(), args.out)
     else:
-        _emit(_json_dump(result.to_json()), cfg.out)
+        _emit(_json_dump(result.to_json()), args.out)
     return 0
 
 
@@ -277,14 +258,14 @@ def _read_faults(path: str | None) -> list[int]:
     return out
 
 
-def cmd_embed(cfg: RunConfig) -> int:
-    if cfg.params["n_logical"] is not None:
-        n_logical = cfg.params["n_logical"]
-    elif cfg.params["qubo"]:
-        n_logical = _load_qubo(cfg.params["qubo"]).dim
+def cmd_embed(args: argparse.Namespace) -> int:
+    if args.n_logical is not None:
+        n_logical = args.n_logical
+    elif args.qubo:
+        n_logical = _load_qubo(args.qubo).dim
     else:
         raise ParseError("embed needs --n-logical or --qubo")
-    topo = chimera.chimera_graph(cfg.params["m"], _read_faults(cfg.params["faults"]))
+    topo = chimera.chimera_graph(args.m, _read_faults(args.faults))
     emb = chimera.clique_embedding(n_logical, topo)
     stats = chimera.chain_stats(emb)
     ecc = chimera.eccentricity_stats(emb)
@@ -296,7 +277,7 @@ def cmd_embed(cfg: RunConfig) -> int:
         "eccentricity": dataclasses.asdict(ecc),
         "topology_qubits": topo.node_count,
     }
-    _emit(_json_dump(payload), cfg.out)
+    _emit(_json_dump(payload), args.out)
     return 0
 
 
@@ -317,75 +298,67 @@ def _exact_reference(table: exact.OddPairDistances, model: qubo.QuboModel):
     )
 
 
-def _pipeline_pieces(cfg: RunConfig):
-    table = exact.odd_pair_distances(_load_graph(cfg.input_path))
-    penalty = None if cfg.params["penalty"] is None else parse_number(cfg.params["penalty"])
-    model = qubo.build_qubo(table, penalty)
+def _pipeline_pieces(args: argparse.Namespace):
+    table = exact.odd_pair_distances(_load_graph(args.input))
+    model = qubo.build_qubo(table, _penalty(args))
     logical = qubo.to_ising(model)
-    if cfg.params.get("embedding"):
-        emb = chimera.Embedding.from_json(json.loads(Path(cfg.params["embedding"]).read_text()))
+    if args.embedding:
+        emb = chimera.Embedding.from_json(json.loads(Path(args.embedding).read_text()))
     else:
-        emb = chimera.clique_embedding(model.dim, chimera.chimera_graph(cfg.params["m"]))
-    reference = _exact_reference(table, model)
-    schedule = samplers.Schedule(
-        beta_start=cfg.params["beta_start"],
-        beta_end=cfg.params["beta_end"],
-        n_sweeps=cfg.params["sweeps"],
-    )
-    return model, logical, emb, reference, schedule
+        emb = chimera.clique_embedding(model.dim, chimera.chimera_graph(args.m))
+    return model, logical, emb, _exact_reference(table, model)
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
-    embedded = chimera.embed_ising(logical, emb, cfg.params["jf"])
+def cmd_simulate(args: argparse.Namespace) -> int:
+    model, logical, emb, reference = _pipeline_pieces(args)
+    embedded = chimera.embed_ising(logical, emb, args.jf)
     factor = 1
-    if cfg.params["autoscale"]:
+    if args.autoscale:
         scaled, factor = chimera.autoscale(embedded.model)
         embedded = dataclasses.replace(embedded, model=scaled)
     physical = metrics.sample_embedded(
-        embedded, schedule, cfg.params["reads"], cfg.params["gauges"], seed=cfg.seed
+        embedded, _schedule(args), args.reads, args.gauges, seed=args.seed
     )
     report = {
-        "seed": cfg.seed,
-        "jf": cfg.params["jf"],
-        "gauges": cfg.params["gauges"],
-        "reads": cfg.params["reads"],
+        "seed": args.seed,
+        "jf": args.jf,
+        "gauges": args.gauges,
+        "reads": args.reads,
         "penalty": to_jsonable(model.penalty),
         "reference_energy": to_jsonable(reference),
         "autoscale_factor": to_jsonable(factor),
         "physical_qubits": len(embedded.qubit_order),
         "policies": {},
     }
-    for policy in _policies(cfg.params["policy"]):
+    for policy in _policies(args.policy):
         decoded, broken = metrics.decode_sampleset(physical, emb, logical, policy)
         prob = metrics.p_gs(decoded, reference)
         report["policies"][policy.value] = {
             "p_gs": float(prob),
-            "t_99": metrics.finite_or_str(metrics.t_99(prob, cfg.params["anneal_time"])),
+            "t_99": metrics.finite_or_str(metrics.t_99(prob, args.anneal_time)),
             "broken_fraction": broken,
         }
-    _emit(_json_dump(report), cfg.out)
+    _emit(_json_dump(report), args.out)
     return 0
 
 
-def cmd_jf_sweep(cfg: RunConfig) -> int:
-    model, logical, emb, reference, schedule = _pipeline_pieces(cfg)
-    grid = [float(x) for x in cfg.params["jf_grid"].split(",") if x]
+def cmd_jf_sweep(args: argparse.Namespace) -> int:
+    model, logical, emb, reference = _pipeline_pieces(args)
     points = metrics.jf_sweep(
         logical,
         emb,
-        grid,
+        _jf_grid(args.jf_grid),
         reference,
-        schedule=schedule,
-        reads=cfg.params["reads"],
-        policies=_policies(cfg.params["policy"]),
-        gauges=cfg.params["gauges"],
-        seed=cfg.seed,
-        anneal_time=cfg.params["anneal_time"],
+        schedule=_schedule(args),
+        reads=args.reads,
+        policies=_policies(args.policy),
+        gauges=args.gauges,
+        seed=args.seed,
+        anneal_time=args.anneal_time,
     )
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         payload = {
-            "seed": cfg.seed,
+            "seed": args.seed,
             "reference_energy": to_jsonable(reference),
             "points": [
                 {
@@ -396,35 +369,31 @@ def cmd_jf_sweep(cfg: RunConfig) -> int:
                 for pt in points
             ],
         }
-        _emit(_json_dump(payload), cfg.out)
+        _emit(_json_dump(payload), args.out)
     else:
-        _emit(metrics.curve_to_csv(points), cfg.out)
+        _emit(metrics.curve_to_csv(points), args.out)
     return 0
 
 
-def cmd_penalty_sweep(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input_path)
+def cmd_penalty_sweep(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     table = exact.odd_pair_distances(g)
     d = table.d
-    if cfg.params["p_grid"]:
-        grid = [parse_number(x) for x in cfg.params["p_grid"].split(",") if x]
+    if args.p_grid:
+        grid = [parse_number(x) for x in args.p_grid.split(",") if x]
     else:
         grid = [d, 2 * d, 4 * d, 8 * d]
-    schedule = samplers.Schedule(
-        beta_start=cfg.params["beta_start"],
-        beta_end=cfg.params["beta_end"],
-        n_sweeps=cfg.params["sweeps"],
-    )
+    schedule = _schedule(args)
     rows = []
     for p in grid:
         model = qubo.build_qubo(table, p)
         e0, e1, gap = samplers.spectral_gap_large(model)
         ising = qubo.to_ising(model)
         sa = samplers.simulated_annealing(
-            ising, schedule=schedule, reads=cfg.params["reads"], seed=cfg.seed
+            ising, schedule=schedule, reads=args.reads, seed=args.seed
         )
         tabu = samplers.tabu_search(
-            model, max_restarts=cfg.params["restarts"], seed=cfg.seed
+            model, max_restarts=args.restarts, seed=args.seed
         )
         rows.append(
             {
@@ -436,24 +405,24 @@ def cmd_penalty_sweep(cfg: RunConfig) -> int:
                 "p_gs_tabu": float(metrics.p_gs(tabu, e0)),
             }
         )
-    if cfg.fmt == "json":
-        _emit(_json_dump({"seed": cfg.seed, "rows": rows}), cfg.out)
+    if args.fmt == "json":
+        _emit(_json_dump({"seed": args.seed, "rows": rows}), args.out)
     else:
         lines = ["p,p_over_n,gap,p_gs_sa,p_gs_tabu"]
         lines += [
             f"{r['p']},{r['p_over_n']},{r['gap']},{r['p_gs_sa']},{r['p_gs_tabu']}"
             for r in rows
         ]
-        _emit("\n".join(lines) + "\n", cfg.out)
+        _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def cmd_defects(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.input_path)
-    deltas = [parse_number(x) for x in cfg.params["deltas"].split(",") if x]
-    scan = defects.defect_map(g, deltas, k=cfg.params["k"])
-    if cfg.params["k"] == 1 and cfg.out and not cfg.out.endswith(".csv"):
-        out_dir = Path(cfg.out)
+def cmd_defects(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
+    deltas = [parse_number(x) for x in args.deltas.split(",") if x]
+    scan = defects.defect_map(g, deltas, k=args.k)
+    if args.k == 1 and args.out and not args.out.endswith(".csv"):
+        out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for delta in scan.deltas:
             (out_dir / f"defects_delta_{delta}.csv").write_text(
@@ -461,35 +430,39 @@ def cmd_defects(cfg: RunConfig) -> int:
             )
         sys.stdout.write(f"wrote {len(scan.deltas)} heatmaps to {out_dir}\n")
     else:
-        _emit(defects.combos_csv(scan), cfg.out)
+        _emit(defects.combos_csv(scan), args.out)
     return 0
 
 
-def cmd_metrics(cfg: RunConfig) -> int:
-    payload = json.loads(Path(cfg.input_path).read_text())
+def cmd_metrics(args: argparse.Namespace) -> int:
+    payload = json.loads(Path(args.input).read_text())
     samples = samplers.SampleSet.from_json(payload)
-    reference = parse_number(cfg.params["reference"])
+    reference = parse_number(args.reference)
     prob = metrics.p_gs(samples, reference)
     indicators = metrics.success_indicators(samples, reference)
     mean, two_sigma = metrics.bootstrap(
-        indicators, resamples=cfg.params["resamples"], seed=cfg.seed
+        indicators, resamples=args.resamples, seed=args.seed
     )
-    n_sweeps = cfg.params["sweeps"] or samples.metadata.get("n_sweeps")
-    n_vars = cfg.params["n"]
+    n_sweeps = args.sweeps or samples.metadata.get("n_sweeps")
+    n_vars = args.n
     if n_vars is None and samples.records and samples.records[0].config is not None:
         n_vars = len(samples.records[0].config)
     tts = None
     if n_sweeps and n_vars:
-        tts = metrics.tts_sa(prob, n_vars, int(n_sweeps), cfg.params["tau_s"])
+        try:
+            n_sweeps = int(n_sweeps)
+        except (TypeError, ValueError):
+            raise ParseError(f"sample-set n_sweeps is not an integer: {n_sweeps!r}") from None
+        tts = metrics.tts_sa(prob, n_vars, n_sweeps, args.tau_s)
     report = metrics.MetricsReport(
         p_gs=prob,
-        t_99=metrics.t_99(prob, cfg.params["anneal_time"]),
+        t_99=metrics.t_99(prob, args.anneal_time),
         tts=tts,
         bootstrap_mean=mean,
         bootstrap_two_sigma=two_sigma,
-        metadata={"seed": cfg.seed, "reference": to_jsonable(reference), "reads": samples.total_reads},
+        metadata={"seed": args.seed, "reference": to_jsonable(reference), "reads": samples.total_reads},
     )
-    _emit(_json_dump(report.to_json()), cfg.out)
+    _emit(_json_dump(report.to_json()), args.out)
     return 0
 
 
@@ -507,31 +480,13 @@ _HANDLERS = {
 }
 
 
-def _to_config(args: argparse.Namespace) -> RunConfig:
-    params = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "input", "out", "seed", "fmt")
-    }
-    return RunConfig(
-        command=args.command,
-        input_path=getattr(args, "input", None),
-        out=args.out,
-        seed=args.seed if args.seed is not None else _default_seed(),
-        fmt=args.fmt,
-        params=params,
-    )
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = _to_config(args)
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except PostmanError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -68,9 +68,9 @@ def defect_map(
     results: dict[Number, dict[Combo, Number]] = {d: {} for d in exact_deltas}
     for delta in exact_deltas:
         for combo in combos:
-            bumped = g
-            for (u, v) in combo:
-                bumped = bumped.with_weight(u, v, bumped.weight(u, v) + delta)
+            bumped = Graph(
+                g.n, [(u, v, w + delta if (u, v) in combo else w) for u, v, w in g.edges]
+            )
             results[delta][combo] = m_min(bumped).m_min
     return DefectScan(graph=g, deltas=exact_deltas, k=k, base=base, results=results)
 

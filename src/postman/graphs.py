@@ -69,14 +69,6 @@ class Graph:
         a, b = (u, v) if u < v else (v, u)
         return any((x, y) == (a, b) for x, y, _ in self.edges)
 
-    def with_weight(self, u: int, v: int, w: Number) -> "Graph":
-        """Copy with one edge's weight replaced."""
-        a, b = (u, v) if u < v else (v, u)
-        if not self.has_edge(a, b):
-            raise KeyError(f"no edge ({u},{v})")
-        return Graph(self.n, [(x, y, w if (x, y) == (a, b) else wo)
-                              for x, y, wo in self.edges])
-
     def features(self) -> "GraphFeatures":
         return graph_features(self)
 
@@ -346,6 +338,8 @@ def graph_from_json(obj) -> Graph:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        return Graph(int(obj["n"]), [(e[0], e[1], as_exact(e[2])) for e in obj["edges"]])
-    except (KeyError, TypeError, IndexError) as exc:
+        n = int(obj["n"])
+        edges = [(int(e[0]), int(e[1]), as_exact(e[2])) for e in obj["edges"]]
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from None
+    return Graph(n, edges)

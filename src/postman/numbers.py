@@ -7,10 +7,11 @@ one canonical text form ("5", "7/2") used by all file formats.
 
 from __future__ import annotations
 
+import math
 import numbers as _abc
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidArgumentError, ParseError
 
 Number = int | Fraction
 
@@ -24,6 +25,8 @@ def as_exact(value) -> Number:
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, _abc.Real):  # float and numpy float scalars
+        if not math.isfinite(value):
+            raise InvalidArgumentError(f"{value!r} is not a finite number")
         return normalize(Fraction(repr(float(value))))
     if isinstance(value, str):
         return parse_number(value)

@@ -347,14 +347,17 @@ def qubo_to_json(q: QuboModel) -> dict:
 def qubo_from_json(obj) -> QuboModel:
     if isinstance(obj, str):
         obj = json.loads(obj)
-    return QuboModel(
-        dim=int(obj["dim"]),
-        linear=tuple(as_exact(a) for a in obj["linear"]),
-        quadratic={(int(k), int(l)): as_exact(b) for k, l, b in obj["quadratic"]},
-        offset=as_exact(obj["offset"]),
-        penalty=None if obj.get("penalty") is None else as_exact(obj["penalty"]),
-        pairs=None if obj.get("pairs") is None else tuple((p[0], p[1]) for p in obj["pairs"]),
-    )
+    try:
+        return QuboModel(
+            dim=int(obj["dim"]),
+            linear=tuple(as_exact(a) for a in obj["linear"]),
+            quadratic={(int(k), int(l)): as_exact(b) for k, l, b in obj["quadratic"]},
+            offset=as_exact(obj["offset"]),
+            penalty=None if obj.get("penalty") is None else as_exact(obj["penalty"]),
+            pairs=None if obj.get("pairs") is None else tuple((p[0], p[1]) for p in obj["pairs"]),
+        )
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        raise ParseError(f"bad QUBO JSON: {exc}") from None
 
 
 def ising_to_json(m: IsingModel) -> dict:

@@ -1,8 +1,13 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from postman import chimera, qubo
 from postman.cli import main
 from postman.graphs import Graph, write_edge_list
 
@@ -87,6 +92,12 @@ class TestGen:
         _, with_env, _ = run(capsys, "gen", "--n", "8", "--count", "1")
         _, explicit, _ = run(capsys, "gen", "--n", "8", "--count", "1", "--seed", "42")
         assert with_env == explicit
+
+    def test_bad_env_seed_is_usage(self, capsys, monkeypatch):
+        monkeypatch.setenv("POSTMAN_SEED", "abc")
+        code, _, err = run(capsys, "gen", "--n", "5")
+        assert code == 1
+        assert "--seed: invalid int value: 'abc'" in err and "Traceback" not in err
 
 
 class TestSample:
@@ -264,15 +275,20 @@ class TestExitCodes:
             ("bad.qubo", "p qubo 0 2 1 0\n0 zero 1\n"),
             ("samples.json", '{"metadata": {}}'),
             ("samples.json", '{"records": [{"config": "ab", "energy": 1, "multiplicity": 1}]}'),
+            ("qubo.json", '{"dim": 2}'),
+            ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [[0, 5, 1]], "offset": 0}'),
+            ("graph.json", '{"n": "x", "edges": []}'),
         ],
     )
     def test_malformed_parser_input_is_domain(self, capsys, tmp_path, name, text):
         path = tmp_path / name
         path.write_text(text)
-        if name.endswith(".qubo"):
-            argv = ["sample", str(path), "--sampler", "brute"]
-        else:
-            argv = ["metrics", str(path), "--reference", "5"]
+        argv = {
+            "bad.qubo": ["sample", str(path), "--sampler", "brute"],
+            "qubo.json": ["sample", str(path), "--sampler", "brute"],
+            "samples.json": ["metrics", str(path), "--reference", "5"],
+            "graph.json": ["exact", str(path)],
+        }[name]
         assert_domain_error(*run(capsys, *argv)[::2])
 
     @pytest.mark.parametrize(
@@ -288,6 +304,8 @@ class TestExitCodes:
             ["gen", "--n", "6", "--edge-prob", "1.5"],
             ["embed", "--n-logical", "0"],
             ["defects", "DEMO", "--deltas", "-1"],
+            ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "abc"],
+            ["simulate", "DEMO", "--m", "3", "--jf", "nan"],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):
@@ -299,6 +317,26 @@ class TestExitCodes:
             "NEGATIVE": str(negative),
         }
         assert_domain_error(*run(capsys, *[files.get(a, a) for a in argv])[::2])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--n", "5", "--format", "csv"],
+            ["exact", "DEMO", "--format", "csv"],
+            ["exact", "DEMO", "--seed", "1"],
+            ["qubo", "DEMO", "--seed", "1"],
+            ["embed", "--n-logical", "4", "--format", "json"],
+            ["embed", "--n-logical", "4", "--seed", "1"],
+            ["simulate", "DEMO", "--format", "csv"],
+            ["defects", "DEMO", "--format", "json"],
+            ["defects", "DEMO", "--seed", "1"],
+            ["metrics", "DEMO", "--reference", "5", "--format", "csv"],
+        ],
+    )
+    def test_flag_not_taken_is_usage(self, capsys, demo_file, argv):
+        code, out, err = run(capsys, *[demo_file if a == "DEMO" else a for a in argv])
+        assert code == 1 and out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "payload",
@@ -340,3 +378,79 @@ class TestCertifiedReference:
         )
         assert code == 0
         assert json.loads(out)["reference_energy"] == 10
+
+
+GOLDEN = Path(__file__).parent / "golden"
+TOKENS = ["-1", "0", "1.5", "x", "1/0", '""', "[]", "null"]
+JSON_TOKENS = ["-1", "0", "1.5", '"x"', '"1/0"', '""', "[]", "null"]  # the same set as JSON values
+TOKEN = re.compile(r'"[^"]*"|[^\s,:\[\]{}"]+')  # a JSON string, or a run of other text
+# (input file, command line); FILE stands for the mutated copy of the input, DEMO for the demo graph
+FUZZ_CASES = [
+    ("demo.edgelist", "exact FILE --circuit"),
+    ("demo.edgelist", "qubo FILE --p 8 --format json"),
+    ("demo.edgelist", "defects FILE --k 2 --deltas 1"),
+    ("demo.edgelist", "simulate FILE --m 3 --reads 4 --sweeps 4"),
+    ("demo.edgelist", "jf-sweep FILE --m 3 --jf-grid 1.0 --reads 4 --sweeps 4"),
+    ("demo.edgelist", "penalty-sweep FILE --p-grid 8 --reads 4 --sweeps 4 --restarts 1"),
+    ("demo.qubo", "sample FILE --sampler brute --keep 2"),
+    ("demo.qubo", "sample FILE --sampler tabu --restarts 1 --tenure 3"),
+    ("demo.qubo", "sample FILE --reads 4 --sweeps 4 --format csv"),
+    ("demo.qubo", "embed --qubo FILE --m 3"),
+    ("samples.json", "metrics FILE --reference 5 --resamples 20"),
+    ("qubo.json", "sample FILE --sampler brute"),
+    ("embedding.json", "simulate DEMO --embedding FILE --reads 4 --sweeps 4"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs():
+    """The golden inputs, plus a QUBO JSON and an embedding JSON, as text."""
+    texts = {name: (GOLDEN / name).read_text() for name in ("demo.edgelist", "demo.qubo", "samples.json")}
+    model = qubo.read_qubo(texts["demo.qubo"])
+    texts["qubo.json"] = json.dumps(qubo.qubo_to_json(model), indent=1)
+    emb = chimera.clique_embedding(12, chimera.chimera_graph(3))
+    texts["embedding.json"] = json.dumps(emb.to_json(), indent=1)
+    return texts
+
+
+class TestFuzz:
+    """main() on mutated inputs and flags: a documented exit code, never a traceback."""
+
+    # tmp_path is shared by the examples; each one rewrites the file it reads
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_inputs(self, tmp_path, fuzz_inputs, data):
+        name, command = data.draw(st.sampled_from(FUZZ_CASES))
+        lines = fuzz_inputs[name].splitlines(keepends=True)
+        path = tmp_path / name
+        files = {"FILE": str(path), "DEMO": str(GOLDEN / "demo.edgelist")}
+        argv = [files.get(a, a) for a in command.split()]
+        values = [  # positions of flag values
+            k for k in range(1, len(argv)) if argv[k - 1].startswith("--") and not argv[k].startswith("--")
+        ]
+        ops = ["drop", "duplicate", "swap", "token"] + (["flag"] if values else [])
+        op = data.draw(st.sampled_from(ops))
+        if op == "drop":
+            del lines[data.draw(st.integers(0, len(lines) - 1))]
+        elif op == "duplicate":
+            i = data.draw(st.integers(0, len(lines) - 1))
+            lines.insert(i, lines[i])
+        elif op == "swap":
+            i, j = data.draw(st.lists(st.integers(0, len(lines) - 1), min_size=2, max_size=2))
+            lines[i], lines[j] = lines[j], lines[i]
+        text = "".join(lines)
+        if op == "token":
+            a, b = data.draw(st.sampled_from([m.span() for m in TOKEN.finditer(text)]))
+            tokens = JSON_TOKENS if name.endswith(".json") else TOKENS
+            text = text[:a] + data.draw(st.sampled_from(tokens)) + text[b:]
+        elif op == "flag":
+            value = data.draw(st.sampled_from(TOKENS))
+            argv[data.draw(st.sampled_from(values))] = "" if value == '""' else value
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, text)
+        assert "Traceback" not in err.getvalue()
+        if code == 3:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()

@@ -1,5 +1,6 @@
-"""Byte-for-byte golden outputs of the CLI, of the exact ground-state search
-and of the Chimera embedding layer.
+"""Byte-for-byte golden outputs of the CLI, of the experiment scripts that
+are presets of it, of the exact ground-state search and of the Chimera
+embedding layer.
 
 Inputs and expected outputs live in tests/golden/. After a deliberate change
 of output, rewrite the expected files with `PYTHONPATH=src python
@@ -9,7 +10,10 @@ tests/test_golden.py` and review the diff.
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -19,7 +23,8 @@ from postman import chimera, exact, graphs, qubo, samplers
 from postman.cli import main
 from postman.numbers import to_jsonable
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 DEMO = str(GOLDEN / "demo.edgelist")
 DEMO_QUBO = str(GOLDEN / "demo.qubo")
 D6 = str(GOLDEN / "d6.edgelist")
@@ -51,6 +56,26 @@ CASES = {
     "embed": ["embed", "--n-logical", "12", "--m", "3"],
     "metrics": ["metrics", SAMPLES, "--reference", "5", "--resamples", "200", "--seed", "0"],
 }
+
+
+# case name -> script and arguments; the expected CSV is tests/golden/<name>.csv
+SCRIPTS = {
+    "script_jf_sweep": [
+        "run_jf_sweep.py", "--reads", "20", "--sweeps", "30", "--gauges", "2", "--jf-grid", "0.5,1.5",
+    ],
+    "script_penalty_sweep": ["run_penalty_sweep.py", "--reads", "30", "--sweeps", "40"],
+}
+
+
+def run_script(name: str, out: Path) -> bytes:
+    """Run a script with its output (and the demo edge list beside it) in out's directory."""
+    script, *args = SCRIPTS[name]
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
+        check=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    return out.read_bytes()
 
 
 def _ground_states() -> str:
@@ -117,7 +142,16 @@ def test_golden(name):
     assert produce(name) == (GOLDEN / f"{name}.out").read_text()
 
 
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_script_golden(name, tmp_path):
+    assert run_script(name, tmp_path / f"{name}.csv") == (GOLDEN / f"{name}.csv").read_bytes()
+
+
 if __name__ == "__main__":
     for name in NAMES:
         (GOLDEN / f"{name}.out").write_text(produce(name))
         print(f"wrote {name}.out", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as tmp:  # not GOLDEN: the scripts write demo.edgelist
+        for name in SCRIPTS:
+            (GOLDEN / f"{name}.csv").write_bytes(run_script(name, Path(tmp) / f"{name}.csv"))
+            print(f"wrote {name}.csv", file=sys.stderr)
