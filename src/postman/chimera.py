@@ -423,24 +423,18 @@ def apply_gauge(model: IsingModel, gauge: Sequence[int]) -> IsingModel:
     )
 
 
-def spin_reversal(
-    model: IsingModel, gauges: int, seed: int = 0
-) -> list[tuple[IsingModel, tuple[int, ...]]]:
-    """Gauged copies of the model; gauges=0 yields just the identity gauge."""
+def spin_reversal(n: int, gauges: int, seed: int = 0) -> list[tuple[int, ...]]:
+    """Sign vectors of `gauges` random spin-reversal gauges over n spins, gauge k
+    drawn from the stream seeded by (seed, k); gauges=0 yields the identity alone."""
     if gauges < 0:
         raise InvalidArgumentError("gauge count must be nonnegative")
     if gauges == 0:
-        return [(model, (1,) * model.n)]
+        return [(1,) * n]
     out = []
     for g_index in range(gauges):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, g_index)))
-        gauge = tuple(int(v) for v in rng.integers(0, 2, model.n) * 2 - 1)
-        out.append((apply_gauge(model, gauge), gauge))
+        out.append(tuple(int(v) for v in rng.integers(0, 2, n) * 2 - 1))
     return out
-
-
-def ungauge_config(config: Sequence[int], gauge: Sequence[int]) -> tuple[int, ...]:
-    return tuple(int(s) * int(g) for s, g in zip(config, gauge))
 
 
 class DecodePolicy(enum.Enum):

@@ -30,6 +30,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def parse_known_args(self, args=None, namespace=None):
+        # refuse extras here, so a subcommand's own parser names itself in the error
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
 
 # Options taken by more than one subcommand, declared once.
 _SHARED = {
@@ -130,16 +137,12 @@ def _emit(text: str, out: str | None):
 
 def _load_graph(path: str) -> graphs.Graph:
     text = Path(path).read_text()
-    if path.endswith(".json"):
-        return graphs.graph_from_json(json.loads(text))
-    return graphs.read_edge_list(text)
+    return graphs.graph_from_json(text) if path.endswith(".json") else graphs.read_edge_list(text)
 
 
 def _load_qubo(path: str) -> qubo.QuboModel:
     text = Path(path).read_text()
-    if path.endswith(".json"):
-        return qubo.qubo_from_json(json.loads(text))
-    return qubo.read_qubo(text)
+    return qubo.qubo_from_json(text) if path.endswith(".json") else qubo.read_qubo(text)
 
 
 def _policies(name: str) -> tuple[chimera.DecodePolicy, ...]:
@@ -449,10 +452,8 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         n_vars = len(samples.records[0].config)
     tts = None
     if n_sweeps and n_vars:
-        try:
-            n_sweeps = int(n_sweeps)
-        except (TypeError, ValueError):
-            raise ParseError(f"sample-set n_sweeps is not an integer: {n_sweeps!r}") from None
+        if type(n_sweeps) is not int:
+            raise ParseError(f"sample-set n_sweeps is not an integer: {n_sweeps!r}")
         tts = metrics.tts_sa(prob, n_vars, n_sweeps, args.tau_s)
     report = metrics.MetricsReport(
         p_gs=prob,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -17,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, InfeasibleSpecError, InvalidArgumentError, ParseError
-from .numbers import Number, as_exact, format_number, parse_number, to_jsonable
+from .numbers import Number, as_exact, format_number, json_int, parse_number, to_jsonable
 
 Edge = tuple[int, int, Number]
 
@@ -26,7 +27,7 @@ def _canonical_edges(n: int, edges: Iterable[Sequence]) -> tuple[Edge, ...]:
     seen = set()
     out = []
     for e in edges:
-        u, v, w = int(e[0]), int(e[1]), as_exact(e[2])
+        u, v, w = operator.index(e[0]), operator.index(e[1]), as_exact(e[2])
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidArgumentError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
@@ -52,7 +53,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence]):
         if n < 1:
             raise InvalidArgumentError("graph needs at least one node")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", operator.index(n))
         object.__setattr__(self, "edges", _canonical_edges(n, edges))
 
     def degree(self, v: int) -> int:
@@ -186,9 +187,6 @@ class MultiGraph:
             deg[u] += 1
             deg[v] += 1
         return deg
-
-    def total_weight(self) -> Number:
-        return sum((w for _, _, w in self.edges), start=0)
 
     def is_connected_on_edges(self) -> bool:
         """Connectivity over nodes that carry at least one edge."""
@@ -338,8 +336,8 @@ def graph_from_json(obj) -> Graph:
     if isinstance(obj, str):
         obj = json.loads(obj)
     try:
-        n = int(obj["n"])
-        edges = [(int(e[0]), int(e[1]), as_exact(e[2])) for e in obj["edges"]]
+        n = json_int(obj["n"])
+        edges = [(json_int(e[0]), json_int(e[1]), as_exact(e[2])) for e in obj["edges"]]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad graph JSON: {exc}") from None
     return Graph(n, edges)

@@ -22,12 +22,11 @@ from .chimera import (
     decode_chains,
     embed_ising,
     spin_reversal,
-    ungauge_config,
 )
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleRecord, SampleSet, Schedule, _record_key, simulated_annealing
+from .samplers import SampleRecord, SampleSet, Schedule, _int_form, _record_key, simulated_annealing
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -171,25 +170,26 @@ def sample_embedded(
 ) -> SampleSet:
     """Anneal the physical model, splitting the read budget across gauges.
 
-    Each gauge gets its own model copy and RNG stream; samples are mapped
-    back through the gauge before merging, so the result is a plain physical
+    The model's integer form is built once; each gauge is a sign vector
+    applied to that form, with its own RNG stream. Samples are mapped back
+    through the gauge before merging, so the result is a plain physical
     sample set. gauges=0 runs the identity gauge only.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
-    gauge_models = spin_reversal(embedded.model, gauges, seed=_derived_seed(seed, 1, 0))
-    n_gauges = len(gauge_models)
-    base = reads // n_gauges
-    extras = reads % n_gauges
+    form = _int_form(embedded.model)
+    signs = spin_reversal(form.n, gauges, seed=_derived_seed(seed, 1, 0))
+    base, extras = divmod(reads, len(signs))
     merged: SampleSet | None = None
-    for g_index, (gauged, gauge) in enumerate(gauge_models[:reads]):  # later gauges get no read
+    for g_index, gauge in enumerate(signs[:reads]):  # later gauges get no read
         g_reads = base + (1 if g_index < extras else 0)
         raw = simulated_annealing(
-            gauged, schedule=schedule, reads=g_reads, seed=_derived_seed(seed, 2, g_index)
+            form.gauged(gauge), schedule=schedule, reads=g_reads,
+            seed=_derived_seed(seed, 2, g_index),
         )
         # a gauge preserves energy, so each ungauged record keeps its energy
         records = [
-            SampleRecord(ungauge_config(r.config, gauge), r.energy, r.multiplicity)
+            SampleRecord(tuple(s * g for s, g in zip(r.config, gauge)), r.energy, r.multiplicity)
             for r in raw.records
         ]
         part = SampleSet(records=tuple(sorted(records, key=_record_key)), metadata=raw.metadata)

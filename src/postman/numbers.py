@@ -33,6 +33,13 @@ def as_exact(value) -> Number:
     raise TypeError(f"cannot treat {value!r} as an exact number")
 
 
+def json_int(value) -> int:
+    """A JSON integer as read; TypeError for anything else, floats and booleans too."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def normalize(value: Number) -> Number:
     """Collapse integral Fractions to plain ints."""
     if isinstance(value, Fraction) and value.denominator == 1:

@@ -36,7 +36,7 @@ from .errors import (
     PenaltyTooSmallError,
 )
 from .exact import OddPairDistances
-from .numbers import Number, as_exact, format_number, normalize, parse_number, to_jsonable
+from .numbers import Number, as_exact, format_number, json_int, normalize, parse_number, to_jsonable
 
 
 def variable_pairs(d: int) -> tuple[tuple[int, int], ...]:
@@ -78,10 +78,6 @@ class QuboModel:
     def num_quadratic(self) -> int:
         return sum(1 for v in self.quadratic.values() if v != 0)
 
-    def max_abs_coefficient(self) -> Number:
-        vals = [abs(a) for a in self.linear] + [abs(b) for b in self.quadratic.values()]
-        return max(vals) if vals else 0
-
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -108,10 +104,6 @@ class IsingModel:
         for (i, j), jij in self.couplings.items():
             e += jij * s[i] * s[j]
         return normalize(e)
-
-    def max_abs_coefficient(self) -> Number:
-        vals = [abs(a) for a in self.h] + [abs(b) for b in self.couplings.values()]
-        return max(vals) if vals else 0
 
 
 def _distance_matrix(table) -> tuple[tuple[Number, ...], ...]:
@@ -349,12 +341,14 @@ def qubo_from_json(obj) -> QuboModel:
         obj = json.loads(obj)
     try:
         return QuboModel(
-            dim=int(obj["dim"]),
+            dim=json_int(obj["dim"]),
             linear=tuple(as_exact(a) for a in obj["linear"]),
-            quadratic={(int(k), int(l)): as_exact(b) for k, l, b in obj["quadratic"]},
+            quadratic={(json_int(k), json_int(l)): as_exact(b) for k, l, b in obj["quadratic"]},
             offset=as_exact(obj["offset"]),
             penalty=None if obj.get("penalty") is None else as_exact(obj["penalty"]),
-            pairs=None if obj.get("pairs") is None else tuple((p[0], p[1]) for p in obj["pairs"]),
+            pairs=None if obj.get("pairs") is None else tuple(
+                (json_int(p[0]), json_int(p[1])) for p in obj["pairs"]
+            ),
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad QUBO JSON: {exc}") from None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,7 +22,7 @@ from .errors import (
     DimensionMismatchError, EmptySampleSetError, InvalidArgumentError, NoGapError, ParseError,
     TooLargeError,
 )
-from .numbers import Number, as_exact, format_number, normalize, to_jsonable
+from .numbers import Number, as_exact, format_number, json_int, normalize, to_jsonable
 from .qubo import IsingModel, QuboModel
 
 BRUTE_FORCE_GUARD = 26
@@ -52,7 +52,29 @@ class SampleSet:
     @staticmethod
     def from_configs(model, configs, metadata: dict, rejected: int = 0) -> "SampleSet":
         """Deduplicated configs with their exact energies, plus `rejected` reads."""
-        return _sample_set(_int_form(model), configs, metadata, rejected)
+        form = _int_form(model)
+        counts = Counter(tuple(int(v) for v in c) for c in configs)
+        unit, values = ("spins", (-1, 1)) if form.kind == "ising" else ("bits", (0, 1))
+        for c in counts:
+            if len(c) != form.n:
+                raise DimensionMismatchError(f"expected {form.n} {unit}, got {len(c)}")
+        C = np.array(list(counts), dtype=form.linear.dtype).reshape(len(counts), form.n)
+        if not np.isin(C, values).all():
+            raise ValueError(f"{unit} must take the values {values}")
+        step = max(1, (1 << 21) // max(1, len(form.quad)))  # ~2**21 products per block
+        scaled = []
+        for s in range(0, len(C), step):
+            V = C[s:s + step]
+            quad = (V[:, form.rows] * V[:, form.cols]) @ form.quad
+            scaled += list(form.offset + V @ form.linear + quad)
+        records = [
+            SampleRecord(config=c, energy=normalize(Fraction(int(e), form.scale)), multiplicity=m)
+            for (c, m), e in zip(counts.items(), scaled)
+        ]
+        if rejected:
+            records.append(SampleRecord(config=None, energy=None, multiplicity=rejected))
+        records.sort(key=_record_key)
+        return SampleSet(records=tuple(records), metadata=dict(metadata))
 
     def best(self) -> SampleRecord:
         for r in self.records:
@@ -97,9 +119,9 @@ class SampleSet:
         try:
             records = tuple(
                 SampleRecord(
-                    config=None if r["config"] is None else tuple(int(v) for v in r["config"]),
+                    config=None if r["config"] is None else tuple(map(json_int, r["config"])),
                     energy=None if r["energy"] is None else as_exact(r["energy"]),
-                    multiplicity=int(r["multiplicity"]),
+                    multiplicity=json_int(r["multiplicity"]),
                 )
                 for r in obj["records"]
             )
@@ -168,8 +190,18 @@ class _IntForm:
     cols: np.ndarray
     quad: np.ndarray
 
+    def gauged(self, gauge: Sequence[int]) -> "_IntForm":
+        """This spin form under gauge g (h_i -> g_i h_i, J_ij -> g_i g_j J_ij): equal,
+        field by field, to the form of `chimera.apply_gauge(model, g)`."""
+        g = np.array(gauge, dtype=self.linear.dtype)
+        return replace(self, linear=self.linear * g, quad=self.quad * g[self.rows] * g[self.cols])
+
 
 def _int_form(model) -> _IntForm:
+    """The integer form of a model; a form passes through unchanged, so every
+    sampler and `SampleSet.from_configs` also take a prebuilt (say, gauged) form."""
+    if isinstance(model, _IntForm):
+        return model
     if isinstance(model, QuboModel):
         kind, n, linear, couplings = "qubo", model.dim, model.linear, model.quadratic
     elif isinstance(model, IsingModel):
@@ -183,31 +215,6 @@ def _int_form(model) -> _IntForm:
     keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
     lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
     return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
-
-
-def _sample_set(form: _IntForm, configs, metadata: dict, rejected: int = 0) -> SampleSet:
-    """Deduplicate configs and store their exact energies, one batched product."""
-    counts = Counter(tuple(int(v) for v in c) for c in configs)
-    unit, values = ("spins", (-1, 1)) if form.kind == "ising" else ("bits", (0, 1))
-    for c in counts:
-        if len(c) != form.n:
-            raise DimensionMismatchError(f"expected {form.n} {unit}, got {len(c)}")
-    C = np.array(list(counts), dtype=form.linear.dtype).reshape(len(counts), form.n)
-    if not np.isin(C, values).all():
-        raise ValueError(f"{unit} must take the values {values}")
-    step = max(1, (1 << 21) // max(1, len(form.quad)))  # ~2**21 products per block
-    scaled = []
-    for s in range(0, len(C), step):
-        V = C[s:s + step]
-        scaled += list(form.offset + V @ form.linear + (V[:, form.rows] * V[:, form.cols]) @ form.quad)
-    records = [
-        SampleRecord(config=c, energy=normalize(Fraction(int(e), form.scale)), multiplicity=m)
-        for (c, m), e in zip(counts.items(), scaled)
-    ]
-    if rejected:
-        records.append(SampleRecord(config=None, energy=None, multiplicity=rejected))
-    records.sort(key=_record_key)
-    return SampleSet(records=tuple(records), metadata=dict(metadata))
 
 
 def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
@@ -274,17 +281,20 @@ def brute_force(model, keep: int = 1) -> SampleSet:
     idx = np.nonzero(energies <= cutoff)[0]
     configs = [_native_config(bits, form.kind) for bits in _bit_matrix(idx, form.n).astype(int)]
     meta = {"sampler": "brute_force", "keep": keep, "levels": len(levels)}
-    return _sample_set(form, configs, meta)
+    return SampleSet.from_configs(form, configs, meta)
 
 
 def spectral_gap(model) -> tuple[Number, Number, Number]:
     """(E0, E1, E1 - E0) with E1 the lowest level strictly above E0."""
     energies, scale = _all_energies(_int_form(model))
-    levels = np.unique(energies)
+    return _gap(np.unique(energies), scale)
+
+
+def _gap(levels: np.ndarray, scale: int) -> tuple[Number, Number, Number]:
+    """(E0, E1, E1 - E0) from the ascending distinct levels, scaled by `scale`."""
     if len(levels) < 2:
         raise NoGapError("spectrum has a single level")
-    e0 = normalize(Fraction(int(levels[0]), scale))
-    e1 = normalize(Fraction(int(levels[1]), scale))
+    e0, e1 = (normalize(Fraction(int(v), scale)) for v in levels[:2])
     return e0, e1, normalize(e1 - e0)
 
 
@@ -338,12 +348,7 @@ def spectral_gap_large(model) -> tuple[Number, Number, Number]:
         m0 = tot.min()
         above = tot[tot > m0]
         lows += [m0, above.min()] if above.size else [m0]
-    levels = np.unique(lows)
-    if len(levels) < 2:
-        raise NoGapError("spectrum has a single level")
-    e0 = normalize(Fraction(int(levels[0] + split.offset), split.scale))
-    e1 = normalize(Fraction(int(levels[1] + split.offset), split.scale))
-    return e0, e1, normalize(e1 - e0)
+    return _gap(np.unique(lows) + split.offset, split.scale)
 
 
 def ground_state(model) -> SampleSet:
@@ -372,13 +377,13 @@ def ground_state(model) -> SampleSet:
     bits = [(arg[0] >> k) & 1 for k in range(split.nA)] + [(arg[1] >> k) & 1 for k in range(split.nB)]
     config = _native_config(bits, split.form.kind)
     meta = {"sampler": "ground_state", "candidates": int(len(cand))}
-    return _sample_set(split.form, [config], meta)
+    return SampleSet.from_configs(split.form, [config], meta)
 
 
 # --- simulated annealing -----------------------------------------------------
 
 def simulated_annealing(
-    model: IsingModel,
+    model: IsingModel | _IntForm,
     schedule: Schedule | None = None,
     reads: int = 1000,
     seed: int = 0,
@@ -390,7 +395,7 @@ def simulated_annealing(
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
     beta. Reads are vectorized in chunks, which leaves the per-read stream
-    semantics (and hence the output) unchanged.
+    semantics (and hence the output) unchanged. `model` may be an integer form.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -441,7 +446,7 @@ def simulated_annealing(
         "beta_start": schedule.beta_start,
         "beta_end": schedule.beta_end,
     }
-    return _sample_set(form, finals, meta)
+    return SampleSet.from_configs(form, finals, meta)
 
 
 # --- tabu search --------------------------------------------------------------
@@ -515,4 +520,4 @@ def tabu_search(
         "stagnation_limit": stagnation_limit,
         "reads": max_restarts,
     }
-    return _sample_set(form, bests, meta)
+    return SampleSet.from_configs(form, bests, meta)

@@ -278,6 +278,16 @@ class TestExitCodes:
             ("qubo.json", '{"dim": 2}'),
             ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [[0, 5, 1]], "offset": 0}'),
             ("graph.json", '{"n": "x", "edges": []}'),
+            ("graph.json", '{"n": 3, "edges": [[0, 1.5, 2], [1, 2, 1]]}'),
+            ("graph.json", '{"n": 3.0, "edges": [[0, 1, 2], [1, 2, 1]]}'),
+            ("graph.json", '{"n": 3, "edges": [[0, true, 2], [1, 2, 1]]}'),
+            ("qubo.json", '{"dim": 2.5, "linear": [1, 2], "quadratic": [], "offset": 0}'),
+            ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [[0, 1.9, 1]], "offset": 0}'),
+            ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [], "offset": 0, "pairs": [[0, 1.5]]}'),
+            ("samples.json", '{"records": [{"config": [1, 0.5], "energy": 1, "multiplicity": 1}]}'),
+            ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 2.7}]}'),
+            ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": true}]}'),
+            ("samples.json", '{"metadata": {"n_sweeps": 2.5}, "records": [{"config": [1, 0], "energy": 1, "multiplicity": 1}]}'),
         ],
     )
     def test_malformed_parser_input_is_domain(self, capsys, tmp_path, name, text):
@@ -337,6 +347,9 @@ class TestExitCodes:
         code, out, err = run(capsys, *[demo_file if a == "DEMO" else a for a in argv])
         assert code == 1 and out == ""
         assert "unrecognized arguments" in err and "Traceback" not in err
+        # the subcommand's own parser reports it
+        assert err.startswith(f"usage: postman {argv[0]} ")
+        assert f"postman {argv[0]}: error: unrecognized arguments" in err
 
     @pytest.mark.parametrize(
         "payload",

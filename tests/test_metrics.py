@@ -165,6 +165,28 @@ class TestSampleEmbedded:
         for r in out.records:
             assert embedded.model.energy(r.config) == r.energy
 
+    def test_one_integer_form_and_no_gauged_models(self, monkeypatch):
+        from postman import chimera, metrics, samplers
+
+        embedded = chimera.embed_ising(frustrated_k4(), clique_embedding(4, chimera_graph(1)), 1.0)
+        build = samplers._int_form
+        builds = []
+
+        def counting(model):
+            if not isinstance(model, samplers._IntForm):
+                builds.append(model)
+            return build(model)
+
+        def refuse(*args):
+            raise AssertionError("a gauged IsingModel was built")
+
+        monkeypatch.setattr(samplers, "_int_form", counting)
+        monkeypatch.setattr(metrics, "_int_form", counting)
+        monkeypatch.setattr(chimera, "apply_gauge", refuse)
+        out = sample_embedded(embedded, Schedule(n_sweeps=20), reads=12, gauges=4, seed=3)
+        assert builds == [embedded.model]
+        assert out.total_reads == 12
+
 
 class TestJfSweep:
     def test_frustrated_curve(self):

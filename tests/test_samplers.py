@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from postman.chimera import apply_gauge
 from postman.errors import DimensionMismatchError, NoGapError, ParseError, TooLargeError
 from postman.exact import odd_pair_distances
 from postman.graphs import Graph
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     _HalfSplit,
+    _int_form,
     spectral_gap_large,
     SampleRecord,
     SampleSet,
@@ -341,6 +344,26 @@ class TestFromConfigsExact:
             expected = model.energy(r.config)
             assert r.energy == expected
             assert type(r.energy) is type(expected)
+
+    @pytest.mark.parametrize("big", [False, True])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gauged_form_matches_gauged_model(self, big, data):
+        model, _ = data.draw(model_and_configs(big))
+        if isinstance(model, QuboModel):
+            model = IsingModel(n=model.dim, h=model.linear, couplings=model.quadratic, offset=model.offset)
+        if big:  # every example takes the object-dtype path
+            model = dataclasses.replace(model, offset=model.offset + 2**70)
+        gauge = data.draw(st.tuples(*[st.sampled_from((-1, 1))] * model.n))
+        got, want = _int_form(model).gauged(gauge), _int_form(apply_gauge(model, gauge))
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tolist() == b.tolist()
+                assert list(map(type, a.tolist())) == list(map(type, b.tolist()))
+            else:
+                assert type(a) is type(b) and a == b
+        assert want.linear.dtype == (object if big else np.int64)
 
     def test_many_configs_span_blocks(self):
         # 900 configs x 2415 couplings exceed one 2**21-product block
