@@ -14,10 +14,9 @@ from __future__ import annotations
 import enum
 import itertools
 import json
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,6 +29,7 @@ from .errors import (
     InvalidEmbeddingError,
     ParseError,
 )
+from .graphs import hops
 from .numbers import Number, as_exact, normalize
 from .qubo import IsingModel
 
@@ -60,7 +60,27 @@ class ChimeraTopology:
         return tuple(q for q in range(8 * self.m * self.m) if q not in self.faulty)
 
     def couplers(self) -> tuple[tuple[int, int], ...]:
-        return _couplers(self)
+        out = []
+        m = self.m
+        for row in range(m):
+            for col in range(m):
+                for k0 in range(4):
+                    a = self.qubit(row, col, 0, k0)
+                    for k1 in range(4):
+                        out.append((a, self.qubit(row, col, 1, k1)))
+                if row + 1 < m:
+                    for k in range(4):
+                        out.append((self.qubit(row, col, 0, k), self.qubit(row + 1, col, 0, k)))
+                if col + 1 < m:
+                    for k in range(4):
+                        out.append((self.qubit(row, col, 1, k), self.qubit(row, col + 1, 1, k)))
+        keep = [
+            (min(a, b), max(a, b))
+            for a, b in out
+            if self.enabled(a) and self.enabled(b)
+        ]
+        keep.sort()
+        return tuple(keep)
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return {q: tuple(sorted(nb)) for q, nb in _adjacency(self.nodes(), self.couplers()).items()}
@@ -68,31 +88,6 @@ class ChimeraTopology:
 
 def chimera_graph(m: int, faulty: Iterable[int] = ()) -> ChimeraTopology:
     return ChimeraTopology(m=m, faulty=frozenset(int(q) for q in faulty))
-
-
-@lru_cache(maxsize=64)
-def _couplers(topo: ChimeraTopology) -> tuple[tuple[int, int], ...]:
-    out = []
-    m = topo.m
-    for row in range(m):
-        for col in range(m):
-            for k0 in range(4):
-                a = topo.qubit(row, col, 0, k0)
-                for k1 in range(4):
-                    out.append((a, topo.qubit(row, col, 1, k1)))
-            if row + 1 < m:
-                for k in range(4):
-                    out.append((topo.qubit(row, col, 0, k), topo.qubit(row + 1, col, 0, k)))
-            if col + 1 < m:
-                for k in range(4):
-                    out.append((topo.qubit(row, col, 1, k), topo.qubit(row, col + 1, 1, k)))
-    keep = [
-        (min(a, b), max(a, b))
-        for a, b in out
-        if topo.enabled(a) and topo.enabled(b)
-    ]
-    keep.sort()
-    return tuple(keep)
 
 
 @dataclass(frozen=True)
@@ -226,7 +221,7 @@ def validate_embedding(
             violations.append(Violation("connectivity", f"chain {i} is empty"))
             continue
         adj = _adjacency(positions, index.within[i])
-        if len(_hops(adj, positions[0])) != len(adj):
+        if len(hops(adj, positions[0])) != len(adj):
             violations.append(Violation("connectivity", f"chain {i} is not connected"))
     for (i, j) in logical_couplers:
         if not (0 <= i < emb.n_logical and 0 <= j < emb.n_logical):
@@ -243,19 +238,6 @@ def _adjacency(nodes: Iterable[int], couplers: Iterable[tuple[int, int]]) -> dic
         adj[a].append(b)
         adj[b].append(a)
     return adj
-
-
-def _hops(adj: dict[int, list[int]], start: int) -> dict[int, int]:
-    """Breadth-first hop distance from `start` to every node it reaches."""
-    dist = {start: 0}
-    frontier = deque([start])
-    while frontier:
-        u = frontier.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                frontier.append(v)
-    return dist
 
 
 @dataclass(frozen=True)
@@ -295,7 +277,7 @@ def eccentricity_stats(emb: Embedding) -> EccentricityStats:
     adj = _adjacency(nodes, itertools.chain(*index.within, *index.between.values()))
     ecc = []
     for start in nodes:
-        dist = _hops(adj, start)
+        dist = hops(adj, start)
         if len(dist) != len(nodes):
             raise DisconnectedEmbeddingError("embedded subgraph is not connected")
         ecc.append(max(dist.values()))

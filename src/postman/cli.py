@@ -188,7 +188,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     chunks = []
     for index in range(spec.count):
         g = graphs.random_graph(spec, index)
-        f = g.features()
+        f = graphs.graph_features(g)
         comments = [
             f"generated seed={args.seed} index={index} n={spec.n} p={spec.edge_prob}",
             f"features d={f.d} c_max={f.c_max} c_min={f.c_min} c_1={f.c_1}",

@@ -3,9 +3,11 @@
 Pipeline: collect odd-degree nodes, build the pairwise shortest-distance
 table over them, minimize total matching weight over all (d-1)!! perfect
 pairings, duplicate the matched shortest paths, and extract a closed circuit
-from the augmented multigraph. Everything is exact arithmetic and
-deterministic: pairings are enumerated in canonical order and the circuit
-walks lowest-index neighbors first.
+from the augmented multigraph. The table and the matching carry distances
+only; `augment` rebuilds one canonical shortest path per matched pair, d/2
+in all, when a route is asked for. Everything is exact arithmetic and
+deterministic: pairings are enumerated in canonical order, predecessor ties
+go to the smaller node, and the circuit walks lowest-index neighbors first.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ class OddPairDistances:
     """Symmetric table of exact shortest distances between odd nodes.
 
     dist[i][j] is the distance between the i-th and j-th odd node in the
-    full graph; paths[(i, j)] (i < j) is one canonical shortest node path.
+    full graph. No paths are kept: `augment` rebuilds the matched ones.
     """
 
     nodes: tuple[int, ...]
     dist: tuple[tuple[Number, ...], ...]
-    paths: dict[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         d = len(self.nodes)
@@ -59,16 +60,9 @@ class OddPairDistances:
 def odd_pair_distances(g: Graph) -> OddPairDistances:
     """Exact all-pairs distances between the odd-degree nodes of g."""
     odd = odd_nodes(g)
-    dist_all, pred_all = shortest_paths(g, odd)
-    table = tuple(
-        tuple(dist_all[a][b] for b in odd)
-        for a in odd
-    )
-    paths = {}
-    for i, a in enumerate(odd):
-        for j in range(i + 1, len(odd)):
-            paths[(i, j)] = tuple(reconstruct_path(pred_all[a], a, odd[j]))
-    return OddPairDistances(nodes=tuple(odd), dist=table, paths=paths)
+    dist_all, _ = shortest_paths(g, odd)
+    table = tuple(tuple(dist_all[a][b] for b in odd) for a in odd)
+    return OddPairDistances(nodes=tuple(odd), dist=table)
 
 
 def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -98,11 +92,10 @@ def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
 
 @dataclass(frozen=True)
 class Matching:
-    """A perfect pairing of the odd nodes with its augmenting paths."""
+    """A perfect pairing of the odd nodes and its total distance."""
 
     pairs: tuple[tuple[int, int], ...]          # node ids, each pair sorted
     weight: Number
-    paths: tuple[tuple[int, ...], ...]          # node path per pair
 
 
 @dataclass(frozen=True)
@@ -140,11 +133,7 @@ def minimum_matching(table: OddPairDistances) -> Matching:
     node_pairs = tuple(
         tuple(sorted((table.nodes[i], table.nodes[j]))) for i, j in best_pairing
     )
-    paths = tuple(
-        (table.paths or {}).get((i, j), (table.nodes[i], table.nodes[j]))
-        for i, j in best_pairing
-    )
-    return Matching(pairs=node_pairs, weight=best_weight, paths=paths)
+    return Matching(pairs=node_pairs, weight=best_weight)
 
 
 def m_min(g: Graph) -> CppSolution:
@@ -160,13 +149,20 @@ def cpp_length(g: Graph) -> Number:
 
 
 def augment(g: Graph, matching: Matching) -> MultiGraph:
-    """Original edges plus one duplicate of every edge on each matched path."""
+    """Original edges plus one duplicate of every edge on each matched path.
+
+    A matched pair's path is the canonical shortest path from its lower node
+    (predecessor ties toward the smaller node index), rebuilt here for the
+    d/2 matched pairs only.
+    """
     mg = MultiGraph(g.n)
     for u, v, w in g.edges:
         mg.add_edge(u, v, w)
-    for path in matching.paths:
-        for a, b in zip(path, path[1:]):
-            mg.add_edge(a, b, g.weight(a, b))
+    _, pred = shortest_paths(g, [a for a, _ in matching.pairs])
+    for a, b in matching.pairs:
+        path = reconstruct_path(pred[a], a, b)
+        for x, y in zip(path, path[1:]):
+            mg.add_edge(x, y, g.weight(x, y))
     return mg
 
 

@@ -1,9 +1,11 @@
 """Undirected weighted graphs: representation, degree/Eulerian analysis,
-exact shortest paths, random non-Eulerian ensembles, and edge-list I/O.
+exact shortest paths, breadth-first hops, random non-Eulerian ensembles, and
+edge-list I/O.
 
 Nodes are 0..n-1. Graphs are simple (no self-loops, one edge per pair) with
 strictly positive exact weights; parallel edges live only in MultiGraph,
-which is produced by route augmentation.
+which is produced by route augmentation. A Graph derives its degree and
+adjacency views once, on the instance; no module-level cache holds graphs.
 """
 
 from __future__ import annotations
@@ -11,8 +13,9 @@ from __future__ import annotations
 import heapq
 import json
 import operator
+from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,59 +59,56 @@ class Graph:
         object.__setattr__(self, "n", operator.index(n))
         object.__setattr__(self, "edges", _canonical_edges(n, edges))
 
-    def degree(self, v: int) -> int:
-        return degrees(self)[v]
+    @cached_property
+    def degrees(self) -> tuple[int, ...]:
+        deg = [0] * self.n
+        for u, v, _ in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
+
+    @cached_property
+    def adjacency(self) -> tuple[dict[int, Number], ...]:
+        """Per node, neighbor -> weight in ascending neighbor order (the
+        sorted edge tuple inserts them in that order)."""
+        adj: list[dict[int, Number]] = [{} for _ in range(self.n)]
+        for u, v, w in self.edges:
+            adj[u][v] = w
+            adj[v][u] = w
+        return tuple(adj)
 
     def weight(self, u: int, v: int) -> Number:
-        a, b = (u, v) if u < v else (v, u)
-        for x, y, w in self.edges:
-            if (x, y) == (a, b):
-                return w
-        raise KeyError(f"no edge ({u},{v})")
+        if not self.has_edge(u, v):
+            raise KeyError(f"no edge ({u},{v})")
+        return self.adjacency[u][v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        a, b = (u, v) if u < v else (v, u)
-        return any((x, y) == (a, b) for x, y, _ in self.edges)
-
-    def features(self) -> "GraphFeatures":
-        return graph_features(self)
-
-
-@lru_cache(maxsize=4096)
-def degrees(g: Graph) -> tuple[int, ...]:
-    deg = [0] * g.n
-    for u, v, _ in g.edges:
-        deg[u] += 1
-        deg[v] += 1
-    return tuple(deg)
-
-
-@lru_cache(maxsize=4096)
-def adjacency(g: Graph) -> tuple[tuple[tuple[int, Number], ...], ...]:
-    """Per-node (neighbor, weight) lists sorted by neighbor index."""
-    adj: list[list[tuple[int, Number]]] = [[] for _ in range(g.n)]
-    for u, v, w in g.edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return tuple(tuple(sorted(a)) for a in adj)
+        return 0 <= u < self.n and v in self.adjacency[u]
 
 
 def odd_nodes(g: Graph) -> list[int]:
     """Nodes of odd degree, ascending; always an even count."""
-    return [v for v, d in enumerate(degrees(g)) if d % 2 == 1]
+    return [v for v, d in enumerate(g.degrees) if d % 2 == 1]
+
+
+def hops(adj, start: int) -> dict[int, int]:
+    """Breadth-first hop distance from `start` to every node it reaches.
+
+    `adj[u]` iterates u's neighbors: a list, or a Graph's neighbor -> weight dict.
+    """
+    dist = {start: 0}
+    frontier = deque([start])
+    while frontier:
+        u = frontier.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                frontier.append(v)
+    return dist
 
 
 def is_connected(g: Graph) -> bool:
-    adj = adjacency(g)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == g.n
+    return len(hops(g.adjacency, 0)) == g.n
 
 
 def is_eulerian(g: Graph) -> bool:
@@ -129,7 +129,7 @@ def shortest_paths(g: Graph, sources: Iterable[int]):
     """
     if not is_connected(g):
         raise DisconnectedGraphError("shortest paths require a connected graph")
-    adj = adjacency(g)
+    adj = g.adjacency
     dist_all: dict[int, dict[int, Number]] = {}
     pred_all: dict[int, dict[int, int | None]] = {}
     for s in sources:
@@ -142,7 +142,7 @@ def shortest_paths(g: Graph, sources: Iterable[int]):
             if u in done:
                 continue
             done.add(u)
-            for v, w in adj[u]:
+            for v, w in adj[u].items():
                 nd = d + w
                 if v not in dist or nd < dist[v]:
                     dist[v] = nd
@@ -190,22 +190,11 @@ class MultiGraph:
 
     def is_connected_on_edges(self) -> bool:
         """Connectivity over nodes that carry at least one edge."""
-        active = [v for v, d in enumerate(self.degrees()) if d > 0]
-        if not active:
-            return True
-        adj: dict[int, set[int]] = {v: set() for v in active}
+        adj: dict[int, list[int]] = {}
         for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        seen = {active[0]}
-        stack = [active[0]]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(active)
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        return not adj or len(hops(adj, next(iter(adj)))) == len(adj)
 
 
 @dataclass(frozen=True)
@@ -219,7 +208,7 @@ class GraphFeatures:
 
 
 def graph_features(g: Graph) -> GraphFeatures:
-    deg = degrees(g)
+    deg = g.degrees
     return GraphFeatures(
         d=sum(1 for x in deg if x % 2 == 1),
         c_max=max(deg),

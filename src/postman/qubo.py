@@ -362,13 +362,3 @@ def ising_to_json(m: IsingModel) -> dict:
         "couplings": [[i, j, to_jsonable(v)] for (i, j), v in sorted(m.couplings.items())],
     }
 
-
-def ising_from_json(obj) -> IsingModel:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    return IsingModel(
-        n=int(obj["n"]),
-        h=tuple(as_exact(v) for v in obj["h"]),
-        couplings={(int(i), int(j)): as_exact(v) for i, j, v in obj["couplings"]},
-        offset=as_exact(obj["offset"]),
-    )

@@ -283,7 +283,7 @@ def test_c12_defect_identities():
             continue
         found += 1
         scan = defect_map(g, deltas=deltas, k=1)
-        degree_one = [v for v in range(g.n) if g.degree(v) == 1]
+        degree_one = [v for v in range(g.n) if g.degrees[v] == 1]
         for v in degree_one:
             (edge,) = [e[:2] for e in g.edges if v in e[:2]]
             for delta in deltas:

@@ -56,6 +56,15 @@ class TestExact:
         code, out, _ = run(capsys, "exact", str(path))
         assert code == 0 and json.loads(out)["m_min"] == 5
 
+    def test_matching_guard(self, capsys, tmp_path):
+        # the star K1,16 has 16 odd leaves: above the enumeration guard of 14
+        path = tmp_path / "star.edgelist"
+        path.write_text(write_edge_list(Graph(17, [(0, v, 1) for v in range(1, 17)])))
+        code, out, err = run(capsys, "exact", str(path))
+        assert_domain_error(code, err)
+        assert out == ""
+        assert err == "error: refusing to enumerate pairings for d=16 > 14\n"
+
 
 class TestQubo:
     def test_header(self, capsys, demo_file):

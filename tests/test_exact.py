@@ -4,14 +4,17 @@ from itertools import islice
 
 import pytest
 
+from postman import defects, exact, graphs
 from postman.errors import NotEulerianError, TooLargeError
 from postman.exact import (
     MATCHING_GUARD,
+    OddPairDistances,
     augment,
     cpp_length,
     enumerate_matchings,
     euler_circuit,
     m_min,
+    minimum_matching,
     odd_pair_distances,
     solve,
     walk_length,
@@ -191,6 +194,49 @@ class TestCircuit:
             mg.add_edge(u, v, 1)
         with pytest.raises(NotEulerianError):
             euler_circuit(mg)
+
+
+class TestPathsOnlyForMatchedPairs:
+    """Only `augment` rebuilds paths, one per matched pair."""
+
+    @staticmethod
+    def patch_reconstruct(monkeypatch, replacement):
+        for module in (graphs, exact):
+            monkeypatch.setattr(module, "reconstruct_path", replacement)
+
+    def test_distances_never_rebuild_paths(self, monkeypatch, demo):
+        def refuse(*_):
+            raise AssertionError("reconstruct_path called")
+
+        self.patch_reconstruct(monkeypatch, refuse)
+        assert m_min(demo).m_min == 5
+        assert odd_pair_distances(demo).dist[2][3] == 3
+        assert defects.defect_map(demo, deltas=(1,), k=1).base == 5
+        assert [pt.m_min for pt in defects.mmin_vs_cmax([demo])] == [5]
+
+    def test_circuit_rebuilds_d_over_2_paths(self, monkeypatch):
+        calls = []
+        original = graphs.reconstruct_path
+
+        def counting(pred, source, target):
+            calls.append((source, target))
+            return original(pred, source, target)
+
+        self.patch_reconstruct(monkeypatch, counting)
+        checked = 0
+        for g in islice(graph_stream(seed=71, n=9, p=0.4), 8):
+            calls.clear()
+            sol = solve(g, with_circuit=True)
+            assert sorted(calls) == sorted(sol.matching.pairs)
+            assert len(calls) == len(odd_nodes(g)) // 2
+            checked += len(calls) > 2
+        assert checked
+
+    def test_route_from_a_hand_built_table(self, demo):
+        # a table of distances alone still yields the shortest closed route
+        t = odd_pair_distances(demo)
+        mg = augment(demo, minimum_matching(OddPairDistances(t.nodes, t.dist)))
+        assert walk_length(mg, euler_circuit(mg)) == m_min(demo).l_t == 30
 
 
 class TestInvariants:

@@ -11,6 +11,7 @@ from postman.graphs import (
     graph_features,
     graph_from_json,
     graph_to_json,
+    hops,
     is_connected,
     is_eulerian,
     odd_nodes,
@@ -128,14 +129,51 @@ class TestShortestPaths:
         assert pred[0][3] == 1
 
 
+class TestViews:
+    def test_no_module_level_caches(self):
+        import importlib
+        import pkgutil
+
+        import postman
+
+        for info in pkgutil.iter_modules(postman.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"postman.{info.name}")
+            cached = [k for k, v in vars(module).items() if hasattr(v, "cache_clear")]
+            assert cached == [], f"postman.{info.name} caches {cached}"
+
+    def test_equal_graphs_build_their_own_views(self):
+        a = Graph(3, [(0, 1, 2), (1, 2, 3)])
+        b = Graph(3, [(1, 2, 3), (0, 1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert a.adjacency == b.adjacency and a.adjacency is not b.adjacency
+        assert a.adjacency is a.adjacency and a.degrees is a.degrees
+
+    def test_adjacency_ascending_and_weights(self):
+        for g in islice(graph_stream(seed=17, n=9, p=0.4), 5):
+            for u, nbrs in enumerate(g.adjacency):
+                assert list(nbrs) == sorted(nbrs)
+                assert len(nbrs) == g.degrees[u]
+            for u, v, w in g.edges:
+                assert g.weight(v, u) == w and g.adjacency[v][u] == w
+
+    def test_edge_lookup_out_of_range(self, demo):
+        assert not demo.has_edge(-1, 0) and not demo.has_edge(0, 6) and not demo.has_edge(0, 5)
+        with pytest.raises(KeyError):
+            demo.weight(-1, 5)
+
+    def test_hops(self, demo):
+        assert hops(demo.adjacency, 0) == {0: 0, 1: 1, 2: 1, 4: 1, 3: 2, 5: 2}
+        assert hops({0: [1], 1: [0], 2: []}, 0) == {0: 0, 1: 1}
+
+
 class TestHandshake:
     @given(st.integers(min_value=0, max_value=2**30))
     @settings(max_examples=40, deadline=None)
     def test_degree_sum_twice_edges(self, seed):
         g = next(graph_stream(seed=seed, n=8, p=0.4))
-        from postman.graphs import degrees
-
-        assert sum(degrees(g)) == 2 * len(g.edges)
+        assert sum(g.degrees) == 2 * len(g.edges)
         assert len(odd_nodes(g)) % 2 == 0
 
 

@@ -20,8 +20,6 @@ from postman.qubo import (
     d_from_dim,
     decode,
     is_legal,
-    ising_from_json,
-    ising_to_json,
     penalties,
     qubo_from_json,
     qubo_to_json,
@@ -313,8 +311,6 @@ class TestFiles:
     def test_json_round_trips(self, demo):
         model = build_qubo(demo_table(demo), 8)
         assert qubo_from_json(qubo_to_json(model)) == model
-        ising = to_ising(model)
-        assert ising_from_json(ising_to_json(ising)) == ising
 
     def test_d_from_dim(self):
         assert d_from_dim(12) == 4
