@@ -5,7 +5,7 @@ over a common denominator. Search loops run in float over that form
 (integer-valued, so argmins are sound), and stored energies are exact integer
 products of the same arrays, divided by the denominator. Randomized
 samplers derive one RNG stream per read (or restart) from the master seed, so
-results are deterministic regardless of execution order or chunking.
+results are deterministic regardless of execution order.
 """
 
 from __future__ import annotations
@@ -162,6 +162,8 @@ class Schedule:
             raise InvalidArgumentError("need at least one sweep")
         if not (0 < self.beta_start <= self.beta_end):
             raise InvalidArgumentError("need 0 < beta_start <= beta_end")
+        if math.isinf(self.beta_end) and self.beta_start != self.beta_end:
+            raise InvalidArgumentError("an infinite beta needs beta_start == beta_end")
 
     def betas(self) -> np.ndarray:
         if self.beta_start == self.beta_end:
@@ -382,6 +384,47 @@ def ground_state(model) -> SampleSet:
 
 # --- simulated annealing -----------------------------------------------------
 
+def _block_plan(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> list[tuple[int, int, list]]:
+    """Blocks of the sweep order, each with the field updates of its flips.
+
+    A block is a maximal run [a, e) of consecutive spins with no coupling
+    among them (couplings J[k] between rows[k] < cols[k]). A block's updates
+    come in layers of (targets, coefficients, sources): a target appears at
+    most once per layer, and its k-th layer carries its k-th coupled source in
+    ascending order, so each field receives its additions in single-spin sweep
+    order. A layer whose targets fill at least half of their index range is
+    one slice, zero at the rows between. Sources index the block's rows.
+    """
+    keep = J != 0
+    rows, cols, J = rows[keep], cols[keep], J[keep]
+    below = np.full(n, -1)
+    np.maximum.at(below, cols, rows)  # each spin's highest coupled spin below it
+    starts = [0]
+    for e, j in enumerate(below.tolist()):
+        if j >= starts[-1]:
+            starts.append(e)
+    block = np.repeat(np.arange(len(starts)), np.diff(starts + [n]))
+    src, tgt, coef = np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([J, J])
+    order = np.lexsort((src, tgt, block[src]))  # by block, target, then source
+    src, tgt, coef = src[order], tgt[order], coef[order]
+    heads = np.flatnonzero(np.diff(block[src] * n + tgt, prepend=-1))
+    rank = np.arange(len(src)) - np.repeat(heads, np.diff(np.r_[heads, len(src)]))  # place among the target's sources
+    order = np.lexsort((tgt, rank, block[src]))  # by block, layer, then target
+    src, tgt, coef = src[order], tgt[order], coef[order]
+    heads = np.flatnonzero(np.diff(block[src] * n + rank[order], prepend=-1)).tolist()
+    layers: list[list] = [[] for _ in starts]
+    for lo_k, hi_k in zip(heads, heads[1:] + [len(src)]):
+        s, t, c = src[lo_k:hi_k], tgt[lo_k:hi_k], coef[lo_k:hi_k]
+        lo, hi = int(t[0]), int(t[-1]) + 1
+        if 2 * len(t) >= hi - lo:
+            fill_s, fill_c = np.full(hi - lo, s[0]), np.zeros(hi - lo)
+            fill_s[t - lo], fill_c[t - lo] = s, c
+            s, c, t = fill_s, fill_c, slice(lo, hi)
+        b = int(block[s[0]])
+        layers[b].append((t, c[:, None], s - starts[b]))
+    return [(a, e, lay) for a, e, lay in zip(starts, starts[1:] + [n], layers)]
+
+
 def simulated_annealing(
     model: IsingModel | _IntForm,
     schedule: Schedule | None = None,
@@ -395,7 +438,15 @@ def simulated_annealing(
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
     beta. Reads are vectorized in chunks, which leaves the per-read stream
-    semantics (and hence the output) unchanged. `model` may be an integer form.
+    semantics unchanged; each chunk's initial fields come from one matrix
+    product over its reads. `model` may be an integer form.
+
+    A sweep steps through blocks of consecutive, mutually uncoupled spins
+    (`_block_plan`), deciding a whole block over all reads at once. No spin of
+    a block reads a field another spin of it writes, each field receives its
+    additions in sweep order, and an accepted flip adds the same (-2 s) * J as
+    a one-spin step (a rejected one adds zero), so the chain is that of the
+    one-spin-at-a-time loop, bit for bit.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -406,10 +457,11 @@ def simulated_annealing(
     n = form.n
     # Python int / int is correctly rounded, so each entry equals float(J)
     hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
-    J = [v / form.scale for v in form.quad.tolist()]
+    J = np.array([v / form.scale for v in form.quad.tolist()], dtype=np.float64)
     Jm = np.zeros((n, n))
     Jm[form.rows, form.cols] = J
     Jm[form.cols, form.rows] = J
+    plan = _block_plan(n, form.rows, form.cols, J)
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
     finals = np.empty((reads, n), dtype=np.int8)
@@ -418,26 +470,44 @@ def simulated_annealing(
     for start in range(0, reads, chunk):
         stop = min(start + chunk, reads)
         m = stop - start
-        S = np.empty((m, n))
-        U = np.empty((m, n_sweeps, n))
+        S0 = np.empty((m, n))
+        U = np.empty((n_sweeps, n, m))  # spin-major, so a block is a row slice
         for row, r in enumerate(range(start, stop)):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-            S[row] = rng.integers(0, 2, n) * 2 - 1
-            U[row] = rng.random((n_sweeps, n))
-        F = S @ Jm
-        for t in range(n_sweeps):
-            beta = betas[t]
-            for i in range(n):
-                dE = -2.0 * S[:, i] * (hf[i] + F[:, i])
-                accept = dE <= 0.0
-                hard = ~accept
-                if hard.any():
-                    accept[hard] = U[hard, t, i] < np.exp(-beta * dE[hard])
-                if accept.any():
-                    old = S[accept, i].copy()
-                    S[accept, i] = -old
-                    F[accept] += (-2.0 * old)[:, None] * Jm[i][None, :]
-        finals[start:stop] = S.astype(np.int8)
+            S0[row] = rng.integers(0, 2, n) * 2 - 1
+            U[:, :, row] = rng.random((n_sweeps, n))
+        # the fields are the (reads x n) product: BLAS rounds a one-row
+        # product differently, and the chain inherits the rounding
+        F = np.ascontiguousarray((S0 @ Jm).T)
+        S = np.ascontiguousarray(S0.T)
+        H = np.repeat(hf[:, None], m, axis=1)
+        # a slice target adds in place; scattered targets go through F's flat indices
+        cols = np.arange(m)
+        blocks = [
+            (S[a:e], F[a:e], H[a:e], U[:, a:e], [
+                (F[tg], None, c, src) if type(tg) is slice else (None, (tg[:, None] * m + cols).ravel(), c, src)
+                for tg, c, src in layers
+            ])
+            for a, e, layers in plan
+        ]
+        # U < 1 <= exp(-beta * dE) wherever dE <= 0 at finite beta, so the
+        # Metropolis test is one comparison; its exp overflows harmlessly there
+        with np.errstate(over="ignore"):
+            for t in range(n_sweeps):
+                beta = betas[t]
+                for s, f, h, u, layers in blocks:
+                    m2 = -2.0 * s
+                    dE = m2 * (h + f)
+                    d = m2 * (dE <= 0.0 if beta == math.inf else u[t] < np.exp(-beta * dE))
+                    if np.count_nonzero(d):
+                        s += d
+                        for view, flat, coef, src in layers:
+                            x = coef * d.take(src, axis=0)
+                            if flat is None:
+                                view += x
+                            else:
+                                F.put(flat, F.take(flat) + x.ravel())
+        finals[start:stop] = S.T.astype(np.int8)
     meta = {
         "sampler": "simulated_annealing",
         "seed": seed,

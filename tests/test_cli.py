@@ -315,6 +315,7 @@ class TestExitCodes:
         [
             ["sample", "QUBO", "--reads", "0"],
             ["sample", "QUBO", "--sweeps", "0"],
+            ["sample", "QUBO", "--sampler", "sa", "--reads", "3", "--sweeps", "5", "--beta-end", "inf"],
             ["sample", "QUBO", "--sampler", "tabu", "--tenure", "0"],
             ["sample", "QUBO", "--sampler", "tabu", "--restarts", "0"],
             ["sample", "QUBO", "--sampler", "brute", "--keep", "0"],

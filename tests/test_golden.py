@@ -7,6 +7,7 @@ of output, rewrite the expected files with `PYTHONPATH=src python
 tests/test_golden.py` and review the diff.
 """
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from postman import chimera, exact, graphs, qubo, samplers
+from postman import chimera, exact, graphs, metrics, qubo, samplers
 from postman.cli import main
 from postman.numbers import to_jsonable
 
@@ -28,6 +29,7 @@ GOLDEN = ROOT / "tests" / "golden"
 DEMO = str(GOLDEN / "demo.edgelist")
 DEMO_QUBO = str(GOLDEN / "demo.qubo")
 D6 = str(GOLDEN / "d6.edgelist")
+D8 = str(GOLDEN / "d8.edgelist")  # the bench's d = 8 instance: 56 variables, 840 spins on C14
 SAMPLES = str(GOLDEN / "samples.json")
 
 # case name -> CLI arguments; the expected stdout is tests/golden/<name>.out
@@ -51,6 +53,14 @@ CASES = {
     "penalty_sweep_d6": [
         "penalty-sweep", D6, "--p-grid", "6", "--reads", "20", "--sweeps", "60",
         "--restarts", "3", "--seed", "1", "--format", "json",
+    ],
+    "jf_sweep_d8": [
+        "jf-sweep", D8, "--m", "14", "--p", "8", "--jf-grid", "0.5,2.0",
+        "--gauges", "3", "--reads", "25", "--sweeps", "30", "--seed", "5",
+    ],
+    "simulate_d8": [
+        "simulate", D8, "--m", "14", "--p", "8", "--autoscale", "--gauges", "2",
+        "--reads", "9", "--sweeps", "10", "--seed", "3",
     ],
     "defects_k2": ["defects", DEMO, "--k", "2", "--deltas", "1,5"],
     "embed": ["embed", "--n-logical", "12", "--m", "3"],
@@ -99,6 +109,19 @@ def _embedded(path: str, p: int, n: int, m: int) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _physical_d8() -> str:
+    """The physical reads behind the simulate_d8 report. A report of this size
+    reads broken_fraction 1.0 and p_gs 0 whatever the chain, so these reads are
+    what pin the annealer at paper scale (840 spins, fractional couplings)."""
+    model = qubo.build_qubo(exact.odd_pair_distances(graphs.read_edge_list(Path(D8).read_text())), 8)
+    emb = chimera.clique_embedding(model.dim, chimera.chimera_graph(14))
+    embedded = chimera.embed_ising(qubo.to_ising(model), emb, 1.0)
+    scaled, _ = chimera.autoscale(embedded.model)
+    embedded = dataclasses.replace(embedded, model=scaled)
+    physical = metrics.sample_embedded(embedded, samplers.Schedule(n_sweeps=10), 9, 2, seed=3)
+    return json.dumps(physical.to_json(), sort_keys=True)
+
+
 def _invalid_embeddings() -> str:
     """Violations reported for the five invalid embeddings of test_chimera.TestValidate."""
     c1, c2 = chimera.chimera_graph(1), chimera.chimera_graph(2)
@@ -121,6 +144,7 @@ PRODUCERS = {
     "embed_k12_c3": lambda: _embedded(DEMO, 8, 12, 3),
     "embed_k30_c8_sha256": lambda: hashlib.sha256(_embedded(D6, 6, 30, 8).encode()).hexdigest() + "\n",
     "validate_invalid": _invalid_embeddings,
+    "sample_embedded_d8_sha256": lambda: hashlib.sha256(_physical_d8().encode()).hexdigest() + "\n",
 }
 
 

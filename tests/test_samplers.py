@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postman.chimera import apply_gauge
-from postman.errors import DimensionMismatchError, NoGapError, ParseError, TooLargeError
+from postman.chimera import apply_gauge, chimera_graph, clique_embedding, embed_ising
+from postman.errors import (
+    DimensionMismatchError, InvalidArgumentError, NoGapError, ParseError, TooLargeError,
+)
 from postman.exact import odd_pair_distances
 from postman.graphs import Graph
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     _HalfSplit,
+    _block_plan,
     _int_form,
     spectral_gap_large,
     SampleRecord,
@@ -228,6 +231,140 @@ class TestSimulatedAnnealing:
             Schedule(beta_start=2.0, beta_end=1.0)
         with pytest.raises(ValueError):
             Schedule(n_sweeps=0)
+        # linspace(0.1, inf) would put nan at the first sweep
+        with pytest.raises(InvalidArgumentError):
+            Schedule(beta_start=0.1, beta_end=math.inf)
+        assert Schedule(beta_start=math.inf, beta_end=math.inf, n_sweeps=2).betas().tolist() == [math.inf] * 2
+
+
+def one_spin_annealing(model, schedule, reads, seed, chunk=None):
+    """The one-spin-at-a-time Metropolis loop that `simulated_annealing`
+    replaced, kept as the reference its block steps must reproduce bit for bit."""
+    form = _int_form(model)
+    n = form.n
+    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
+    J = [v / form.scale for v in form.quad.tolist()]
+    Jm = np.zeros((n, n))
+    Jm[form.rows, form.cols] = J
+    Jm[form.cols, form.rows] = J
+    betas = schedule.betas()
+    n_sweeps = schedule.n_sweeps
+    finals = np.empty((reads, n), dtype=np.int8)
+    if chunk is None:  # cap the pregenerated uniform block at ~128 MB
+        chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
+    for start in range(0, reads, chunk):
+        stop = min(start + chunk, reads)
+        m = stop - start
+        S = np.empty((m, n))
+        U = np.empty((m, n_sweeps, n))
+        for row, r in enumerate(range(start, stop)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+            S[row] = rng.integers(0, 2, n) * 2 - 1
+            U[row] = rng.random((n_sweeps, n))
+        F = S @ Jm
+        for t in range(n_sweeps):
+            beta = betas[t]
+            for i in range(n):
+                dE = -2.0 * S[:, i] * (hf[i] + F[:, i])
+                accept = dE <= 0.0
+                hard = ~accept
+                if hard.any():
+                    accept[hard] = U[hard, t, i] < np.exp(-beta * dE[hard])
+                if accept.any():
+                    old = S[accept, i].copy()
+                    S[accept, i] = -old
+                    F[accept] += (-2.0 * old)[:, None] * Jm[i][None, :]
+        finals[start:stop] = S.astype(np.int8)
+    return SampleSet.from_configs(form, finals, {})
+
+
+# coefficients with denominators 1..7, so the float form rounds
+_fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+
+
+@st.composite
+def dense_ising(draw):
+    n = draw(st.integers(1, 10))
+    zero_h = draw(st.booleans())
+    h = tuple(0 if zero_h else draw(_fraction) for _ in range(n))
+    complete = draw(st.booleans())
+    couplings = {(i, j): draw(_fraction) for i in range(n) for j in range(i + 1, n) if complete or draw(st.booleans())}
+    return IsingModel(n=n, h=h, couplings=couplings)
+
+
+@st.composite
+def embedded_ising(draw):
+    """A logical model clique-embedded on C2 or C3: wide blocks whose spins
+    share neighbours across a cell's shores."""
+    m = draw(st.integers(2, 3))
+    logical = draw(dense_ising().filter(lambda model: model.n <= 4 * m))
+    emb = clique_embedding(logical.n, chimera_graph(m))
+    return embed_ising(logical, emb, draw(st.sampled_from((Fraction(1, 2), 1, Fraction(3, 2), 2)))).model
+
+
+schedules = st.builds(
+    lambda kind, beta, sweeps: {
+        "ramp": Schedule(0.1, beta, sweeps),
+        "flat": Schedule(beta, beta, sweeps),
+        "greedy": Schedule(math.inf, math.inf, sweeps),
+    }[kind],
+    st.sampled_from(("ramp", "flat", "greedy")),
+    st.sampled_from((0.5, 2.0, 7.0)),
+    st.integers(1, 6),
+)
+
+
+class TestBlockSteps:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=st.one_of(dense_ising(), embedded_ising()),
+        schedule=schedules,
+        reads=st.integers(1, 7),
+        seed=st.integers(0, 2**16),
+        chunk=st.sampled_from((None, 1, 3)),
+    )
+    def test_matches_one_spin_loop(self, model, schedule, reads, seed, chunk):
+        got = simulated_annealing(model, schedule=schedule, reads=reads, seed=seed, chunk=chunk)
+        want = one_spin_annealing(model, schedule, reads, seed, chunk)
+        assert got.records == want.records
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=st.one_of(dense_ising(), embedded_ising()))
+    def test_plan_replays_couplings_in_sweep_order(self, model):
+        # field changes are exact only in the single-spin order, which sample
+        # outputs almost never reveal, so the plan itself is checked
+        form = _int_form(model)
+        n, J = form.n, form.quad / form.scale
+        plan = _block_plan(n, form.rows, form.cols, J)
+        coupled, want = set(), {j: [] for j in range(n)}
+        for i, j, v in zip(form.rows.tolist(), form.cols.tolist(), J.tolist()):
+            if v:
+                coupled.add(frozenset((i, j)))
+                want[i].append((j, v))
+                want[j].append((i, v))
+        assert [a for a, _, _ in plan] == [0] + [e for _, e, _ in plan][:-1] and plan[-1][1] == n
+        replayed = {j: [] for j in range(n)}
+        for a, e, layers in plan:
+            assert not any(frozenset((i, j)) in coupled for i in range(a, e) for j in range(i + 1, e))
+            assert e == n or any(frozenset((i, e)) in coupled for i in range(a, e))  # maximal
+            for target, coef, src in layers:
+                targets = range(target.start, target.stop) if isinstance(target, slice) else target.tolist()
+                assert len(set(targets)) == len(targets) == len(coef) == len(src)
+                for j, c, i in zip(targets, coef[:, 0].tolist(), (src + a).tolist()):
+                    assert a <= i < e
+                    if c:
+                        replayed[j].append((i, c))
+        assert replayed == {j: sorted(sources) for j, sources in want.items()}
+
+    def test_uncoupled_and_zero_couplings(self):
+        # a coupling of 0 joins no block; a lone spin is its own block
+        sched = Schedule(n_sweeps=5)
+        for model in (
+            IsingModel(n=1, h=(Fraction(1, 3),), couplings={}),
+            IsingModel(n=4, h=(1, 0, -1, 2), couplings={(0, 1): 0, (1, 3): Fraction(2, 7)}),
+        ):
+            got = simulated_annealing(model, schedule=sched, reads=6, seed=4)
+            assert got.records == one_spin_annealing(model, sched, 6, 4).records
 
 
 class TestTabu:
