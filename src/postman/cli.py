@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
 from .errors import ParseError, PenaltyTooSmallError, PostmanError
-from .numbers import parse_number, to_jsonable
+from .numbers import finite_or_str, parse_number, to_jsonable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,7 +154,9 @@ def _policies(name: str) -> tuple[chimera.DecodePolicy, ...]:
 
 
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # strict JSON: infinities are written as strings (`finite_or_str`), and a
+    # NaN or infinity that reaches here unconverted raises
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _schedule(args: argparse.Namespace) -> samplers.Schedule:
@@ -338,7 +340,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         prob = metrics.p_gs(decoded, reference)
         report["policies"][policy.value] = {
             "p_gs": float(prob),
-            "t_99": metrics.finite_or_str(metrics.t_99(prob, args.anneal_time)),
+            "t_99": finite_or_str(metrics.t_99(prob, args.anneal_time)),
             "broken_fraction": broken,
         }
     _emit(_json_dump(report), args.out)
@@ -367,7 +369,7 @@ def cmd_jf_sweep(args: argparse.Namespace) -> int:
                 {
                     **dataclasses.asdict(pt),
                     "p_gs": float(pt.p_gs),
-                    "t_99": metrics.finite_or_str(pt.t_99),
+                    "t_99": finite_or_str(pt.t_99),
                 }
                 for pt in points
             ],

@@ -24,7 +24,7 @@ from .chimera import (
     spin_reversal,
 )
 from .errors import EmptySampleSetError, InvalidArgumentError
-from .numbers import Number, normalize, to_jsonable
+from .numbers import Number, finite_or_str, normalize, to_jsonable
 from .qubo import IsingModel
 from .samplers import SampleRecord, SampleSet, Schedule, _int_form, _record_key, simulated_annealing
 
@@ -57,7 +57,7 @@ def t_99(p: Number | float, anneal_time: float = DEFAULT_ANNEAL_TIME) -> float:
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError("success probability must be in [0,1]")
-    if anneal_time <= 0:
+    if not anneal_time > 0:  # NaN too
         raise InvalidArgumentError("anneal time must be positive")
     if p == 0.0:
         return math.inf
@@ -80,7 +80,7 @@ def tts_sa(
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError("success probability must be in [0,1]")
-    if n_variables < 1 or n_sweeps < 1 or tau_s <= 0:
+    if n_variables < 1 or n_sweeps < 1 or not tau_s > 0:
         raise InvalidArgumentError("need N >= 1, n_sweeps >= 1, tau_s > 0")
     base = n_variables**2 * tau_s * n_sweeps
     if p == 0.0:
@@ -248,13 +248,6 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
             f"{float(pt.p_gs)},{pt.t_99},{pt.broken_fraction}"
         )
     return "\n".join(lines) + "\n"
-
-
-def finite_or_str(value: float | None):
-    """Keep JSON strict: +inf becomes the string 'inf'."""
-    if value is None or math.isfinite(value):
-        return value
-    return "inf" if value > 0 else "-inf"
 
 
 @dataclass(frozen=True)

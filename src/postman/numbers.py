@@ -66,6 +66,15 @@ def format_number(value: Number) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def finite_or_str(value):
+    """Keep JSON strict: an infinite float becomes the string 'inf' or '-inf'.
+    Any other value passes through, NaN too, so that a JSON writer refusing
+    NaN still catches one."""
+    if isinstance(value, float) and math.isinf(value):
+        return "inf" if value > 0 else "-inf"
+    return value
+
+
 def to_jsonable(value: Number):
     """Ints stay ints; non-integral rationals serialize as 'p/q' strings."""
     value = normalize(as_exact(value))

@@ -23,9 +23,13 @@ ints/Fractions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     DegenerateD0Error,
@@ -78,6 +82,11 @@ class QuboModel:
     def num_quadratic(self) -> int:
         return sum(1 for v in self.quadratic.values() if v != 0)
 
+    @cached_property
+    def int_form(self) -> "_IntForm":
+        """The model's integer form, built once per instance."""
+        return _IntForm.build("qubo", self.dim, self.linear, self.quadratic, self.offset)
+
 
 @dataclass(frozen=True)
 class IsingModel:
@@ -104,6 +113,48 @@ class IsingModel:
         for (i, j), jij in self.couplings.items():
             e += jij * s[i] * s[j]
         return normalize(e)
+
+    @cached_property
+    def int_form(self) -> "_IntForm":
+        """The model's integer form, built once per instance."""
+        return _IntForm.build("ising", self.n, self.h, self.couplings, self.offset)
+
+
+@dataclass(frozen=True)
+class _IntForm:
+    """A model over its native variables as integers over one denominator.
+
+    scale * energy(v) = offset + linear @ v + sum_k quad[k] * v[rows[k]] * v[cols[k]]
+    for v a bit vector (kind "qubo") or a spin vector (kind "ising"). The arrays
+    are int64 when the magnitudes of all coefficients sum below 2**63, which
+    bounds every partial sum for |v_i| <= 1, and Python ints otherwise.
+    Every sampler and exact energy reads a model through this form.
+    """
+
+    kind: str
+    n: int
+    scale: int
+    offset: int
+    linear: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    quad: np.ndarray
+
+    @staticmethod
+    def build(kind: str, n: int, linear, couplings: dict, offset) -> "_IntForm":
+        coeffs = [Fraction(v) for v in (offset, *linear, *couplings.values())]
+        scale = math.lcm(*(v.denominator for v in coeffs))
+        ints = [v.numerator * (scale // v.denominator) for v in coeffs]
+        dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
+        keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
+        lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
+        return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
+
+    def gauged(self, gauge: Sequence[int]) -> "_IntForm":
+        """This spin form under gauge g (h_i -> g_i h_i, J_ij -> g_i g_j J_ij): equal,
+        field by field, to the form of `chimera.apply_gauge(model, g)`."""
+        g = np.array(gauge, dtype=self.linear.dtype)
+        return replace(self, linear=self.linear * g, quad=self.quad * g[self.rows] * g[self.cols])
 
 
 def _distance_matrix(table) -> tuple[tuple[Number, ...], ...]:

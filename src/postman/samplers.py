@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,11 +22,22 @@ from .errors import (
     DimensionMismatchError, EmptySampleSetError, InvalidArgumentError, NoGapError, ParseError,
     TooLargeError,
 )
-from .numbers import Number, as_exact, format_number, json_int, normalize, to_jsonable
-from .qubo import IsingModel, QuboModel
+from .numbers import Number, as_exact, finite_or_str, format_number, json_int, normalize, to_jsonable
+from .qubo import IsingModel, QuboModel, _IntForm
 
 BRUTE_FORCE_GUARD = 26
 GROUND_STATE_GUARD = 32
+# float64 entries (2 MB) in one working block of the exact scans, of the
+# annealer's uniforms and of the products in `SampleSet.from_configs`. Every
+# value in those blocks is exact or is drawn in stream order, so no result
+# depends on it.
+BLOCK_FLOATS = 1 << 18
+
+
+def _row_blocks(count: int, width: int):
+    """Slices covering range(count), rows of `width` floats, about BLOCK_FLOATS at a time."""
+    step = max(1, BLOCK_FLOATS // max(1, width))
+    return (slice(s, min(s + step, count)) for s in range(0, count, step))
 
 
 @dataclass(frozen=True)
@@ -61,10 +72,9 @@ class SampleSet:
         C = np.array(list(counts), dtype=form.linear.dtype).reshape(len(counts), form.n)
         if not np.isin(C, values).all():
             raise ValueError(f"{unit} must take the values {values}")
-        step = max(1, (1 << 21) // max(1, len(form.quad)))  # ~2**21 products per block
         scaled = []
-        for s in range(0, len(C), step):
-            V = C[s:s + step]
+        for rows in _row_blocks(len(C), len(form.quad)):
+            V = C[rows]
             quad = (V[:, form.rows] * V[:, form.cols]) @ form.quad
             scaled += list(form.offset + V @ form.linear + quad)
         records = [
@@ -143,10 +153,7 @@ class SampleSet:
 
 
 def _jsonable_metadata(meta: dict) -> dict:
-    out = {}
-    for k, v in meta.items():
-        out[k] = to_jsonable(v) if isinstance(v, Fraction) else v
-    return out
+    return {k: to_jsonable(v) if isinstance(v, Fraction) else finite_or_str(v) for k, v in meta.items()}
 
 
 @dataclass(frozen=True)
@@ -173,50 +180,15 @@ class Schedule:
 
 # --- the integer form shared by every sampler and by exact energies --------
 
-@dataclass(frozen=True)
-class _IntForm:
-    """A model over its native variables as integers over one denominator.
-
-    scale * energy(v) = offset + linear @ v + sum_k quad[k] * v[rows[k]] * v[cols[k]]
-    for v a bit vector (kind "qubo") or a spin vector (kind "ising"). The arrays
-    are int64 when the magnitudes of all coefficients sum below 2**63, which
-    bounds every partial sum for |v_i| <= 1, and Python ints otherwise.
-    """
-
-    kind: str
-    n: int
-    scale: int
-    offset: int
-    linear: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    quad: np.ndarray
-
-    def gauged(self, gauge: Sequence[int]) -> "_IntForm":
-        """This spin form under gauge g (h_i -> g_i h_i, J_ij -> g_i g_j J_ij): equal,
-        field by field, to the form of `chimera.apply_gauge(model, g)`."""
-        g = np.array(gauge, dtype=self.linear.dtype)
-        return replace(self, linear=self.linear * g, quad=self.quad * g[self.rows] * g[self.cols])
-
-
 def _int_form(model) -> _IntForm:
-    """The integer form of a model; a form passes through unchanged, so every
-    sampler and `SampleSet.from_configs` also take a prebuilt (say, gauged) form."""
+    """The integer form of a model, kept on the model after its first build; a
+    form passes through unchanged, so every sampler and
+    `SampleSet.from_configs` also take a prebuilt (say, gauged) form."""
     if isinstance(model, _IntForm):
         return model
-    if isinstance(model, QuboModel):
-        kind, n, linear, couplings = "qubo", model.dim, model.linear, model.quadratic
-    elif isinstance(model, IsingModel):
-        kind, n, linear, couplings = "ising", model.n, model.h, model.couplings
-    else:
-        raise TypeError(f"unsupported model type {type(model).__name__}")
-    coeffs = [Fraction(v) for v in (model.offset, *linear, *couplings.values())]
-    scale = math.lcm(*(v.denominator for v in coeffs))
-    ints = [v.numerator * (scale // v.denominator) for v in coeffs]
-    dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
-    keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
-    lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
-    return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
+    if isinstance(model, (QuboModel, IsingModel)):
+        return model.int_form
+    raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
 def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
@@ -253,17 +225,24 @@ def _bit_matrix(idx: np.ndarray, width: int) -> np.ndarray:
     return ((idx[:, None] >> np.arange(width)) & 1).astype(np.float64)
 
 
+def _energies(lin: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """x-basis energies, offset excluded, of the bit patterns 0 .. 2**len(lin) - 1."""
+    width = len(lin)
+    out = np.empty(1 << width)
+    for rows in _row_blocks(len(out), width):
+        bits = _bit_matrix(np.arange(rows.start, rows.stop), width)
+        out[rows] = bits @ lin + ((bits @ B) * bits).sum(axis=1)
+    return out
+
+
 def _all_energies(form: _IntForm) -> tuple[np.ndarray, int]:
     """Integer-scaled energies of every configuration, indexed by bit pattern."""
     n = form.n
     if n > BRUTE_FORCE_GUARD:
         raise TooLargeError(f"dim {n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
     off, lin, B, scale = _x_floats(form)
-    out = np.empty(1 << n)
-    block = 1 << min(n, 16)
-    for start in range(0, 1 << n, block):
-        bits = _bit_matrix(np.arange(start, start + block), n)
-        out[start:start + block] = off + bits @ lin + ((bits @ B) * bits).sum(axis=1)
+    out = _energies(lin, B)
+    out += off
     return out, scale
 
 
@@ -305,8 +284,12 @@ class _HalfSplit:
 
     The x-basis variables split into halves A (the first n // 2) and B. EA and
     EB are each half's energies with the other half at zero, offset excluded;
-    they are attained, so callers seed their incumbents from them. A-rows
-    whose cross-term lower bound exceeds a caller's cutoff are never scanned.
+    they are attained, so callers seed their incumbents from them. V holds
+    each A-assignment's cross fields on B and GB the B-assignments as columns.
+    A-rows whose cross-term lower bound exceeds a caller's cutoff are never
+    scanned. Beyond EA, EB, V and GB, the set-up and the scan hold about
+    BLOCK_FLOATS floats at a time; every value is an integer-valued float64,
+    so the sums are exact in any grouping.
     """
 
     def __init__(self, model):
@@ -316,23 +299,28 @@ class _HalfSplit:
             raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
         self.offset, lin, B, self.scale = _x_floats(self.form)
         self.nA, self.nB = nA, nB = n // 2, n - n // 2
-        bitsA = _bit_matrix(np.arange(1 << nA), nA)
-        bitsB = _bit_matrix(np.arange(1 << nB), nB)
-        self.EA = bitsA @ lin[:nA] + ((bitsA @ B[:nA, :nA]) * bitsA).sum(axis=1)
-        self.EB = bitsB @ lin[nA:] + ((bitsB @ B[nA:, nA:]) * bitsB).sum(axis=1)
-        self.V = bitsA @ B[:nA, nA:]
-        self.GB = bitsB.T
+        self.EA = _energies(lin[:nA], B[:nA, :nA])
+        self.EB = _energies(lin[nA:], B[nA:, nA:])
+        self.V = np.empty((1 << nA, nB))
+        for rows in _row_blocks(1 << nA, nA):
+            self.V[rows] = _bit_matrix(np.arange(rows.start, rows.stop), nA) @ B[:nA, nA:]
+        self.GB = _bit_matrix(np.arange(1 << nB), nB).T
 
     def candidates(self, cutoff: float) -> np.ndarray:
-        lower = self.EA + np.minimum(self.V, 0.0).sum(axis=1) + self.EB.min()
+        lower = self.EA + self.EB.min()
+        for rows in _row_blocks(len(lower), self.nB):
+            lower[rows] += np.minimum(self.V[rows], 0.0).sum(axis=1)
         return np.nonzero(lower <= cutoff)[0]
 
     def blocks(self, cand: np.ndarray):
-        """(rows, energies of rows x every B-assignment), ~2**21 floats at a time."""
-        chunk = max(1, (1 << 21) >> self.nB)
-        for s in range(0, len(cand), chunk):
-            rows = cand[s:s + chunk]
-            yield rows, self.V[rows] @ self.GB + self.EA[rows, None] + self.EB[None, :]
+        """(rows, energies of rows x every B-assignment), about BLOCK_FLOATS
+        floats at a time, each block built in place; callers may overwrite it."""
+        for part in _row_blocks(len(cand), 1 << self.nB):
+            rows = cand[part]
+            tot = self.V[rows] @ self.GB
+            tot += self.EA[rows, None]
+            tot += self.EB
+            yield rows, tot
 
 
 def spectral_gap_large(model) -> tuple[Number, Number, Number]:
@@ -341,15 +329,18 @@ def spectral_gap_large(model) -> tuple[Number, Number, Number]:
     Split enumeration with sound pruning: the energies of both half-spaces are
     attained outright (zero complement), which seeds an upper bound for the
     second level; half-assignments whose cross-term lower bound exceeds that
-    seed cannot host either of the two lowest levels and are skipped.
+    seed cannot host either of the two lowest levels and are skipped. Each
+    block gives its two lowest levels in place (its minimum is masked to +inf),
+    so the scan holds one block of about BLOCK_FLOATS floats at a time.
     """
     split = _HalfSplit(model)
     lows = list(np.unique(np.concatenate([split.EA, split.EB]))[:2])
     cutoff = lows[1] if len(lows) > 1 else math.inf
     for _, tot in split.blocks(split.candidates(cutoff)):
         m0 = tot.min()
-        above = tot[tot > m0]
-        lows += [m0, above.min()] if above.size else [m0]
+        tot[tot == m0] = math.inf
+        m1 = tot.min()
+        lows += [m0] if m1 == math.inf else [m0, m1]
     return _gap(np.unique(lows) + split.offset, split.scale)
 
 
@@ -439,7 +430,11 @@ def simulated_annealing(
     every sweep proposes all spins in ascending index order at that sweep's
     beta. Reads are vectorized in chunks, which leaves the per-read stream
     semantics unchanged; each chunk's initial fields come from one matrix
-    product over its reads. `model` may be an integer form.
+    product over its reads, whose rounding the chain inherits, so the chunk
+    rule fixes that grouping and nothing else. The uniforms are drawn a slab
+    of sweeps at a time (about BLOCK_FLOATS per chunk), each read's stream
+    continuing where the last slab left it, so every draw is the one a single
+    (sweeps x spins) draw would give. `model` may be an integer form.
 
     A sweep steps through blocks of consecutive, mutually uncoupled spins
     (`_block_plan`), deciding a whole block over all reads at once. No spin of
@@ -465,17 +460,20 @@ def simulated_annealing(
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
     finals = np.empty((reads, n), dtype=np.int8)
-    if chunk is None:  # cap the pregenerated uniform block at ~128 MB
+    # reads per chunk: the rule that once capped a chunk's uniforms at 2**24
+    # floats stays, because each chunk's field product sets the rounding the
+    # chain inherits
+    if chunk is None:
         chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
     for start in range(0, reads, chunk):
         stop = min(start + chunk, reads)
         m = stop - start
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, r))) for r in range(start, stop)]
         S0 = np.empty((m, n))
-        U = np.empty((n_sweeps, n, m))  # spin-major, so a block is a row slice
-        for row, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+        for row, rng in enumerate(rngs):
             S0[row] = rng.integers(0, 2, n) * 2 - 1
-            U[:, :, row] = rng.random((n_sweeps, n))
+        slabs = list(_row_blocks(n_sweeps, n * m))
+        U = np.empty((slabs[0].stop, n, m))  # one slab of sweeps, spin-major, so a block is a row slice
         # the fields are the (reads x n) product: BLAS rounds a one-row
         # product differently, and the chain inherits the rounding
         F = np.ascontiguousarray((S0 @ Jm).T)
@@ -493,20 +491,23 @@ def simulated_annealing(
         # U < 1 <= exp(-beta * dE) wherever dE <= 0 at finite beta, so the
         # Metropolis test is one comparison; its exp overflows harmlessly there
         with np.errstate(over="ignore"):
-            for t in range(n_sweeps):
-                beta = betas[t]
-                for s, f, h, u, layers in blocks:
-                    m2 = -2.0 * s
-                    dE = m2 * (h + f)
-                    d = m2 * (dE <= 0.0 if beta == math.inf else u[t] < np.exp(-beta * dE))
-                    if np.count_nonzero(d):
-                        s += d
-                        for view, flat, coef, src in layers:
-                            x = coef * d.take(src, axis=0)
-                            if flat is None:
-                                view += x
-                            else:
-                                F.put(flat, F.take(flat) + x.ravel())
+            for slab in slabs:
+                slab_betas = betas[slab]
+                for row, rng in enumerate(rngs):  # each stream goes on where the last slab stopped
+                    U[:len(slab_betas), :, row] = rng.random((len(slab_betas), n))
+                for k, beta in enumerate(slab_betas):
+                    for s, f, h, u, layers in blocks:
+                        m2 = -2.0 * s
+                        dE = m2 * (h + f)
+                        d = m2 * (dE <= 0.0 if beta == math.inf else u[k] < np.exp(-beta * dE))
+                        if np.count_nonzero(d):
+                            s += d
+                            for view, flat, coef, src in layers:
+                                x = coef * d.take(src, axis=0)
+                                if flat is None:
+                                    view += x
+                                else:
+                                    F.put(flat, F.take(flat) + x.ravel())
         finals[start:stop] = S.T.astype(np.int8)
     meta = {
         "sampler": "simulated_annealing",

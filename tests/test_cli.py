@@ -137,6 +137,30 @@ class TestSample:
         assert out.splitlines()[0] == "energy,multiplicity"
         assert out.splitlines()[1].startswith("5,")
 
+    def test_infinite_beta_is_strict_json(self, capsys, tmp_path):
+        def refuse(constant):
+            raise AssertionError(f"non-JSON constant {constant}")
+
+        path = tmp_path / "greedy.json"
+        code, out, _ = run(
+            capsys, "sample", str(GOLDEN / "demo.qubo"), "--sampler", "sa", "--reads", "3", "--sweeps", "5",
+            "--beta-start", "inf", "--beta-end", "inf",
+        )
+        assert code == 0
+        meta = json.loads(out, parse_constant=refuse)["metadata"]
+        assert (meta["beta_start"], meta["beta_end"]) == ("inf", "inf")
+        path.write_text(out)
+        code, out, _ = run(capsys, "metrics", str(path), "--reference", "5", "--resamples", "20")
+        assert code == 0
+        assert json.loads(out, parse_constant=refuse)["metadata"]["reads"] == 3
+
+    def test_json_writer_refuses_nan(self):
+        from postman.cli import _json_dump
+
+        for value in (float("nan"), float("inf")):  # an unconverted infinity raises too
+            with pytest.raises(ValueError):
+                _json_dump({"t": value})
+
 
 class TestEmbed:
     def test_by_n_logical(self, capsys):
@@ -326,6 +350,8 @@ class TestExitCodes:
             ["defects", "DEMO", "--deltas", "-1"],
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "abc"],
             ["simulate", "DEMO", "--m", "3", "--jf", "nan"],
+            ["simulate", "DEMO", "--m", "3", "--reads", "2", "--sweeps", "2", "--anneal-time", "nan"],
+            ["metrics", "SAMPLES", "--reference", "5", "--tau-s", "nan"],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):
@@ -335,6 +361,7 @@ class TestExitCodes:
             "QUBO": str(Path(__file__).parent / "golden" / "demo.qubo"),
             "DEMO": demo_file,
             "NEGATIVE": str(negative),
+            "SAMPLES": str(Path(__file__).parent / "golden" / "samples.json"),
         }
         assert_domain_error(*run(capsys, *[files.get(a, a) for a in argv])[::2])
 
@@ -405,7 +432,8 @@ class TestCertifiedReference:
 
 GOLDEN = Path(__file__).parent / "golden"
 TOKENS = ["-1", "0", "1.5", "x", "1/0", '""', "[]", "null"]
-JSON_TOKENS = ["-1", "0", "1.5", '"x"', '"1/0"', '""', "[]", "null"]  # the same set as JSON values
+# the same set as JSON values, plus a boolean, an integral float and one that overflows to inf
+JSON_TOKENS = ["-1", "0", "1.5", '"x"', '"1/0"', '""', "[]", "null", "true", "2.0", "1e400"]
 TOKEN = re.compile(r'"[^"]*"|[^\s,:\[\]{}"]+')  # a JSON string, or a run of other text
 # (input file, command line); FILE stands for the mutated copy of the input, DEMO for the demo graph
 FUZZ_CASES = [

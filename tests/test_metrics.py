@@ -188,6 +188,28 @@ class TestSampleEmbedded:
         assert out.total_reads == 12
 
 
+    def test_jf_sweep_builds_each_form_once(self, monkeypatch):
+        # decode_sampleset runs once per policy and jf point; the logical form
+        # is kept on the model, so it is built once
+        from postman import qubo
+
+        build = qubo._IntForm.build
+        built = []
+
+        def counting(kind, n, *rest):
+            built.append(n)
+            return build(kind, n, *rest)
+
+        monkeypatch.setattr(qubo._IntForm, "build", staticmethod(counting))
+        logical = frustrated_k4()
+        jf_sweep(logical, clique_embedding(4, chimera_graph(1)), [0.5, 1.0, 1.5], 0,
+                 schedule=Schedule(n_sweeps=5), reads=6, seed=2)
+        assert built.count(logical.n) == 1
+        assert len(built) == 4  # the logical model and one physical model per jf point
+        assert logical.int_form is logical.int_form
+        assert IsingModel(logical.n, logical.h, dict(logical.couplings)).int_form is not logical.int_form
+
+
 class TestJfSweep:
     def test_frustrated_curve(self):
         # chains uncoupled at jf=0: physical grounds break every chain

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from postman import samplers
 from postman.chimera import apply_gauge, chimera_graph, clique_embedding, embed_ising
 from postman.errors import (
     DimensionMismatchError, InvalidArgumentError, NoGapError, ParseError, TooLargeError,
@@ -14,6 +16,7 @@ from postman.exact import odd_pair_distances
 from postman.graphs import Graph
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
+    BLOCK_FLOATS,
     _HalfSplit,
     _block_plan,
     _int_form,
@@ -31,6 +34,17 @@ from postman.samplers import (
 
 def demo_qubo(demo, p=8):
     return build_qubo(odd_pair_distances(demo), p)
+
+
+def d6_pair_qubo(p=24):
+    """The 30-variable pair-QUBO of a d = 6 distance table; returns (model, dist)."""
+    rng = np.random.default_rng(5)
+    d = 6
+    dist = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            dist[i][j] = dist[j][i] = int(rng.integers(1, 5))
+    return build_qubo(dist, p), dist
 
 
 def random_ising(n, seed, lo=-4, hi=4):
@@ -127,25 +141,18 @@ class TestSpectralGap:
 
     def test_large_variant_past_guard(self):
         # 30-variable pairing model: levels are the matching weights
-        rng = np.random.default_rng(5)
-        d = 6
-        dist = [[0] * d for _ in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                dist[i][j] = dist[j][i] = int(rng.integers(1, 5))
         from postman.exact import enumerate_matchings
-        from postman.qubo import build_qubo
 
-        model = build_qubo(dist, 4 * d)  # big penalty keeps low levels legal
+        model, dist = d6_pair_qubo(4 * 6)  # big penalty keeps low levels legal
         weights = sorted(
-            {sum(dist[i][j] for i, j in m) for m in enumerate_matchings(d)}
+            {sum(dist[i][j] for i, j in m) for m in enumerate_matchings(6)}
         )
         e0, e1, gap = spectral_gap_large(model)
         assert (e0, e1) == (weights[0], weights[1])
-        # the scan holds one block of about 2**21 floats at a time
+        # the scan holds one block of about BLOCK_FLOATS floats at a time
         sizes = [(len(rows), tot.size) for rows, tot in _HalfSplit(model).blocks(np.arange(200))]
         assert sum(rows for rows, _ in sizes) == 200
-        assert max(size for _, size in sizes) == 1 << 21
+        assert max(size for _, size in sizes) == BLOCK_FLOATS
 
 
 class TestGroundState:
@@ -365,6 +372,58 @@ class TestBlockSteps:
         ):
             got = simulated_annealing(model, schedule=sched, reads=6, seed=4)
             assert got.records == one_spin_annealing(model, sched, 6, 4).records
+
+
+def traced_peak_mb(run) -> float:
+    """Peak traced allocation of run(), numpy buffers included, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestBoundedMemory:
+    """Working memory is set by BLOCK_FLOATS, and no result depends on it."""
+
+    def test_gap_scan_peak(self):
+        model, _ = d6_pair_qubo()
+        # 2**15 x 15 cross fields and B-assignments take 7.5 MB; a full-width
+        # scan block was 16 MB, held up to three times
+        assert traced_peak_mb(lambda: spectral_gap_large(model)) < 24
+
+    def test_annealer_peak(self):
+        ising = to_ising(d6_pair_qubo()[0])
+        # all of one chunk's uniforms would take 400 x 500 x 30 doubles, 46 MB
+        peak = traced_peak_mb(lambda: simulated_annealing(ising, Schedule(n_sweeps=500), reads=400, seed=1))
+        assert peak < 16
+
+    @pytest.mark.parametrize("budget", [1, 36, 100, 250])
+    def test_uniform_slabs(self, monkeypatch, budget):
+        # chunks of 5, 5 and 2 reads of 6 spins: a budget of 36 gives slabs of
+        # 1 and 3 sweeps, 100 gives 3 and 8 (3 + 3 + 3 + 1 and 8 + 2, ragged),
+        # 250 gives 8 and 10
+        model = random_ising(6, seed=17, lo=-2, hi=2)
+        sched = Schedule(0.2, 2.0, 10)
+        want = one_spin_annealing(model, sched, 12, 8, chunk=5)  # every uniform drawn up front
+        whole = simulated_annealing(model, schedule=sched, reads=12, seed=8, chunk=5)
+        monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
+        got = simulated_annealing(model, schedule=sched, reads=12, seed=8, chunk=5)
+        assert got.records == whole.records == want.records
+
+    @pytest.mark.parametrize("budget", [1, 64, 1 << 12])
+    def test_exact_scans_ignore_the_budget(self, monkeypatch, demo, budget):
+        # the demo QUBO has four ground states, so ground_state's pick is a tie-break
+        models = [demo_qubo(demo), random_ising(13, seed=301), random_ising(18, seed=302, lo=-1, hi=1)]
+
+        def results():
+            out = [(spectral_gap_large(m), ground_state(m).records) for m in models]
+            return out + [brute_force(m, keep=3).records for m in models[:2]]
+
+        want = results()
+        monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
+        assert results() == want
 
 
 class TestTabu:
