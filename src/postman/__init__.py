@@ -17,7 +17,6 @@ from .samplers import (
     brute_force,
     ground_state,
     simulated_annealing,
-    spectral_gap,
     tabu_search,
 )
 from .chimera import (

@@ -302,7 +302,8 @@ class EmbeddedIsing:
 
     Physical variables follow `qubit_order` (sorted union of chain qubits).
     For any configuration with unbroken chains, physical energy equals the
-    logical energy of its decode plus `constant` exactly.
+    logical energy of its decode plus `constant` exactly; with `model`
+    swapped for its `autoscale` copy, physical energy times the factor does.
     """
 
     model: IsingModel
@@ -372,7 +373,8 @@ def autoscale(model: IsingModel) -> tuple[IsingModel, Number]:
     """Uniformly divide by the smallest factor bringing |J| <= 1 and |h| <= 2.
 
     The factor is never below 1 and scaling divides the offset too, so the
-    ordering of configurations (hence the argmin) is unchanged.
+    ordering of configurations (hence the argmin) is unchanged; scaled
+    energy times the factor is the original energy.
     """
     factor = Fraction(1)
     for v in model.h:

@@ -27,7 +27,9 @@ from .graphs import (
 )
 from .numbers import to_jsonable
 
-MATCHING_GUARD = 14  # (13)!! = 135135 pairings; instances here stay at d <= 10
+# (13)!! = 135135 pairings. The mmin_ensemble benchmark solves d = 12 and d = 14
+# graphs every round, and this enumeration takes nearly all of its time.
+MATCHING_GUARD = 14
 
 
 @dataclass(frozen=True)

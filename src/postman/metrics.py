@@ -26,7 +26,7 @@ from .chimera import (
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, finite_or_str, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleRecord, SampleSet, Schedule, _int_form, _record_key, simulated_annealing
+from .samplers import SampleRecord, SampleSet, Schedule, _int_form, _record_key, _row_blocks, simulated_annealing
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -93,15 +93,20 @@ def tts_sa(
 def bootstrap(
     successes: Sequence[int], resamples: int = 5000, seed: int = 0
 ) -> tuple[float, float]:
-    """Resample-with-replacement means; returns (their mean, 2 * their sd)."""
+    """Resample-with-replacement means; returns (their mean, 2 * their sd).
+
+    The indices are drawn in row blocks from one stream, the draws one
+    (resamples x reads) call would give, so memory stays at a block.
+    """
     arr = np.asarray(successes, dtype=float)
     if arr.size == 0:
         raise InvalidArgumentError("need at least one observation")
     if resamples < 1:
         raise InvalidArgumentError("need at least one resample")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    means = np.empty(resamples)
+    for rows in _row_blocks(resamples, arr.size):
+        means[rows] = arr[rng.integers(0, arr.size, size=(rows.stop - rows.start, arr.size))].mean(axis=1)
     return float(means.mean()), float(2.0 * means.std())
 
 

@@ -14,7 +14,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -215,10 +214,9 @@ def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
     return off, np.array(lin, dtype=np.float64), B, form.scale // g
 
 
-def _native_config(bits: Sequence[int], kind: str) -> tuple[int, ...]:
-    if kind == "ising":
-        return tuple(2 * int(b) - 1 for b in bits)
-    return tuple(int(b) for b in bits)
+def _native(bits: np.ndarray, kind: str) -> np.ndarray:
+    """x-basis bits as the model's own values: spins 2x - 1 for an Ising model."""
+    return 2 * bits - 1 if kind == "ising" else bits
 
 
 def _bit_matrix(idx: np.ndarray, width: int) -> np.ndarray:
@@ -233,50 +231,6 @@ def _energies(lin: np.ndarray, B: np.ndarray) -> np.ndarray:
         bits = _bit_matrix(np.arange(rows.start, rows.stop), width)
         out[rows] = bits @ lin + ((bits @ B) * bits).sum(axis=1)
     return out
-
-
-def _all_energies(form: _IntForm) -> tuple[np.ndarray, int]:
-    """Integer-scaled energies of every configuration, indexed by bit pattern."""
-    n = form.n
-    if n > BRUTE_FORCE_GUARD:
-        raise TooLargeError(f"dim {n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
-    off, lin, B, scale = _x_floats(form)
-    out = _energies(lin, B)
-    out += off
-    return out, scale
-
-
-def brute_force(model, keep: int = 1) -> SampleSet:
-    """Exhaustive spectrum head: all configurations in the lowest `keep` levels.
-
-    Exact: the search runs over the integer form in float64, which holds it
-    exactly; stored energies are exact. Memory and time grow as 2**dim
-    (guarded at 26).
-    """
-    if keep < 1:
-        raise InvalidArgumentError("keep must be positive")
-    form = _int_form(model)
-    energies, _ = _all_energies(form)
-    levels = np.unique(energies)
-    cutoff = levels[min(keep, len(levels)) - 1]
-    idx = np.nonzero(energies <= cutoff)[0]
-    configs = [_native_config(bits, form.kind) for bits in _bit_matrix(idx, form.n).astype(int)]
-    meta = {"sampler": "brute_force", "keep": keep, "levels": len(levels)}
-    return SampleSet.from_configs(form, configs, meta)
-
-
-def spectral_gap(model) -> tuple[Number, Number, Number]:
-    """(E0, E1, E1 - E0) with E1 the lowest level strictly above E0."""
-    energies, scale = _all_energies(_int_form(model))
-    return _gap(np.unique(energies), scale)
-
-
-def _gap(levels: np.ndarray, scale: int) -> tuple[Number, Number, Number]:
-    """(E0, E1, E1 - E0) from the ascending distinct levels, scaled by `scale`."""
-    if len(levels) < 2:
-        raise NoGapError("spectrum has a single level")
-    e0, e1 = (normalize(Fraction(int(v), scale)) for v in levels[:2])
-    return e0, e1, normalize(e1 - e0)
 
 
 class _HalfSplit:
@@ -322,9 +276,40 @@ class _HalfSplit:
             tot += self.EB
             yield rows, tot
 
+    def configs(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Native configurations (bits, or spins of an Ising model), row k
+        joining A-assignment a[k] with B-assignment b[k]."""
+        bits = np.hstack([_bit_matrix(a, self.nA), _bit_matrix(b, self.nB)]).astype(np.int64)
+        return _native(bits, self.form.kind)
+
+
+def brute_force(model, keep: int = 1) -> SampleSet:
+    """Exhaustive spectrum head: all configurations in the lowest `keep` levels.
+
+    Two passes of the split scan: the union of every block's distinct
+    energies gives the level count and the keep-th level, then the A-rows
+    whose bound reaches that level yield every configuration at or below it.
+    Time grows as 2**dim (guarded at 26), and so can the list of levels.
+    """
+    if keep < 1:
+        raise InvalidArgumentError("keep must be positive")
+    form = _int_form(model)
+    if form.n > BRUTE_FORCE_GUARD:
+        raise TooLargeError(f"dim {form.n} exceeds brute-force guard {BRUTE_FORCE_GUARD}")
+    split = _HalfSplit(form)
+    levels = np.unique(np.concatenate([np.unique(tot) for _, tot in split.blocks(np.arange(len(split.EA)))]))
+    cutoff = levels[min(keep, len(levels)) - 1]
+    a, b = [], []
+    for rows, tot in split.blocks(split.candidates(cutoff)):
+        i, j = np.nonzero(tot <= cutoff)
+        a.append(rows[i])
+        b.append(j)
+    meta = {"sampler": "brute_force", "keep": keep, "levels": len(levels)}
+    return SampleSet.from_configs(form, split.configs(np.concatenate(a), np.concatenate(b)), meta)
+
 
 def spectral_gap_large(model) -> tuple[Number, Number, Number]:
-    """(E0, E1, gap) for models of up to 32 variables.
+    """(E0, E1, E1 - E0), E1 the next level above E0, for up to 32 variables.
 
     Split enumeration with sound pruning: the energies of both half-spaces are
     attained outright (zero complement), which seeds an upper bound for the
@@ -341,7 +326,11 @@ def spectral_gap_large(model) -> tuple[Number, Number, Number]:
         tot[tot == m0] = math.inf
         m1 = tot.min()
         lows += [m0] if m1 == math.inf else [m0, m1]
-    return _gap(np.unique(lows) + split.offset, split.scale)
+    levels = np.unique(lows)[:2] + split.offset
+    if len(levels) < 2:
+        raise NoGapError("spectrum has a single level")
+    e0, e1 = (normalize(Fraction(int(v), split.scale)) for v in levels)
+    return e0, e1, normalize(e1 - e0)
 
 
 def ground_state(model) -> SampleSet:
@@ -367,10 +356,8 @@ def ground_state(model) -> SampleSet:
         if tot[i, j] < best:
             best = tot[i, j]
             arg = (int(rows[i]), int(j))
-    bits = [(arg[0] >> k) & 1 for k in range(split.nA)] + [(arg[1] >> k) & 1 for k in range(split.nB)]
-    config = _native_config(bits, split.form.kind)
     meta = {"sampler": "ground_state", "candidates": int(len(cand))}
-    return SampleSet.from_configs(split.form, [config], meta)
+    return SampleSet.from_configs(split.form, split.configs(np.array([arg[0]]), np.array([arg[1]])), meta)
 
 
 # --- simulated annealing -----------------------------------------------------
@@ -526,16 +513,15 @@ def tabu_search(
     model: QuboModel,
     tenure: int = 10,
     max_restarts: int = 20,
-    stagnation_limit: int | None = None,
     seed: int = 0,
 ) -> SampleSet:
     """Steepest-descent single-flip search with a recency tabu list.
 
     Recently flipped variables stay tabu for `tenure` iterations unless a
-    move beats the best energy seen anywhere (aspiration). After
-    `stagnation_limit` iterations without improving the restart's best, the
-    search restarts from a fresh random configuration. One record per
-    restart-best is reported, deduplicated with multiplicities.
+    move beats the best energy seen anywhere (aspiration). After 50 * dim
+    iterations without improving the restart's best, the search restarts
+    from a fresh random configuration. One record per restart-best is
+    reported, deduplicated with multiplicities.
     """
     if tenure < 1:
         raise InvalidArgumentError("tenure must be positive")
@@ -544,12 +530,11 @@ def tabu_search(
     form = _int_form(model)
     n = form.n
     off_i, lin_i, B, _ = _x_floats(form)
-    if stagnation_limit is None:
-        stagnation_limit = 50 * n
+    stagnation_limit = 50 * n
     Bsym = B + B.T
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     global_best = np.inf
-    bests: list[tuple[int, ...]] = []
+    bests: list[np.ndarray] = []
     for _ in range(max_restarts):
         x = rng.integers(0, 2, n).astype(np.float64)
         f = Bsym @ x
@@ -582,7 +567,7 @@ def tabu_search(
                 since_improve = 0
             else:
                 since_improve += 1
-        bests.append(_native_config(best_x.astype(int), form.kind))
+        bests.append(_native(best_x.astype(np.int64), form.kind))
     meta = {
         "sampler": "tabu_search",
         "seed": seed,

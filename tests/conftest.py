@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from postman.graphs import Graph
+from postman.qubo import IsingModel
+from postman.samplers import SampleSet
 
 # 6-node worked instance: odd nodes {0,1,2,3}, pair distances
 # W01=2 W02=5 W03=7 W12=7 W13=5 W23=3, minimum matching {(0,1),(2,3)} at 5.
@@ -44,3 +48,17 @@ def graph_stream(seed: int, n: int, p: float, w_hi: int = 9):
         g = random_connected_graph(rng, n, p, w_hi)
         if g is not None:
             yield g
+
+
+def exhaustive(model) -> SampleSet:
+    """Every configuration of a small model with its exact energy, sorted by
+    energy: the reference for the exact searches. It evaluates through
+    `SampleSet.from_configs` (exact integer products), so it shares no code
+    with the float enumeration those searches run on."""
+    n, values = (model.n, (-1, 1)) if isinstance(model, IsingModel) else (model.dim, (0, 1))
+    return SampleSet.from_configs(model, itertools.product(values, repeat=n), {})
+
+
+def levels(samples: SampleSet) -> list:
+    """The distinct energies of a sample set, ascending."""
+    return sorted({r.energy for r in samples.records})

@@ -280,6 +280,20 @@ class TestAutoscale:
         assert factor > 1
         assert before == after
 
+    def test_scaled_embedded_identity(self):
+        # an embedded model swapped for its scaled copy keeps the unscaled
+        # constant, so physical energy times the factor is logical + constant
+        logical = random_logical(4, seed=3)
+        emb = clique_embedding(4, chimera_graph(1))
+        embedded = embed_ising(logical, emb, 1)
+        scaled, factor = autoscale(embedded.model)
+        assert factor > 1
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            s_log = tuple(int(v) for v in rng.integers(0, 2, 4) * 2 - 1)
+            s_phys = expand_unbroken(s_log, emb, embedded)
+            assert scaled.energy(s_phys) * factor == logical.energy(s_log) + embedded.constant
+
 
 class TestGauges:
     def test_energy_invariance(self):

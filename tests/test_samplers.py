@@ -14,6 +14,7 @@ from postman.errors import (
 )
 from postman.exact import odd_pair_distances
 from postman.graphs import Graph
+from postman.metrics import bootstrap
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     BLOCK_FLOATS,
@@ -27,9 +28,10 @@ from postman.samplers import (
     brute_force,
     ground_state,
     simulated_annealing,
-    spectral_gap,
     tabu_search,
 )
+
+from conftest import exhaustive, levels
 
 
 def demo_qubo(demo, p=8):
@@ -97,6 +99,24 @@ class TestBruteForce:
         )
         assert viaq.best().energy == best
 
+    @pytest.mark.parametrize("keep", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["qubo", "ising", "fractional", "flat"])
+    def test_matches_exhaustive(self, kind, keep):
+        # the reference shares no code with the split scan that brute force runs on
+        spins = random_ising(9, seed=40)
+        model = {
+            "qubo": QuboModel(dim=9, linear=spins.h, quadratic=spins.couplings, offset=spins.offset),
+            "ising": spins,
+            "fractional": IsingModel(n=9, h=(Fraction(1, 3),) * 9, couplings={(0, 1): Fraction(-2, 7), (3, 8): 1}),
+            "flat": QuboModel(dim=9, linear=(0,) * 9, quadratic={(2, 5): 1}),  # 384 ground states
+        }[kind]
+        every = exhaustive(model)
+        heads = levels(every)
+        want = [r for r in every.records if r.energy <= heads[min(keep, len(heads)) - 1]]
+        got = brute_force(model, keep=keep)
+        assert got.records == tuple(want)
+        assert got.metadata["levels"] == len(heads)
+
 
 def test_penalty_bound_limit():
     # p >= d is admissible, but only M_min < 2p makes every minimiser legal
@@ -110,25 +130,25 @@ def test_penalty_bound_limit():
 class TestSpectralGap:
     def test_single_variable(self):
         model = QuboModel(dim=1, linear=(7,), quadratic={}, offset=0)
-        assert spectral_gap(model) == (0, 7, 7)
+        assert spectral_gap_large(model) == (0, 7, 7)
 
     def test_demo_penalty_widens_gap(self, demo):
-        gap8 = spectral_gap(demo_qubo(demo, 8))[2]
-        gap16 = spectral_gap(demo_qubo(demo, 16))[2]
+        gap8 = spectral_gap_large(demo_qubo(demo, 8))[2]
+        gap16 = spectral_gap_large(demo_qubo(demo, 16))[2]
         assert gap16 >= gap8
 
     def test_strictly_positive(self, demo):
-        e0, e1, gap = spectral_gap(demo_qubo(demo))
+        e0, e1, gap = spectral_gap_large(demo_qubo(demo))
         assert e1 > e0 and gap == e1 - e0
 
     def test_no_gap(self):
         model = QuboModel(dim=2, linear=(0, 0), quadratic={}, offset=1)
         with pytest.raises(NoGapError):
-            spectral_gap(model)
+            spectral_gap_large(model)
 
     def test_fractional_exact(self):
         model = IsingModel(n=2, h=(Fraction(1, 3), 0), couplings={(0, 1): Fraction(1, 7)}, offset=0)
-        e0, e1, gap = spectral_gap(model)
+        e0, e1, gap = spectral_gap_large(model)
         states = [(-1, -1), (-1, 1), (1, -1), (1, 1)]
         energies = sorted(model.energy(s) for s in states)
         assert e0 == energies[0]
@@ -137,7 +157,8 @@ class TestSpectralGap:
     @pytest.mark.parametrize("seed", range(6))
     def test_large_variant_matches_exhaustive(self, seed):
         model = random_ising(13, seed=300 + seed)
-        assert spectral_gap_large(model) == spectral_gap(model)
+        e0, e1 = levels(exhaustive(model))[:2]
+        assert spectral_gap_large(model) == (e0, e1, e1 - e0)
 
     def test_large_variant_past_guard(self):
         # 30-variable pairing model: levels are the matching weights
@@ -159,9 +180,7 @@ class TestGroundState:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force(self, seed):
         model = random_ising(11, seed=seed)
-        gs = ground_state(model)
-        bf = brute_force(model)
-        assert gs.best().energy == bf.best().energy
+        assert ground_state(model).best().energy == exhaustive(model).best().energy
 
     def test_demo(self, demo):
         assert ground_state(demo_qubo(demo)).best().energy == 5
@@ -180,8 +199,7 @@ class TestGroundState:
         }
         model = IsingModel(n=n, h=h, couplings=couplings, offset=Fraction(1, 3))
         gs = ground_state(model)
-        bf = brute_force(model)
-        assert gs.best().energy == bf.best().energy
+        assert gs.best().energy == exhaustive(model).best().energy
         assert model.energy(gs.best().config) == gs.best().energy
 
     def test_guard(self):
@@ -399,6 +417,17 @@ class TestBoundedMemory:
         peak = traced_peak_mb(lambda: simulated_annealing(ising, Schedule(n_sweeps=500), reads=400, seed=1))
         assert peak < 16
 
+    def test_brute_force_peak(self):
+        spins = random_ising(24, seed=23, lo=-2, hi=2)
+        model = QuboModel(dim=24, linear=spins.h, quadratic=spins.couplings, offset=spins.offset)
+        # all 2**24 energies at once would take 128 MB, and their sort as much again
+        assert traced_peak_mb(lambda: brute_force(model, keep=2)) < 16
+
+    def test_bootstrap_peak(self):
+        hits = np.random.default_rng(6).integers(0, 2, 4000)
+        # a (resamples x reads) index matrix and its float gather would take 305 MB
+        assert traced_peak_mb(lambda: bootstrap(hits, resamples=5000, seed=1)) < 16
+
     @pytest.mark.parametrize("budget", [1, 36, 100, 250])
     def test_uniform_slabs(self, monkeypatch, budget):
         # chunks of 5, 5 and 2 reads of 6 spins: a budget of 36 gives slabs of
@@ -441,7 +470,7 @@ class TestTabu:
     def test_matches_brute_force_small(self, seed):
         model = random_ising(10, seed=100 + seed)
         best = tabu_search(model, seed=seed).best().energy
-        assert best == brute_force(model).best().energy
+        assert best == exhaustive(model).best().energy
 
     def test_small_dim_all_tabu_fallback(self):
         # tenure exceeding dim forces the all-tabu fallback path
