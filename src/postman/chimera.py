@@ -392,21 +392,6 @@ def autoscale(model: IsingModel) -> tuple[IsingModel, Number]:
     return scaled, normalize(factor)
 
 
-def apply_gauge(model: IsingModel, gauge: Sequence[int]) -> IsingModel:
-    """Sign flip h_i -> g_i h_i, J_ij -> g_i g_j J_ij; an involution."""
-    if len(gauge) != model.n:
-        raise ValueError("gauge length must match model size")
-    return IsingModel(
-        n=model.n,
-        h=tuple(normalize(as_exact(v) * gauge[i]) for i, v in enumerate(model.h)),
-        couplings={
-            (i, j): normalize(as_exact(v) * gauge[i] * gauge[j])
-            for (i, j), v in model.couplings.items()
-        },
-        offset=model.offset,
-    )
-
-
 def spin_reversal(n: int, gauges: int, seed: int = 0) -> list[tuple[int, ...]]:
     """Sign vectors of `gauges` random spin-reversal gauges over n spins, gauge k
     drawn from the stream seeded by (seed, k); gauges=0 yields the identity alone."""

@@ -171,9 +171,12 @@ def _penalty(args: argparse.Namespace):
 
 def _jf_grid(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x]
+        grid = [float(x) for x in text.split(",") if x]
     except ValueError:
-        raise ParseError(f"--jf-grid needs a comma list of numbers, got {text!r}") from None
+        grid = []
+    if not grid:
+        raise ParseError(f"--jf-grid needs a comma list of numbers, got {text!r}")
+    return grid
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -386,6 +389,8 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
     d = table.d
     if args.p_grid:
         grid = [parse_number(x) for x in args.p_grid.split(",") if x]
+        if not grid:
+            raise ParseError(f"--p-grid needs a comma list of numbers, got {args.p_grid!r}")
     else:
         grid = [d, 2 * d, 4 * d, 8 * d]
     schedule = _schedule(args)

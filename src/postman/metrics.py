@@ -26,7 +26,7 @@ from .chimera import (
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, finite_or_str, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleRecord, SampleSet, Schedule, _int_form, _record_key, _row_blocks, simulated_annealing
+from .samplers import SampleSet, Schedule, _anneal, _int_form, _read_groups, _row_blocks
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -175,33 +175,38 @@ def sample_embedded(
 ) -> SampleSet:
     """Anneal the physical model, splitting the read budget across gauges.
 
-    The model's integer form is built once; each gauge is a sign vector
-    applied to that form, with its own RNG stream. Samples are mapped back
-    through the gauge before merging, so the result is a plain physical
-    sample set. gauges=0 runs the identity gauge only.
+    Every read of every gauge is annealed in one `_anneal` call over the
+    model's ungauged integer form. Read r of gauge g keeps the stream
+    (seed of gauge g, r) that a per-gauge `simulated_annealing` run of the
+    gauged model would give it, and starts from that run's initial spins times
+    g. Negation is exact in floating point, so each field of that chain is g_i
+    times the gauged run's field, every energy change and acceptance test is
+    the same, and the final spins come back already ungauged. Each gauge's
+    reads keep that run's product grouping (`_read_groups`), so the output
+    equals the per-gauge runs merged, bit for bit. gauges=0 runs the identity
+    gauge only.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
     form = _int_form(embedded.model)
-    signs = spin_reversal(form.n, gauges, seed=_derived_seed(seed, 1, 0))
+    signs = spin_reversal(form.n, gauges, seed=_derived_seed(seed, 1, 0))[:reads]  # later gauges get no read
     base, extras = divmod(reads, len(signs))
-    merged: SampleSet | None = None
-    for g_index, gauge in enumerate(signs[:reads]):  # later gauges get no read
-        g_reads = base + (1 if g_index < extras else 0)
-        raw = simulated_annealing(
-            form.gauged(gauge), schedule=schedule, reads=g_reads,
-            seed=_derived_seed(seed, 2, g_index),
-        )
-        # a gauge preserves energy, so each ungauged record keeps its energy
-        records = [
-            SampleRecord(tuple(s * g for s, g in zip(r.config, gauge)), r.energy, r.multiplicity)
-            for r in raw.records
-        ]
-        part = SampleSet(records=tuple(sorted(records, key=_record_key)), metadata=raw.metadata)
-        merged = part if merged is None else merged.merge(part)
-    meta = dict(merged.metadata)
-    meta.update(reads=reads, gauges=gauges, seed=seed, jf=float(embedded.jf))
-    return SampleSet(records=merged.records, metadata=meta)
+    counts = [base + (1 if g_index < extras else 0) for g_index in range(len(signs))]
+    gauge_seeds = [_derived_seed(seed, 2, g_index) for g_index in range(len(signs))]
+    streams = [(g_seed, r) for g_seed, count in zip(gauge_seeds, counts) for r in range(count)]
+    groups = [size for count in counts for size in _read_groups(count, schedule.n_sweeps, form.n)]
+    finals = _anneal(form, schedule, streams, groups, signs=np.repeat(np.array(signs, dtype=np.int8), counts, axis=0))
+    meta = {
+        "sampler": "simulated_annealing",
+        "seed": seed,
+        "reads": reads,
+        "n_sweeps": schedule.n_sweeps,
+        "beta_start": schedule.beta_start,
+        "beta_end": schedule.beta_end,
+        "gauges": gauges,
+        "jf": float(embedded.jf),
+    }
+    return SampleSet.from_configs(form, finals, meta)
 
 
 def jf_sweep(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
@@ -149,12 +149,6 @@ class _IntForm:
         keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
         lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
         return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
-
-    def gauged(self, gauge: Sequence[int]) -> "_IntForm":
-        """This spin form under gauge g (h_i -> g_i h_i, J_ij -> g_i g_j J_ij): equal,
-        field by field, to the form of `chimera.apply_gauge(model, g)`."""
-        g = np.array(gauge, dtype=self.linear.dtype)
-        return replace(self, linear=self.linear * g, quad=self.quad * g[self.rows] * g[self.cols])
 
 
 def _distance_matrix(table) -> tuple[tuple[Number, ...], ...]:

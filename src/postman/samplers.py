@@ -403,6 +403,123 @@ def _block_plan(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> li
     return [(a, e, lay) for a, e, lay in zip(starts, starts[1:] + [n], layers)]
 
 
+def _read_groups(reads: int, n_sweeps: int, n: int, chunk: int | None = None) -> list[int]:
+    """Sizes of the consecutive read groups whose initial fields come from one
+    product: `chunk` reads each, by default the rule that once capped a
+    chunk's uniforms at 2**24 floats, min(reads, 2**24 // (sweeps x spins))."""
+    if chunk is None:
+        chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
+    return [min(chunk, reads - start) for start in range(0, reads, chunk)]
+
+
+def _anneal(
+    form: _IntForm,
+    schedule: Schedule,
+    streams: list[tuple],
+    groups: list[int],
+    signs: np.ndarray | None = None,
+    width: int | None = None,
+) -> np.ndarray:
+    """Final spins, one int8 row per read, of the block-step annealing kernel.
+
+    Read r draws from the stream seeded by `streams[r]`: its uniform initial
+    spins, times the +-1 row `signs[r]` when given, then one acceptance
+    uniform per (sweep, spin). `groups` splits the reads, in order, into runs
+    whose initial fields come from one matrix product over their rows; BLAS
+    rounds a product of another shape (a one-row product takes the
+    matrix-vector path) differently in the last place, and the chain
+    inherits the rounding. Reads are annealed together in chunks of whole
+    groups, each filled up to `width` reads (by default BLOCK_FLOATS // spins)
+    unless one group alone is wider. The chunks fix nothing else: the
+    uniforms are drawn a slab of sweeps at a time (about BLOCK_FLOATS per
+    chunk), each stream continuing where the last slab left it, so every draw
+    is the one a single (sweeps x spins) draw would give.
+
+    A sweep steps through blocks of consecutive, mutually uncoupled spins
+    (`_block_plan`), deciding a whole block over all reads at once. No spin of
+    a block reads a field another spin of it writes, each field receives its
+    additions in sweep order, and an accepted flip adds the same (-2 s) * J as
+    a one-spin step (a rejected one adds zero), so the chain is that of the
+    one-spin-at-a-time loop, bit for bit.
+    """
+    n = form.n
+    # Python int / int is correctly rounded, so each entry equals float(J)
+    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
+    J = np.array([v / form.scale for v in form.quad.tolist()], dtype=np.float64)
+    Jm = np.zeros((n, n))
+    Jm[form.rows, form.cols] = J
+    Jm[form.cols, form.rows] = J
+    plan = _block_plan(n, form.rows, form.cols, J)
+    betas = schedule.betas()
+    n_sweeps = schedule.n_sweeps
+    width = width or max(1, BLOCK_FLOATS // n)
+    chunks: list[list[int]] = []
+    for size in groups:
+        if chunks and sum(chunks[-1]) + size <= width:
+            chunks[-1].append(size)
+        else:
+            chunks.append([size])
+    finals = np.empty((len(streams), n), dtype=np.int8)
+    start = 0
+    for sizes in chunks:
+        stop = start + sum(sizes)
+        m = stop - start
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=streams[r])) for r in range(start, stop)]
+        S = np.empty((n, m))
+        F = np.empty((n, m))
+        col = 0
+        for size in sizes:  # one product per group: its shape sets the rounding the chain inherits
+            S0 = np.empty((size, n))
+            for row, rng in enumerate(rngs[col:col + size]):
+                S0[row] = rng.integers(0, 2, n) * 2 - 1
+            if signs is not None:
+                S0 *= signs[start + col:start + col + size]
+            S[:, col:col + size] = S0.T
+            F[:, col:col + size] = (S0 @ Jm).T
+            col += size
+        slabs = list(_row_blocks(n_sweeps, n * m))
+        U = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
+        H = np.repeat(hf[:, None], m, axis=1)
+        # a slice target adds in place; scattered targets go through whole
+        # rows of F in a wide chunk and through F's flat indices in a narrow
+        # one, where they measured faster (the two cross near 40 reads)
+        cols = np.arange(m)
+        blocks = [
+            (S[a:e], F[a:e], H[a:e], U[:, :, a:e].transpose(1, 2, 0), [
+                (F[tg], None, None, c, src) if type(tg) is slice
+                else (None, tg, None, c, src) if m >= 40
+                else (None, None, (tg[:, None] * m + cols).ravel(), c, src)
+                for tg, c, src in layers
+            ])
+            for a, e, layers in plan
+        ]
+        # U < 1 <= exp(-beta * dE) wherever dE <= 0 at finite beta, so the
+        # Metropolis test is one comparison; its exp overflows harmlessly there
+        with np.errstate(over="ignore"):
+            for slab in slabs:
+                slab_betas = betas[slab]
+                for row, rng in enumerate(rngs):  # each stream goes on where the last slab stopped
+                    rng.random(out=U[row, :len(slab_betas)])
+                for k, beta in enumerate(slab_betas):
+                    for s, f, h, u, layers in blocks:
+                        m2 = -2.0 * s
+                        dE = m2 * (h + f)
+                        d = m2 * (dE <= 0.0 if beta == math.inf else u[k] < np.exp(-beta * dE))
+                        if np.count_nonzero(d):
+                            s += d
+                            for view, rows, flat, coef, src in layers:
+                                x = coef * d.take(src, axis=0)
+                                if view is not None:
+                                    view += x
+                                elif rows is not None:
+                                    F[rows] += x
+                                else:
+                                    F.put(flat, F.take(flat) + x.ravel())
+        finals[start:stop] = S.T.astype(np.int8)
+        start = stop
+    return finals
+
+
 def simulated_annealing(
     model: IsingModel | _IntForm,
     schedule: Schedule | None = None,
@@ -415,20 +532,13 @@ def simulated_annealing(
     Per read: an independent RNG stream seeded by (seed, read index) draws the
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
-    beta. Reads are vectorized in chunks, which leaves the per-read stream
+    beta. Reads are vectorized in chunks of `chunk` reads (by default
+    min(reads, 2**24 // (sweeps x spins))), which leaves the per-read stream
     semantics unchanged; each chunk's initial fields come from one matrix
     product over its reads, whose rounding the chain inherits, so the chunk
-    rule fixes that grouping and nothing else. The uniforms are drawn a slab
-    of sweeps at a time (about BLOCK_FLOATS per chunk), each read's stream
-    continuing where the last slab left it, so every draw is the one a single
-    (sweeps x spins) draw would give. `model` may be an integer form.
-
-    A sweep steps through blocks of consecutive, mutually uncoupled spins
-    (`_block_plan`), deciding a whole block over all reads at once. No spin of
-    a block reads a field another spin of it writes, each field receives its
-    additions in sweep order, and an accepted flip adds the same (-2 s) * J as
-    a one-spin step (a rejected one adds zero), so the chain is that of the
-    one-spin-at-a-time loop, bit for bit.
+    rule fixes that grouping and nothing else. `_anneal` runs the chain, the
+    block-step kernel that reproduces the one-spin-at-a-time loop bit for
+    bit. `model` may be an integer form.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -436,71 +546,13 @@ def simulated_annealing(
     form = _int_form(model)
     if form.kind != "ising":
         raise TypeError("simulated annealing needs an IsingModel")
-    n = form.n
-    # Python int / int is correctly rounded, so each entry equals float(J)
-    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
-    J = np.array([v / form.scale for v in form.quad.tolist()], dtype=np.float64)
-    Jm = np.zeros((n, n))
-    Jm[form.rows, form.cols] = J
-    Jm[form.cols, form.rows] = J
-    plan = _block_plan(n, form.rows, form.cols, J)
-    betas = schedule.betas()
-    n_sweeps = schedule.n_sweeps
-    finals = np.empty((reads, n), dtype=np.int8)
-    # reads per chunk: the rule that once capped a chunk's uniforms at 2**24
-    # floats stays, because each chunk's field product sets the rounding the
-    # chain inherits
-    if chunk is None:
-        chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
-    for start in range(0, reads, chunk):
-        stop = min(start + chunk, reads)
-        m = stop - start
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, r))) for r in range(start, stop)]
-        S0 = np.empty((m, n))
-        for row, rng in enumerate(rngs):
-            S0[row] = rng.integers(0, 2, n) * 2 - 1
-        slabs = list(_row_blocks(n_sweeps, n * m))
-        U = np.empty((slabs[0].stop, n, m))  # one slab of sweeps, spin-major, so a block is a row slice
-        # the fields are the (reads x n) product: BLAS rounds a one-row
-        # product differently, and the chain inherits the rounding
-        F = np.ascontiguousarray((S0 @ Jm).T)
-        S = np.ascontiguousarray(S0.T)
-        H = np.repeat(hf[:, None], m, axis=1)
-        # a slice target adds in place; scattered targets go through F's flat indices
-        cols = np.arange(m)
-        blocks = [
-            (S[a:e], F[a:e], H[a:e], U[:, a:e], [
-                (F[tg], None, c, src) if type(tg) is slice else (None, (tg[:, None] * m + cols).ravel(), c, src)
-                for tg, c, src in layers
-            ])
-            for a, e, layers in plan
-        ]
-        # U < 1 <= exp(-beta * dE) wherever dE <= 0 at finite beta, so the
-        # Metropolis test is one comparison; its exp overflows harmlessly there
-        with np.errstate(over="ignore"):
-            for slab in slabs:
-                slab_betas = betas[slab]
-                for row, rng in enumerate(rngs):  # each stream goes on where the last slab stopped
-                    U[:len(slab_betas), :, row] = rng.random((len(slab_betas), n))
-                for k, beta in enumerate(slab_betas):
-                    for s, f, h, u, layers in blocks:
-                        m2 = -2.0 * s
-                        dE = m2 * (h + f)
-                        d = m2 * (dE <= 0.0 if beta == math.inf else u[k] < np.exp(-beta * dE))
-                        if np.count_nonzero(d):
-                            s += d
-                            for view, flat, coef, src in layers:
-                                x = coef * d.take(src, axis=0)
-                                if flat is None:
-                                    view += x
-                                else:
-                                    F.put(flat, F.take(flat) + x.ravel())
-        finals[start:stop] = S.T.astype(np.int8)
+    groups = _read_groups(reads, schedule.n_sweeps, form.n, chunk)
+    finals = _anneal(form, schedule, [(seed, r) for r in range(reads)], groups, width=groups[0])
     meta = {
         "sampler": "simulated_annealing",
         "seed": seed,
         "reads": reads,
-        "n_sweeps": n_sweeps,
+        "n_sweeps": schedule.n_sweeps,
         "beta_start": schedule.beta_start,
         "beta_end": schedule.beta_end,
     }

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from postman.graphs import Graph
+from postman.numbers import as_exact, normalize
 from postman.qubo import IsingModel
 from postman.samplers import SampleSet
 
@@ -62,3 +63,19 @@ def exhaustive(model) -> SampleSet:
 def levels(samples: SampleSet) -> list:
     """The distinct energies of a sample set, ascending."""
     return sorted({r.energy for r in samples.records})
+
+
+def apply_gauge(model: IsingModel, gauge) -> IsingModel:
+    """The model under spin-reversal gauge g in exact arithmetic (h_i -> g_i h_i,
+    J_ij -> g_i g_j J_ij; an involution): the reference for gauged sampling."""
+    if len(gauge) != model.n:
+        raise ValueError("gauge length must match model size")
+    return IsingModel(
+        n=model.n,
+        h=tuple(normalize(as_exact(v) * gauge[i]) for i, v in enumerate(model.h)),
+        couplings={
+            (i, j): normalize(as_exact(v) * gauge[i] * gauge[j])
+            for (i, j), v in model.couplings.items()
+        },
+        offset=model.offset,
+    )

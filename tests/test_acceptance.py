@@ -13,7 +13,6 @@ import pytest
 
 from postman.chimera import (
     DecodePolicy,
-    apply_gauge,
     chimera_graph,
     clique_embedding,
     decode_chains,
@@ -35,7 +34,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import DEMO_EDGES, exhaustive, graph_stream
+from conftest import DEMO_EDGES, apply_gauge, exhaustive, graph_stream
 
 
 def report(line: str):

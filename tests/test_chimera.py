@@ -8,7 +8,6 @@ from postman.chimera import (
     EmbeddedIsing,
     Embedding,
     autoscale,
-    apply_gauge,
     chain_stats,
     chimera_graph,
     clique_embedding,
@@ -26,6 +25,8 @@ from postman.errors import (
 )
 from postman.qubo import IsingModel
 from postman.samplers import brute_force
+
+from conftest import apply_gauge
 
 
 def k_couplers(n):

@@ -352,6 +352,9 @@ class TestExitCodes:
             ["simulate", "DEMO", "--m", "3", "--jf", "nan"],
             ["simulate", "DEMO", "--m", "3", "--reads", "2", "--sweeps", "2", "--anneal-time", "nan"],
             ["metrics", "SAMPLES", "--reference", "5", "--tau-s", "nan"],
+            ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ","],
+            ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ""],
+            ["penalty-sweep", "DEMO", "--p-grid", ","],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):

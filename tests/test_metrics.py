@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from postman.chimera import DecodePolicy, chimera_graph, clique_embedding
+from postman import chimera, metrics, samplers
+from postman.chimera import DecodePolicy, chimera_graph, clique_embedding, spin_reversal
 from postman.errors import EmptySampleSetError
 from postman.metrics import (
     MetricsReport,
+    _derived_seed,
     bootstrap,
     curve_to_csv,
     decode_sampleset,
@@ -19,7 +22,9 @@ from postman.metrics import (
     tts_sa,
 )
 from postman.qubo import IsingModel, QuboModel
-from postman.samplers import SampleRecord, SampleSet, Schedule, brute_force
+from postman.samplers import SampleRecord, SampleSet, Schedule, _record_key, brute_force, simulated_annealing
+
+from conftest import apply_gauge
 
 
 def sampleset(records):
@@ -166,27 +171,33 @@ class TestSampleEmbedded:
             assert embedded.model.energy(r.config) == r.energy
 
     def test_one_integer_form_and_no_gauged_models(self, monkeypatch):
-        from postman import chimera, metrics, samplers
+        # every gauge anneals in one call over the model's own integer form
+        from postman import qubo
 
         embedded = chimera.embed_ising(frustrated_k4(), clique_embedding(4, chimera_graph(1)), 1.0)
-        build = samplers._int_form
-        builds = []
+        build, anneal = samplers._int_form, samplers._anneal
+        builds, forms = [], []
 
         def counting(model):
             if not isinstance(model, samplers._IntForm):
                 builds.append(model)
             return build(model)
 
-        def refuse(*args):
+        def recording(form, *args, **kwargs):
+            forms.append(form)
+            return anneal(form, *args, **kwargs)
+
+        def refuse(self):
             raise AssertionError("a gauged IsingModel was built")
 
         monkeypatch.setattr(samplers, "_int_form", counting)
         monkeypatch.setattr(metrics, "_int_form", counting)
-        monkeypatch.setattr(chimera, "apply_gauge", refuse)
+        monkeypatch.setattr(metrics, "_anneal", recording)
+        monkeypatch.setattr(qubo.IsingModel, "__post_init__", refuse)
         out = sample_embedded(embedded, Schedule(n_sweeps=20), reads=12, gauges=4, seed=3)
         assert builds == [embedded.model]
+        assert len(forms) == 1 and forms[0] is embedded.model.int_form
         assert out.total_reads == 12
-
 
     def test_jf_sweep_builds_each_form_once(self, monkeypatch):
         # decode_sampleset runs once per policy and jf point; the logical form
@@ -208,6 +219,98 @@ class TestSampleEmbedded:
         assert len(built) == 4  # the logical model and one physical model per jf point
         assert logical.int_form is logical.int_form
         assert IsingModel(logical.n, logical.h, dict(logical.couplings)).int_form is not logical.int_form
+
+
+def fractional_embedded(k: int, m: int, jf: float, seed: int):
+    """A random K_k Ising model in tenths, clique-embedded on C_m. Its fields
+    often sum to zero exactly, and their float sums then round to either
+    sign depending on the order of the terms, so at infinite beta a change
+    of product grouping (a one-row product rounds differently) shows."""
+    rng = np.random.default_rng(seed)
+
+    def coefficient():
+        return Fraction(int(rng.integers(-9, 10)), 10)
+
+    logical = IsingModel(
+        n=k, h=tuple(coefficient() for _ in range(k)),
+        couplings={(i, j): coefficient() for i in range(k) for j in range(i + 1, k)},
+    )
+    return chimera.embed_ising(logical, clique_embedding(k, chimera_graph(m)), jf)
+
+
+def per_gauge_loop(embedded, schedule, reads, gauges, seed):
+    """The per-gauge loop that `sample_embedded` replaced: one
+    `simulated_annealing` run of each gauged model, its reads mapped back
+    through the gauge, then merged. The batched call must equal it."""
+    model = embedded.model
+    signs = spin_reversal(model.n, gauges, seed=_derived_seed(seed, 1, 0))[:reads]
+    base, extras = divmod(reads, len(signs))
+    merged = None
+    for g_index, gauge in enumerate(signs):
+        raw = simulated_annealing(
+            apply_gauge(model, gauge), schedule=schedule, reads=base + (g_index < extras),
+            seed=_derived_seed(seed, 2, g_index),
+        )
+        records = [
+            SampleRecord(tuple(s * g for s, g in zip(r.config, gauge)), r.energy, r.multiplicity)
+            for r in raw.records
+        ]
+        part = SampleSet(records=tuple(sorted(records, key=_record_key)), metadata=raw.metadata)
+        merged = part if merged is None else merged.merge(part)
+    meta = dict(merged.metadata)
+    meta.update(reads=reads, gauges=gauges, seed=seed, jf=float(embedded.jf))
+    return SampleSet(records=merged.records, metadata=meta)
+
+
+class TestBatchedGauges:
+    """`sample_embedded` anneals every gauge in one call, bit for bit the
+    per-gauge loop it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.sampled_from([(4, 1), (6, 2)]),
+        jf=st.sampled_from([0.5, 1.0, 2.0]),
+        reads=st.integers(1, 45),
+        gauges=st.integers(0, 12),
+        sweeps=st.integers(1, 30),
+        frozen=st.booleans(),
+        chunk=st.sampled_from([None, 1, 2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # ragged splits, reads < gauges, and single-read gauges (one-row products)
+    @example(size=(6, 2), jf=1.0, reads=7, gauges=5, sweeps=20, frozen=False, chunk=None, seed=1)
+    @example(size=(6, 2), jf=1.0, reads=3, gauges=5, sweeps=20, frozen=False, chunk=None, seed=2)
+    @example(size=(6, 2), jf=1.0, reads=41, gauges=40, sweeps=20, frozen=True, chunk=None, seed=3)
+    @example(size=(6, 2), jf=1.0, reads=25, gauges=2, sweeps=20, frozen=False, chunk=3, seed=4)
+    def test_matches_per_gauge_loop(self, size, jf, reads, gauges, sweeps, frozen, chunk, seed):
+        embedded = fractional_embedded(*size, jf, seed % 97)
+        # at infinite beta a field that rounds across zero flips the decision
+        schedule = Schedule(math.inf, math.inf, sweeps) if frozen else Schedule(0.1, 3.0, sweeps)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:  # several product groups per gauge, as at 1000 sweeps on 840 spins
+                rule = samplers._read_groups
+
+                def fixed(reads, n_sweeps, n, _=None):
+                    return rule(reads, n_sweeps, n, chunk)
+
+                mp.setattr(samplers, "_read_groups", fixed)
+                mp.setattr(metrics, "_read_groups", fixed)
+            got = sample_embedded(embedded, schedule, reads, gauges, seed)
+            want = per_gauge_loop(embedded, schedule, reads, gauges, seed)
+        assert got.records == want.records
+        assert list(got.metadata.items()) == list(want.metadata.items())
+
+    @pytest.mark.parametrize("beta", [1.0, math.inf])
+    @pytest.mark.parametrize("width", [1, 2, 5, 16])
+    def test_annealing_width_changes_no_record(self, monkeypatch, width, beta):
+        # groups of 6, 6, 6 and 5 reads: a width below 6 anneals each group
+        # alone, 16 packs two per chunk
+        embedded = fractional_embedded(6, 2, 1.0, seed=3)
+        schedule = Schedule(beta, beta, 40)
+        want = sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9)
+        monkeypatch.setattr(samplers, "BLOCK_FLOATS", width * embedded.model.n)
+        got = sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9)
+        assert got.records == want.records
 
 
 class TestJfSweep:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from postman import samplers
-from postman.chimera import apply_gauge, chimera_graph, clique_embedding, embed_ising
+from postman.chimera import chimera_graph, clique_embedding, embed_ising
 from postman.errors import (
     DimensionMismatchError, InvalidArgumentError, NoGapError, ParseError, TooLargeError,
 )
@@ -31,7 +31,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import exhaustive, levels
+from conftest import apply_gauge, exhaustive, levels
 
 
 def demo_qubo(demo, p=8):
@@ -574,21 +574,27 @@ class TestFromConfigsExact:
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
     def test_gauged_form_matches_gauged_model(self, big, data):
+        # a gauge only flips signs of the integer form's arrays (the scale and
+        # offset stay), so a read annealed over the ungauged form from g s0
+        # is the gauged read times g, and keeps its exact energy
         model, _ = data.draw(model_and_configs(big))
         if isinstance(model, QuboModel):
             model = IsingModel(n=model.dim, h=model.linear, couplings=model.quadratic, offset=model.offset)
         if big:  # every example takes the object-dtype path
             model = dataclasses.replace(model, offset=model.offset + 2**70)
         gauge = data.draw(st.tuples(*[st.sampled_from((-1, 1))] * model.n))
-        got, want = _int_form(model).gauged(gauge), _int_form(apply_gauge(model, gauge))
-        for field in dataclasses.fields(want):
-            a, b = getattr(got, field.name), getattr(want, field.name)
-            if isinstance(b, np.ndarray):
-                assert a.dtype == b.dtype and a.tolist() == b.tolist()
-                assert list(map(type, a.tolist())) == list(map(type, b.tolist()))
-            else:
-                assert type(a) is type(b) and a == b
-        assert want.linear.dtype == (object if big else np.int64)
+        form, gauged = _int_form(model), _int_form(apply_gauge(model, gauge))
+        assert (gauged.kind, gauged.n, gauged.scale, gauged.offset) == (form.kind, form.n, form.scale, form.offset)
+        assert gauged.rows.tolist() == form.rows.tolist() and gauged.cols.tolist() == form.cols.tolist()
+        assert gauged.linear.dtype == gauged.quad.dtype == form.linear.dtype == (object if big else np.int64)
+        assert gauged.linear.tolist() == [v * g for v, g in zip(form.linear.tolist(), gauge)]
+        signs = [gauge[i] * gauge[j] for i, j in zip(form.rows.tolist(), form.cols.tolist())]
+        assert gauged.quad.tolist() == [v * g for v, g in zip(form.quad.tolist(), signs)]
+        spins = data.draw(st.lists(st.tuples(*[st.sampled_from((-1, 1))] * model.n), min_size=1, max_size=8))
+        flipped = [tuple(s * g for s, g in zip(c, gauge)) for c in spins]
+        energy = {r.config: r.energy for r in SampleSet.from_configs(form, spins, {}).records}
+        for r in SampleSet.from_configs(gauged, flipped, {}).records:
+            assert r.energy == energy[tuple(s * g for s, g in zip(r.config, gauge))]
 
     def test_many_configs_span_blocks(self):
         # 900 configs x 2415 couplings exceed one 2**21-product block
