@@ -26,7 +26,7 @@ from .chimera import (
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, finite_or_str, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleSet, Schedule, _anneal, _int_form, _read_groups, _row_blocks
+from .samplers import SampleSet, Schedule, _anneal, _int_form, _read_groups, _row_blocks, _sa_metadata
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -194,18 +194,11 @@ def sample_embedded(
     counts = [base + (1 if g_index < extras else 0) for g_index in range(len(signs))]
     gauge_seeds = [_derived_seed(seed, 2, g_index) for g_index in range(len(signs))]
     streams = [(g_seed, r) for g_seed, count in zip(gauge_seeds, counts) for r in range(count)]
-    groups = [size for count in counts for size in _read_groups(count, schedule.n_sweeps, form.n)]
-    finals = _anneal(form, schedule, streams, groups, signs=np.repeat(np.array(signs, dtype=np.int8), counts, axis=0))
-    meta = {
-        "sampler": "simulated_annealing",
-        "seed": seed,
-        "reads": reads,
-        "n_sweeps": schedule.n_sweeps,
-        "beta_start": schedule.beta_start,
-        "beta_end": schedule.beta_end,
-        "gauges": gauges,
-        "jf": float(embedded.jf),
-    }
+    per_gauge = [_read_groups(count, schedule.n_sweeps, form.n) for count in counts]
+    groups = [size for sizes in per_gauge for size in sizes]
+    group_signs = np.repeat(np.array(signs, dtype=np.int8), [len(sizes) for sizes in per_gauge], axis=0)
+    finals = _anneal(form, schedule, streams, groups, signs=group_signs)
+    meta = {**_sa_metadata(seed, reads, schedule), "gauges": gauges, "jf": float(embedded.jf)}
     return SampleSet.from_configs(form, finals, meta)
 
 

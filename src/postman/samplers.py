@@ -418,22 +418,21 @@ def _anneal(
     streams: list[tuple],
     groups: list[int],
     signs: np.ndarray | None = None,
-    width: int | None = None,
 ) -> np.ndarray:
     """Final spins, one int8 row per read, of the block-step annealing kernel.
 
     Read r draws from the stream seeded by `streams[r]`: its uniform initial
-    spins, times the +-1 row `signs[r]` when given, then one acceptance
-    uniform per (sweep, spin). `groups` splits the reads, in order, into runs
-    whose initial fields come from one matrix product over their rows; BLAS
-    rounds a product of another shape (a one-row product takes the
-    matrix-vector path) differently in the last place, and the chain
-    inherits the rounding. Reads are annealed together in chunks of whole
-    groups, each filled up to `width` reads (by default BLOCK_FLOATS // spins)
-    unless one group alone is wider. The chunks fix nothing else: the
-    uniforms are drawn a slab of sweeps at a time (about BLOCK_FLOATS per
-    chunk), each stream continuing where the last slab left it, so every draw
-    is the one a single (sweeps x spins) draw would give.
+    spins, then one acceptance uniform per (sweep, spin). `groups` splits the
+    reads, in order, into runs whose initial fields come from one matrix
+    product over their rows; BLAS rounds a product of another shape (a
+    one-row product takes the matrix-vector path) differently in the last
+    place, and the chain inherits the rounding. When given, `signs` holds one
+    +-1 row per group, multiplied into the initial spins of each of its reads.
+    Reads are annealed together in chunks of whole groups, each filled up to
+    BLOCK_FLOATS // spins reads unless one group alone is wider. The chunks
+    fix no record: the uniforms are drawn a slab of sweeps at a time (about
+    BLOCK_FLOATS per chunk), each stream continuing where the last slab left
+    it, so every draw is the one a single (sweeps x spins) draw would give.
 
     A sweep steps through blocks of consecutive, mutually uncoupled spins
     (`_block_plan`), deciding a whole block over all reads at once. No spin of
@@ -452,7 +451,7 @@ def _anneal(
     plan = _block_plan(n, form.rows, form.cols, J)
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
-    width = width or max(1, BLOCK_FLOATS // n)
+    width = max(1, BLOCK_FLOATS // n)
     chunks: list[list[int]] = []
     for size in groups:
         if chunks and sum(chunks[-1]) + size <= width:
@@ -460,7 +459,7 @@ def _anneal(
         else:
             chunks.append([size])
     finals = np.empty((len(streams), n), dtype=np.int8)
-    start = 0
+    start = group = 0
     for sizes in chunks:
         stop = start + sum(sizes)
         m = stop - start
@@ -473,22 +472,19 @@ def _anneal(
             for row, rng in enumerate(rngs[col:col + size]):
                 S0[row] = rng.integers(0, 2, n) * 2 - 1
             if signs is not None:
-                S0 *= signs[start + col:start + col + size]
+                S0 *= signs[group]
             S[:, col:col + size] = S0.T
             F[:, col:col + size] = (S0 @ Jm).T
             col += size
+            group += 1
         slabs = list(_row_blocks(n_sweeps, n * m))
         U = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
         H = np.repeat(hf[:, None], m, axis=1)
-        # a slice target adds in place; scattered targets go through whole
-        # rows of F in a wide chunk and through F's flat indices in a narrow
-        # one, where they measured faster (the two cross near 40 reads)
+        # a slice target adds in place; scattered targets go through F's flat indices
         cols = np.arange(m)
         blocks = [
             (S[a:e], F[a:e], H[a:e], U[:, :, a:e].transpose(1, 2, 0), [
-                (F[tg], None, None, c, src) if type(tg) is slice
-                else (None, tg, None, c, src) if m >= 40
-                else (None, None, (tg[:, None] * m + cols).ravel(), c, src)
+                (F[tg], None, c, src) if type(tg) is slice else (None, (tg[:, None] * m + cols).ravel(), c, src)
                 for tg, c, src in layers
             ])
             for a, e, layers in plan
@@ -507,17 +503,27 @@ def _anneal(
                         d = m2 * (dE <= 0.0 if beta == math.inf else u[k] < np.exp(-beta * dE))
                         if np.count_nonzero(d):
                             s += d
-                            for view, rows, flat, coef, src in layers:
+                            for view, flat, coef, src in layers:
                                 x = coef * d.take(src, axis=0)
-                                if view is not None:
+                                if flat is None:
                                     view += x
-                                elif rows is not None:
-                                    F[rows] += x
                                 else:
                                     F.put(flat, F.take(flat) + x.ravel())
         finals[start:stop] = S.T.astype(np.int8)
         start = stop
     return finals
+
+
+def _sa_metadata(seed: int, reads: int, schedule: Schedule) -> dict:
+    """The metadata of an annealed sample set, in the order the outputs print it."""
+    return {
+        "sampler": "simulated_annealing",
+        "seed": seed,
+        "reads": reads,
+        "n_sweeps": schedule.n_sweeps,
+        "beta_start": schedule.beta_start,
+        "beta_end": schedule.beta_end,
+    }
 
 
 def simulated_annealing(
@@ -532,13 +538,14 @@ def simulated_annealing(
     Per read: an independent RNG stream seeded by (seed, read index) draws the
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
-    beta. Reads are vectorized in chunks of `chunk` reads (by default
-    min(reads, 2**24 // (sweeps x spins))), which leaves the per-read stream
-    semantics unchanged; each chunk's initial fields come from one matrix
-    product over its reads, whose rounding the chain inherits, so the chunk
-    rule fixes that grouping and nothing else. `_anneal` runs the chain, the
-    block-step kernel that reproduces the one-spin-at-a-time loop bit for
-    bit. `model` may be an integer form.
+    beta. The reads fall into groups of `chunk` reads (by default
+    min(reads, 2**24 // (sweeps x spins))); each group's initial fields come
+    from one matrix product over its reads, whose rounding the chain
+    inherits, so the chunk rule fixes that grouping and nothing else.
+    `_anneal` runs the chain, the block-step kernel that reproduces the
+    one-spin-at-a-time loop bit for bit; it anneals whole groups together,
+    up to BLOCK_FLOATS // spins reads at a time, which changes no record.
+    `model` may be an integer form.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -547,16 +554,8 @@ def simulated_annealing(
     if form.kind != "ising":
         raise TypeError("simulated annealing needs an IsingModel")
     groups = _read_groups(reads, schedule.n_sweeps, form.n, chunk)
-    finals = _anneal(form, schedule, [(seed, r) for r in range(reads)], groups, width=groups[0])
-    meta = {
-        "sampler": "simulated_annealing",
-        "seed": seed,
-        "reads": reads,
-        "n_sweeps": schedule.n_sweeps,
-        "beta_start": schedule.beta_start,
-        "beta_end": schedule.beta_end,
-    }
-    return SampleSet.from_configs(form, finals, meta)
+    finals = _anneal(form, schedule, [(seed, r) for r in range(reads)], groups)
+    return SampleSet.from_configs(form, finals, _sa_metadata(seed, reads, schedule))
 
 
 # --- tabu search --------------------------------------------------------------

@@ -304,13 +304,19 @@ class TestBatchedGauges:
     @pytest.mark.parametrize("width", [1, 2, 5, 16])
     def test_annealing_width_changes_no_record(self, monkeypatch, width, beta):
         # groups of 6, 6, 6 and 5 reads: a width below 6 anneals each group
-        # alone, 16 packs two per chunk
+        # alone, 16 packs two per chunk; simulated_annealing packs its
+        # 4-read groups the same way
         embedded = fractional_embedded(6, 2, 1.0, seed=3)
         schedule = Schedule(beta, beta, 40)
-        want = sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9)
+
+        def run():
+            return (sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9),
+                    simulated_annealing(embedded.model, schedule, reads=23, seed=9, chunk=4))
+
+        want = run()
         monkeypatch.setattr(samplers, "BLOCK_FLOATS", width * embedded.model.n)
-        got = sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9)
-        assert got.records == want.records
+        got = run()
+        assert [out.records for out in got] == [out.records for out in want]
 
 
 class TestJfSweep:
