@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .graphs import hops
 from .numbers import Number, as_exact, normalize
-from .qubo import IsingModel
+from .qubo import IsingModel, _IntForm
 
 
 @dataclass(frozen=True)
@@ -60,27 +61,24 @@ class ChimeraTopology:
         return tuple(q for q in range(8 * self.m * self.m) if q not in self.faulty)
 
     def couplers(self) -> tuple[tuple[int, int], ...]:
-        out = []
+        return tuple(map(tuple, self.coupler_array().tolist()))
+
+    def coupler_array(self) -> np.ndarray:
+        """Every coupler between enabled qubits as a row (a, b), a < b, rows sorted."""
         m = self.m
-        for row in range(m):
-            for col in range(m):
-                for k0 in range(4):
-                    a = self.qubit(row, col, 0, k0)
-                    for k1 in range(4):
-                        out.append((a, self.qubit(row, col, 1, k1)))
-                if row + 1 < m:
-                    for k in range(4):
-                        out.append((self.qubit(row, col, 0, k), self.qubit(row + 1, col, 0, k)))
-                if col + 1 < m:
-                    for k in range(4):
-                        out.append((self.qubit(row, col, 1, k), self.qubit(row, col + 1, 1, k)))
-        keep = [
-            (min(a, b), max(a, b))
-            for a, b in out
-            if self.enabled(a) and self.enabled(b)
-        ]
-        keep.sort()
-        return tuple(keep)
+        cells = 8 * np.arange(m * m).reshape(m, m)
+        k = np.arange(4)
+        inside = (cells.reshape(-1, 1, 1) + k[:, None], cells.reshape(-1, 1, 1) + 4 + k)  # shore 0 x shore 1
+        down = cells[:-1].reshape(-1, 1) + k                                              # shore 0, next row
+        right = cells[:, :-1].reshape(-1, 1) + 4 + k                                      # shore 1, next column
+        a = np.concatenate([np.broadcast_to(inside[0], (m * m, 4, 4)).ravel(), down.ravel(), right.ravel()])
+        b = np.concatenate([np.broadcast_to(inside[1], (m * m, 4, 4)).ravel(), (down + 8 * m).ravel(), (right + 8).ravel()])
+        enabled = np.ones(8 * m * m, dtype=bool)
+        enabled[list(self.faulty)] = False
+        keep = enabled[a] & enabled[b]
+        a, b = a[keep], b[keep]
+        order = np.lexsort((b, a))
+        return np.stack([a[order], b[order]], axis=1)
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         return {q: tuple(sorted(nb)) for q, nb in _adjacency(self.nodes(), self.couplers()).items()}
@@ -107,24 +105,38 @@ class Embedding:
 
     @cached_property
     def chain_index(self) -> "ChainIndex":
-        """Chain positions and the couplers within and between chains, in one pass."""
-        order = tuple(sorted(q for chain in self.chains for q in chain))
-        pos = {q: i for i, q in enumerate(order)}
-        owners: dict[int, set[int]] = {}
-        for i, chain in enumerate(self.chains):
-            for q in chain:
-                owners.setdefault(q, set()).add(i)
-        within: list[list[tuple[int, int]]] = [[] for _ in self.chains]
-        between: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for a, b in self.topology.couplers():
-            if a in owners and b in owners:
-                # a < b and positions follow qubit order, so the pair stays ordered
-                pair = (pos[a], pos[b])
-                for i, j in {(min(x, y), max(x, y)) for x in owners[a] for y in owners[b]}:
-                    (within[i] if i == j else between.setdefault((i, j), [])).append(pair)
-        positions = tuple(tuple(pos[q] for q in chain) for chain in self.chains)
-        pairs = {k: tuple(c) for k, c in between.items()}
-        return ChainIndex(order, positions, tuple(map(tuple, within)), pairs)
+        """Chain positions and the couplers within and between chains, from one
+        join of the (qubit, chain) memberships with the topology's couplers."""
+        lengths = [len(chain) for chain in self.chains]
+        width = max(len(self.chains), 1)
+        qubits = np.fromiter(itertools.chain.from_iterable(self.chains), dtype=np.int64, count=sum(lengths))
+        order = np.sort(qubits)
+        # a qubit listed more than once is named by its last position
+        flat = (np.searchsorted(order, qubits, side="right") - 1).tolist()
+        positions = tuple(tuple(flat[end - size:end]) for size, end in zip(lengths, itertools.accumulate(lengths)))
+        # each (qubit, chain) membership once, sorted by qubit
+        held, owner = np.divmod(np.unique(qubits * width + np.repeat(np.arange(len(self.chains)), lengths)), width)
+        couplers = self.topology.coupler_array()
+        # the join: for coupler (a, b), every membership of a times every one of b
+        first = [np.searchsorted(held, couplers[:, end]) for end in (0, 1)]
+        count = [np.searchsorted(held, couplers[:, end], side="right") - first[end] for end in (0, 1)]
+        joins = count[0] * count[1]
+        coupler = np.repeat(np.arange(len(couplers)), joins)
+        rank = np.arange(len(coupler)) - np.repeat(np.cumsum(joins) - joins, joins)
+        x = owner[first[0][coupler] + rank // count[1][coupler]]
+        y = owner[first[1][coupler] + rank % count[1][coupler]]
+        # sorted by chain pair (i <= j), then coupler; each (pair, coupler) once
+        E = max(len(couplers), 1)
+        pair, coupler = np.divmod(np.unique((np.minimum(x, y) * width + np.maximum(x, y)) * E + coupler), E)
+        # a < b and positions follow qubit order, so each pair stays ordered
+        pairs = (np.searchsorted(order, couplers[coupler], side="right") - 1).astype(np.intp)
+        starts = np.flatnonzero(np.diff(pair, prepend=-1))
+        stops = np.append(starts[1:], len(pair))
+        spans = {
+            divmod(key, width): slice(start, stop)
+            for key, start, stop in zip(pair[starts].tolist(), starts.tolist(), stops.tolist())
+        }
+        return ChainIndex(tuple(order.tolist()), positions, pairs, spans)
 
     def to_json(self) -> dict:
         return {
@@ -151,16 +163,32 @@ class Embedding:
         return Embedding(tuple(tuple(chains[str(i)]) for i in range(len(chains))), topology)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainIndex:
     """Qubits are named by position in `qubit_order` (monotone in qubit id); `positions[i]`
-    is chain i in its own order; `within[i]` and `between[(i, j)]` (i < j) are the sorted
-    couplers inside chain i and joining chains i and j. A qubit may be in several chains."""
+    is chain i in its own order. `pairs` holds every coupler between chain qubits as a
+    row of two positions, grouped by the chains (i, j), i <= j, it joins and sorted within
+    a group; `spans[(i, j)]` is that group's rows. A qubit may be in several chains, and
+    then its couplers count for every chain that holds it."""
 
     qubit_order: tuple[int, ...]
     positions: tuple[tuple[int, ...], ...]
-    within: tuple[tuple[tuple[int, int], ...], ...]
-    between: dict[tuple[int, int], tuple[tuple[int, int], ...]]
+    pairs: np.ndarray
+    spans: dict[tuple[int, int], slice]
+
+    @cached_property
+    def within(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The sorted couplers inside each chain."""
+        return tuple(self._group((i, i)) for i in range(len(self.positions)))
+
+    @cached_property
+    def between(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """The sorted couplers joining chains i < j, for every pair that has one."""
+        return {key: self._group(key) for key in self.spans if key[0] != key[1]}
+
+    def _group(self, key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+        rows = self.pairs[self.spans.get(key, slice(0, 0))]
+        return tuple(zip(rows[:, 0].tolist(), rows[:, 1].tolist()))
 
 
 def clique_embedding(n_logical: int, topo: ChimeraTopology) -> Embedding:
@@ -212,8 +240,9 @@ def validate_embedding(
         for q in chain:
             if not emb.topology.enabled(q):
                 violations.append(Violation("missing-qubit", f"chain {i} uses disabled qubit {q}"))
-            if q in owner and owner[q] != i:
-                violations.append(Violation("overlap", f"qubit {q} in chains {owner[q]} and {i}"))
+            if q in owner:
+                where = f"appears twice in chain {i}" if owner[q] == i else f"in chains {owner[q]} and {i}"
+                violations.append(Violation("overlap", f"qubit {q} {where}"))
             owner.setdefault(q, i)
     index = emb.chain_index
     for i, positions in enumerate(index.positions):
@@ -223,11 +252,12 @@ def validate_embedding(
         adj = _adjacency(positions, index.within[i])
         if len(hops(adj, positions[0])) != len(adj):
             violations.append(Violation("connectivity", f"chain {i} is not connected"))
+    n = emb.n_logical
     for (i, j) in logical_couplers:
-        if not (0 <= i < emb.n_logical and 0 <= j < emb.n_logical):
+        if not (0 <= i < n and 0 <= j < n):
             violations.append(Violation("coverage", f"logical coupler ({i},{j}) out of range"))
             continue
-        if not (index.within[i] if i == j else index.between.get((min(i, j), max(i, j)))):
+        if (min(i, j), max(i, j)) not in index.spans:
             violations.append(Violation("coverage", f"no physical coupler joins chains {i} and {j}"))
     return violations
 
@@ -323,6 +353,13 @@ def embed_ising(logical: IsingModel, emb: Embedding, jf: Number | float) -> Embe
     chains. Every intra-chain coupler is set to -jf * C with C the largest
     absolute distributed coefficient. The embedding must pass
     `validate_embedding` for the model's couplings.
+
+    The model is built in the integer form of `qubo._IntForm.build`: from the
+    logical form (scale L), every share is an integer over L * lcm(chain
+    lengths, coupler counts) * denominator(jf), reduced by the gcd of that
+    denominator and every numerator. Couplings keep their insertion order:
+    the couplers between chains in logical-coupling order, then each chain's
+    own couplers.
     """
     if logical.n != emb.n_logical:
         raise InvalidEmbeddingError(
@@ -332,40 +369,52 @@ def embed_ising(logical: IsingModel, emb: Embedding, jf: Number | float) -> Embe
     if problems:
         raise InvalidEmbeddingError("; ".join(f"{v.kind}: {v.detail}" for v in problems))
     index = emb.chain_index
-    h = [Fraction(0)] * len(index.qubit_order)
-    couplings: dict[tuple[int, int], Fraction] = {}
-    for i, positions in enumerate(index.positions):
-        share = Fraction(as_exact(logical.h[i]), len(positions))
-        for p in positions:
-            h[p] += share
-    for (i, j), value in logical.couplings.items():
-        targets = index.between[(i, j)]
-        share = Fraction(as_exact(value), len(targets))
-        for key in targets:
-            couplings[key] = couplings.get(key, Fraction(0)) + share
-    magnitudes = [abs(v) for v in h] + [abs(v) for v in couplings.values()]
-    scale = max(magnitudes) if magnitudes else Fraction(0)
-    jf_exact = as_exact(jf)
-    chain_value = normalize(-Fraction(jf_exact) * scale)
-    chain_offsets = []
-    for intra in index.within:
-        for key in intra:
-            couplings[key] = couplings.get(key, Fraction(0)) + chain_value
-        chain_offsets.append(normalize(chain_value * len(intra)))
-    model = IsingModel(
-        n=len(index.qubit_order),
-        h=tuple(normalize(v) for v in h),
-        couplings={k: normalize(v) for k, v in couplings.items()},
-        offset=logical.offset,
+    form = logical.int_form
+    jf_exact = Fraction(as_exact(jf))
+    lengths = [len(positions) for positions in index.positions]
+    # the physical couplers of each logical coupling, then those inside each chain
+    groups = [index.spans[key] for key in logical.couplings]
+    groups += [index.spans.get((i, i), slice(0, 0)) for i in range(emb.n_logical)]
+    counts = [group.stop - group.start for group in groups]
+    spread = math.lcm(*lengths, *counts[:len(logical.couplings)])
+    # each field share and coupling share over L * spread
+    fields = [v * (spread // size) for v, size in zip(form.linear.tolist(), lengths)]
+    shares = [v * (spread // size) for v, size in zip(form.quad.tolist(), counts)]
+    largest = max(map(abs, fields + shares), default=0)
+    chain = -jf_exact.numerator * largest if sum(counts[len(shares):]) else 0
+    # all of them, the chain value too, over L * spread * denominator(jf), in lowest terms
+    up = jf_exact.denominator
+    numerators = [form.offset * spread * up, *(v * up for v in fields + shares), chain]
+    g = math.gcd(form.scale * spread * up, *numerators)
+    scale = form.scale * spread * up // g
+    offset, *numerators = [v // g for v in numerators]
+    fields = numerators[:len(fields)]
+    shares = numerators[len(fields):-1] + numerators[-1:] * emb.n_logical
+    total = abs(offset) + sum(abs(v) * size for v, size in zip(fields + shares, lengths + counts))
+    dtype = np.int64 if total < 2**63 else object  # as `_IntForm.build` chooses
+    flat = np.fromiter(itertools.chain.from_iterable(index.positions), dtype=np.intp, count=sum(lengths))
+    linear = np.empty(len(index.qubit_order), dtype=dtype)
+    linear[flat] = np.repeat(np.array(fields, dtype=dtype), lengths)
+    starts = np.array([group.start for group in groups], dtype=np.intp)
+    keys = index.pairs[np.repeat(starts - np.cumsum([0, *counts[:-1]]), counts) + np.arange(sum(counts))]
+    physical = _IntForm(
+        "ising", len(linear), scale, offset, linear, keys[:, 0], keys[:, 1],
+        np.repeat(np.array(shares, dtype=dtype), counts),
     )
+    exact = {v: normalize(Fraction(v, scale)) for v in {*fields, *shares}}
+    h = np.empty(len(linear), dtype=object)
+    h[flat] = np.repeat(np.array([exact[v] for v in fields], dtype=object), lengths)
+    values = np.repeat(np.array([exact[v] for v in shares], dtype=object), counts)
+    couplings = dict(zip(zip(keys[:, 0].tolist(), keys[:, 1].tolist()), values.tolist()))
+    chain_value = Fraction(numerators[-1], scale)
     return EmbeddedIsing(
-        model=model,
+        model=IsingModel._from_form(physical, tuple(h.tolist()), couplings, logical.offset),
         embedding=emb,
         qubit_order=index.qubit_order,
-        jf=normalize(Fraction(jf_exact)),
-        scale=normalize(Fraction(scale)),
-        chain_offsets=tuple(chain_offsets),
-        constant=normalize(sum(chain_offsets, start=Fraction(0))),
+        jf=normalize(jf_exact),
+        scale=normalize(Fraction(largest, form.scale * spread)),
+        chain_offsets=tuple(normalize(chain_value * size) for size in counts[len(logical.couplings):]),
+        constant=normalize(chain_value * sum(counts[len(logical.couplings):])),
     )
 
 
@@ -419,28 +468,29 @@ def decode_chains(
     Unanimous chains take their shared value. A split chain counts as broken:
     under DISCARD_BROKEN the whole sample is rejected (returns None); under
     MAJORITY_VOTE the majority wins and exact ties take the value of the
-    lowest-id physical qubit in the chain.
+    lowest-id physical qubit in the chain. One row of `_decode_reads`.
     """
-    order = emb.qubit_order()
-    if len(sample) != len(order):
-        raise ValueError(f"sample has {len(sample)} spins, embedding uses {len(order)} qubits")
-    logical: list[int] = []
-    broken = 0
-    for positions in emb.chain_index.positions:
-        spins = [int(sample[p]) for p in positions]
-        first = spins[0]
-        if all(s == first for s in spins):
-            logical.append(first)
-            continue
-        broken += 1
-        if policy is DecodePolicy.MAJORITY_VOTE:
-            total = sum(spins)
-            if total > 0:
-                logical.append(1)
-            elif total < 0:
-                logical.append(-1)
-            else:
-                logical.append(int(sample[min(positions)]))
+    logical, broken = _decode_reads(np.asarray(sample, dtype=np.int8).reshape(1, -1), emb)
+    broken = int(broken[0])
     if policy is DecodePolicy.DISCARD_BROKEN and broken:
         return None, broken
-    return tuple(logical), broken
+    return tuple(logical[0].tolist()), broken
+
+
+def _decode_reads(spins: np.ndarray, emb: Embedding) -> tuple[np.ndarray, np.ndarray]:
+    """Majority-vote logical spins (int8, reads x chains) and the broken-chain
+    count of each read, for physical spins (reads x qubits, canonical order).
+
+    A chain is unanimous when |sum of its spins| equals its length; otherwise
+    it is broken and takes the sign of the sum, a tie the spin of its
+    lowest-id qubit. The one decode of `decode_chains` and of
+    `metrics.decode_sampleset`; discarding reads is the caller's part."""
+    index = emb.chain_index
+    if spins.shape[1] != len(index.qubit_order):
+        raise ValueError(f"sample has {spins.shape[1]} spins, embedding uses {len(index.qubit_order)} qubits")
+    lengths = np.array([len(positions) for positions in index.positions], dtype=np.intp)
+    flat = np.fromiter(itertools.chain.from_iterable(index.positions), dtype=np.intp, count=lengths.sum())
+    sums = np.add.reduceat(spins[:, flat], np.cumsum(lengths) - lengths, axis=1, dtype=np.int64)
+    lowest = spins[:, [min(positions) for positions in index.positions]]
+    logical = np.where(sums == 0, lowest, np.sign(sums)).astype(np.int8)
+    return logical, np.count_nonzero(np.abs(sums) != lengths, axis=1)

@@ -19,7 +19,7 @@ from .chimera import (
     DecodePolicy,
     EmbeddedIsing,
     Embedding,
-    decode_chains,
+    _decode_reads,
     embed_ising,
     spin_reversal,
 )
@@ -131,22 +131,19 @@ def decode_sampleset(
     policy is in force; under DISCARD_BROKEN those reads become rejected
     records, under MAJORITY_VOTE they decode anyway.
     """
-    configs: list[tuple[int, ...]] = []
-    rejected = 0
-    broken_reads = 0
-    for r in physical.records:
-        logical, broken = (None, 0) if r.config is None else decode_chains(r.config, emb, policy)
-        if broken:
-            broken_reads += r.multiplicity
-        if logical is None:
-            rejected += r.multiplicity
-        else:
-            configs.extend([logical] * r.multiplicity)
+    accepted = [r for r in physical.records if r.config is not None]
+    width = len(accepted[0].config) if accepted else len(emb.qubit_order())
+    spins = np.array([r.config for r in accepted], dtype=np.int8).reshape(len(accepted), width)
+    reads = np.array([r.multiplicity for r in accepted], dtype=np.int64)
+    logical, broken = _decode_reads(spins, emb)
+    keep = broken == 0 if policy is DecodePolicy.DISCARD_BROKEN else np.ones(len(accepted), dtype=bool)
     meta = dict(physical.metadata)
     meta["decode_policy"] = policy.value
-    out = SampleSet.from_configs(logical_model, configs, meta, rejected=rejected)
     total = physical.total_reads
-    return out, (broken_reads / total if total else 0.0)
+    out = SampleSet.from_configs(
+        logical_model, np.repeat(logical[keep], reads[keep], axis=0), meta, rejected=total - int(reads[keep].sum())
+    )
+    return out, (int(reads[broken > 0].sum()) / total if total else 0.0)
 
 
 @dataclass(frozen=True)

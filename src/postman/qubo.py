@@ -119,6 +119,14 @@ class IsingModel:
         """The model's integer form, built once per instance."""
         return _IntForm.build("ising", self.n, self.h, self.couplings, self.offset)
 
+    @classmethod
+    def _from_form(cls, form: "_IntForm", h, couplings: dict, offset) -> "IsingModel":
+        """A model whose integer form is already known: `form` becomes its `int_form`.
+        The caller vouches that `form` is what `_IntForm.build` would give."""
+        model = cls(n=form.n, h=h, couplings=couplings, offset=offset)
+        model.__dict__["int_form"] = form
+        return model
+
 
 @dataclass(frozen=True)
 class _IntForm:

@@ -63,14 +63,22 @@ class SampleSet:
     def from_configs(model, configs, metadata: dict, rejected: int = 0) -> "SampleSet":
         """Deduplicated configs with their exact energies, plus `rejected` reads."""
         form = _int_form(model)
-        counts = Counter(tuple(int(v) for v in c) for c in configs)
         unit, values = ("spins", (-1, 1)) if form.kind == "ising" else ("bits", (0, 1))
-        for c in counts:
-            if len(c) != form.n:
-                raise DimensionMismatchError(f"expected {form.n} {unit}, got {len(c)}")
-        C = np.array(list(counts), dtype=form.linear.dtype).reshape(len(counts), form.n)
-        if not np.isin(C, values).all():
+        if not isinstance(configs, np.ndarray):
+            configs = list(configs)
+            for c in configs:
+                if len(c) != form.n:
+                    raise DimensionMismatchError(f"expected {form.n} {unit}, got {len(c)}")
+            configs = np.array(configs).reshape(len(configs), form.n)
+        elif configs.ndim != 2 or configs.shape[1] != form.n:
+            raise DimensionMismatchError(f"expected {form.n} {unit}, got {configs.shape[-1]}")
+        if not np.isin(configs, values).all():
             raise ValueError(f"{unit} must take the values {values}")
+        configs = configs.astype(np.int8)
+        keys = list(map(tuple, configs.tolist()))
+        counts = Counter(keys)
+        row_of = dict(zip(keys, range(len(keys))))  # a row of each distinct config, in the order of `counts`
+        C = configs[list(row_of.values())].astype(form.linear.dtype)
         scaled = []
         for rows in _row_blocks(len(C), len(form.quad)):
             V = C[rows]

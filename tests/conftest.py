@@ -1,8 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from postman.chimera import DecodePolicy, EmbeddedIsing, Embedding, chimera_graph, validate_embedding
+from postman.errors import InvalidEmbeddingError
 from postman.graphs import Graph
 from postman.numbers import as_exact, normalize
 from postman.qubo import IsingModel
@@ -79,3 +82,109 @@ def apply_gauge(model: IsingModel, gauge) -> IsingModel:
         },
         offset=model.offset,
     )
+
+
+def assert_same_form(form, want) -> None:
+    """Two integer forms agree field by field, each array in value and dtype."""
+    assert (form.kind, form.n, form.scale, form.offset) == (want.kind, want.n, want.scale, want.offset)
+    for name in ("linear", "rows", "cols", "quad"):
+        got, expected = getattr(form, name), getattr(want, name)
+        assert got.dtype == expected.dtype, name
+        assert got.tolist() == expected.tolist(), name
+
+
+def unequal_k4() -> Embedding:
+    """K4 in one cell with chains of lengths 3, 2, 1 and 2, listed out of qubit order;
+    the chain pairs are joined by 3, 2, 3, 1, 2 and 1 couplers."""
+    return Embedding(chains=((5, 0, 4), (6, 1), (2,), (7, 3)), topology=chimera_graph(1))
+
+
+def reference_embed(logical: IsingModel, emb, jf) -> EmbeddedIsing:
+    """`embed_ising` in Fraction arithmetic, one share at a time: the reference
+    for the integer construction. Shares are added to a dict in insertion
+    order (the couplers of each logical coupling, then each chain's own), and
+    the model's integer form is left to `_IntForm.build`."""
+    if logical.n != emb.n_logical:
+        raise InvalidEmbeddingError("size mismatch")
+    problems = validate_embedding(emb, logical.couplings.keys())
+    if problems:
+        raise InvalidEmbeddingError("; ".join(f"{v.kind}: {v.detail}" for v in problems))
+    index = emb.chain_index
+    h = [Fraction(0)] * len(index.qubit_order)
+    couplings: dict[tuple[int, int], Fraction] = {}
+    for i, positions in enumerate(index.positions):
+        share = Fraction(as_exact(logical.h[i]), len(positions))
+        for p in positions:
+            h[p] += share
+    for (i, j), value in logical.couplings.items():
+        targets = index.between[(i, j)]
+        share = Fraction(as_exact(value), len(targets))
+        for key in targets:
+            couplings[key] = couplings.get(key, Fraction(0)) + share
+    magnitudes = [abs(v) for v in h] + [abs(v) for v in couplings.values()]
+    scale = max(magnitudes) if magnitudes else Fraction(0)
+    jf_exact = as_exact(jf)
+    chain_value = normalize(-Fraction(jf_exact) * scale)
+    chain_offsets = []
+    for intra in index.within:
+        for key in intra:
+            couplings[key] = couplings.get(key, Fraction(0)) + chain_value
+        chain_offsets.append(normalize(chain_value * len(intra)))
+    model = IsingModel(
+        n=len(index.qubit_order),
+        h=tuple(normalize(v) for v in h),
+        couplings={k: normalize(v) for k, v in couplings.items()},
+        offset=logical.offset,
+    )
+    return EmbeddedIsing(
+        model=model,
+        embedding=emb,
+        qubit_order=index.qubit_order,
+        jf=normalize(Fraction(jf_exact)),
+        scale=normalize(Fraction(scale)),
+        chain_offsets=tuple(chain_offsets),
+        constant=normalize(sum(chain_offsets, start=Fraction(0))),
+    )
+
+
+def reference_decode_chains(sample, emb, policy: DecodePolicy):
+    """`decode_chains` as a loop over chains and spins: the reference for the
+    array decode."""
+    logical: list[int] = []
+    broken = 0
+    for positions in emb.chain_index.positions:
+        spins = [int(sample[p]) for p in positions]
+        first = spins[0]
+        if all(s == first for s in spins):
+            logical.append(first)
+            continue
+        broken += 1
+        if policy is DecodePolicy.MAJORITY_VOTE:
+            total = sum(spins)
+            if total > 0:
+                logical.append(1)
+            elif total < 0:
+                logical.append(-1)
+            else:
+                logical.append(int(sample[min(positions)]))
+    if policy is DecodePolicy.DISCARD_BROKEN and broken:
+        return None, broken
+    return tuple(logical), broken
+
+
+def reference_decode_sampleset(physical: SampleSet, emb, logical_model, policy: DecodePolicy):
+    """`metrics.decode_sampleset` one record at a time through `reference_decode_chains`."""
+    configs: list[tuple[int, ...]] = []
+    rejected = broken_reads = 0
+    for r in physical.records:
+        logical, broken = (None, 0) if r.config is None else reference_decode_chains(r.config, emb, policy)
+        if broken:
+            broken_reads += r.multiplicity
+        if logical is None:
+            rejected += r.multiplicity
+        else:
+            configs.extend([logical] * r.multiplicity)
+    meta = {**physical.metadata, "decode_policy": policy.value}
+    out = SampleSet.from_configs(logical_model, configs, meta, rejected=rejected)
+    total = physical.total_reads
+    return out, (broken_reads / total if total else 0.0)

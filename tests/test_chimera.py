@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from postman.chimera import (
     DecodePolicy,
@@ -23,10 +24,11 @@ from postman.errors import (
     FaultOutOfRangeError,
     InvalidEmbeddingError,
 )
+from postman.numbers import normalize
 from postman.qubo import IsingModel
 from postman.samplers import brute_force
 
-from conftest import apply_gauge
+from conftest import apply_gauge, assert_same_form, reference_decode_chains, reference_embed, unequal_k4
 
 
 def k_couplers(n):
@@ -142,6 +144,16 @@ class TestValidate:
         emb = Embedding(chains=((),), topology=topo)
         assert validate_embedding(emb, [(0, 5)])  # reports, does not throw
 
+    def test_qubit_twice_in_one_chain(self):
+        emb = clique_embedding(12, chimera_graph(3))
+        first = emb.chains[0]
+        twice = Embedding(chains=(first + first[:1], *emb.chains[1:]), topology=emb.topology)
+        assert [(v.kind, v.detail) for v in validate_embedding(twice, k_couplers(12))] == [
+            ("overlap", f"qubit {first[0]} appears twice in chain 0")
+        ]
+        with pytest.raises(InvalidEmbeddingError):
+            embed_ising(random_logical(12, seed=1), twice, 1)
+
 
 class TestChainIndex:
     @pytest.mark.parametrize("seed", range(6))
@@ -246,6 +258,67 @@ class TestEmbedIsing:
             embed_ising(logical, emb, 1)
 
 
+def coefficients():
+    """Ints and small fractions, zero included."""
+    return st.builds(lambda a, b: normalize(Fraction(a, b)), st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
+
+
+ONE_QUBIT_CHAINS = Embedding(chains=((0,), (4,)), topology=chimera_graph(1))  # no chain coupler at all
+
+
+@st.composite
+def embed_cases(draw):
+    """(logical, embedding, jf): a fractional model over a clique embedding,
+    `unequal_k4` or `ONE_QUBIT_CHAINS`, on a drawn subset of the chain pairs
+    in drawn order, sometimes with one coefficient near 2**70 (past int64
+    once scaled)."""
+    emb = draw(st.sampled_from(["unequal", "single", 1, 2, 3, 5, 8]))
+    if emb == "unequal":
+        emb = unequal_k4()
+    elif emb == "single":
+        emb = ONE_QUBIT_CHAINS
+    else:
+        emb = clique_embedding(emb, chimera_graph(2))
+    n = emb.n_logical
+    keys = draw(st.lists(st.sampled_from(k_couplers(n)), unique=True)) if n > 1 else []
+    values = draw(st.lists(coefficients(), min_size=n + len(keys) + 1, max_size=n + len(keys) + 1))
+    if draw(st.booleans()):
+        values[draw(st.integers(0, len(values) - 1))] = normalize(Fraction(2**70 + draw(st.integers(-3, 3)), draw(st.sampled_from([1, 3]))))
+    logical = IsingModel(n=n, h=tuple(values[:n]), couplings=dict(zip(keys, values[n:-1])), offset=values[-1])
+    return logical, emb, draw(st.sampled_from([0, Fraction(1, 2), 1.5, 2]))
+
+
+BIG_CASE = (
+    IsingModel(n=4, h=(Fraction(1, 3), 0, 2**70 + 1, -2), couplings={(2, 3): 0, (0, 1): Fraction(-5, 7), (1, 3): 3}, offset=Fraction(1, 2)),
+    unequal_k4(),
+    1.5,
+)
+
+
+class TestEmbedOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=embed_cases())
+    @example(case=BIG_CASE)
+    @example(case=(IsingModel(n=2, h=(1, 1), couplings={(0, 1): 1}), ONE_QUBIT_CHAINS, Fraction(1, 2)))
+    def test_matches_fraction_reference(self, case):
+        """The integer construction gives the Fraction loop's model, bookkeeping
+        and coupling insertion order, with the integer form `_IntForm.build`
+        makes of it, dtype included."""
+        logical, emb, jf = case
+        got, want = embed_ising(logical, emb, jf), reference_embed(logical, emb, jf)
+        assert got.model.h == want.model.h
+        assert [type(v) for v in got.model.h] == [type(v) for v in want.model.h]
+        assert list(got.model.couplings.items()) == list(want.model.couplings.items())
+        assert [type(v) for v in got.model.couplings.values()] == [type(v) for v in want.model.couplings.values()]
+        assert got.model.offset == want.model.offset
+        assert (got.jf, got.scale, got.chain_offsets, got.constant) == (want.jf, want.scale, want.chain_offsets, want.constant)
+        assert got.qubit_order == want.qubit_order
+        assert_same_form(got.model.int_form, want.model.int_form)
+
+    def test_big_case_takes_the_object_path(self):
+        assert embed_ising(*BIG_CASE).model.int_form.quad.dtype == object
+
+
 def expand_unbroken(s_log, emb, embedded: EmbeddedIsing):
     owner = {}
     for i, chain in enumerate(emb.chains):
@@ -347,6 +420,18 @@ class TestDecode:
         assert decoded == (1,) and broken == 1
         decoded, broken = decode_chains(sample, emb, DecodePolicy.DISCARD_BROKEN)
         assert decoded is None and broken == 1
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError, match="sample has 3 spins, embedding uses 8 qubits"):
+            decode_chains((1, 1, 1), self.emb, DecodePolicy.MAJORITY_VOTE)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_chain_loop(self, data):
+        emb = unequal_k4()  # unsorted chains of unequal length; the two-qubit ones can tie
+        sample = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=8, max_size=8))
+        for policy in DecodePolicy:
+            assert decode_chains(sample, emb, policy) == reference_decode_chains(sample, emb, policy)
 
     def test_tie_break_lowest_qubit(self):
         topo = chimera_graph(1)

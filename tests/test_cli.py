@@ -246,6 +246,17 @@ class TestPipelines:
         assert code == 0
         assert json.loads(out)["physical_qubits"] == 48
 
+    def test_qubit_twice_in_a_chain_is_domain(self, capsys, demo_file, tmp_path):
+        payload = chimera.clique_embedding(12, chimera.chimera_graph(3)).to_json()
+        payload["chains"]["0"].append(payload["chains"]["0"][0])
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(
+            capsys, "simulate", demo_file, "--embedding", str(path), "--reads", "4", "--sweeps", "4"
+        )
+        assert_domain_error(code, err)
+        assert out == "" and f"qubit {payload['chains']['0'][0]} appears twice in chain 0" in err
+
     def test_jf_sweep_seed_stable(self, capsys, demo_file):
         args = [
             "jf-sweep", demo_file, "--m", "3", "--jf-grid", "0.5,1.0",

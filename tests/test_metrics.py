@@ -24,7 +24,7 @@ from postman.metrics import (
 from postman.qubo import IsingModel, QuboModel
 from postman.samplers import SampleRecord, SampleSet, Schedule, _record_key, brute_force, simulated_annealing
 
-from conftest import apply_gauge
+from conftest import apply_gauge, assert_same_form, reference_decode_sampleset, unequal_k4
 
 
 def sampleset(records):
@@ -144,6 +144,53 @@ class TestDecodeOrdering:
         assert mv.total_reads == db.total_reads == 60
 
 
+@st.composite
+def decode_cases(draw):
+    """(physical set, embedding, logical model): reads over a clique embedding or
+    over `unequal_k4`, some of them
+    chain-aligned with a few flips, some uniform, repeated, plus rejected reads."""
+    emb = draw(st.sampled_from([
+        unequal_k4(),
+        clique_embedding(4, chimera_graph(1)),
+        clique_embedding(6, chimera_graph(2)),
+    ]))
+    index = emb.chain_index
+    n_phys = len(index.qubit_order)
+    configs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.booleans()):
+            row = [0] * n_phys
+            for spin, positions in zip(draw(st.lists(st.sampled_from([-1, 1]), min_size=emb.n_logical, max_size=emb.n_logical)), index.positions):
+                for p in positions:
+                    row[p] = spin
+            for p in draw(st.sets(st.integers(0, n_phys - 1), max_size=3)):
+                row[p] = -row[p]
+        else:
+            row = draw(st.lists(st.sampled_from([-1, 1]), min_size=n_phys, max_size=n_phys))
+        configs += [tuple(row)] * draw(st.integers(1, 3))
+    blank = IsingModel(n=n_phys, h=(0,) * n_phys, couplings={})
+    physical = SampleSet.from_configs(blank, configs, {"sampler": "synthetic"}, rejected=draw(st.integers(0, 2)))
+    logical = IsingModel(
+        n=emb.n_logical,
+        h=tuple(draw(st.lists(st.integers(-3, 3), min_size=emb.n_logical, max_size=emb.n_logical))),
+        couplings={(i, j): draw(st.integers(-3, 3)) for i in range(emb.n_logical) for j in range(i + 1, emb.n_logical)},
+    )
+    return physical, emb, logical
+
+
+class TestDecodeOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=decode_cases())
+    def test_matches_record_loop(self, case):
+        """One array pass per policy gives the per-record loop's sample set
+        and broken fraction: ties, rejected reads and multiplicities included."""
+        physical, emb, logical = case
+        for policy in DecodePolicy:
+            assert decode_sampleset(physical, emb, logical, policy) == reference_decode_sampleset(
+                physical, emb, logical, policy
+            )
+
+
 class TestSampleEmbedded:
     def test_gauge_split_deterministic(self):
         logical = frustrated_k4()
@@ -201,22 +248,32 @@ class TestSampleEmbedded:
 
     def test_jf_sweep_builds_each_form_once(self, monkeypatch):
         # decode_sampleset runs once per policy and jf point; the logical form
-        # is kept on the model, so it is built once
+        # is kept on the model, so it is built once, and embed_ising builds each
+        # physical model from it with the form `build` would give attached
         from postman import qubo
 
         build = qubo._IntForm.build
-        built = []
+        built, embedded = [], []
 
         def counting(kind, n, *rest):
             built.append(n)
             return build(kind, n, *rest)
 
+        def recording(*args, **kwargs):
+            embedded.append(embed(*args, **kwargs))
+            return embedded[-1]
+
+        embed = metrics.embed_ising
         monkeypatch.setattr(qubo._IntForm, "build", staticmethod(counting))
+        monkeypatch.setattr(metrics, "embed_ising", recording)
         logical = frustrated_k4()
         jf_sweep(logical, clique_embedding(4, chimera_graph(1)), [0.5, 1.0, 1.5], 0,
                  schedule=Schedule(n_sweeps=5), reads=6, seed=2)
-        assert built.count(logical.n) == 1
-        assert len(built) == 4  # the logical model and one physical model per jf point
+        assert built == [logical.n]  # the logical model only
+        assert len(embedded) == 3
+        for one in embedded:
+            model = one.model
+            assert_same_form(model.int_form, build("ising", model.n, model.h, model.couplings, model.offset))
         assert logical.int_form is logical.int_form
         assert IsingModel(logical.n, logical.h, dict(logical.couplings)).int_form is not logical.int_form
 
