@@ -354,12 +354,11 @@ def embed_ising(logical: IsingModel, emb: Embedding, jf: Number | float) -> Embe
     absolute distributed coefficient. The embedding must pass
     `validate_embedding` for the model's couplings.
 
-    The model is built in the integer form of `qubo._IntForm.build`: from the
-    logical form (scale L), every share is an integer over L * lcm(chain
-    lengths, coupler counts) * denominator(jf), reduced by the gcd of that
-    denominator and every numerator. Couplings keep their insertion order:
-    the couplers between chains in logical-coupling order, then each chain's
-    own couplers.
+    The model is computed in integers from the logical form (scale L): every
+    share is a numerator over L * lcm(chain lengths, coupler counts) *
+    denominator(jf), and `_IntForm.over` reduces them to the model's form.
+    Couplings keep their insertion order: the couplers between chains in
+    logical-coupling order, then each chain's own couplers.
     """
     if logical.n != emb.n_logical:
         raise InvalidEmbeddingError(
@@ -381,40 +380,27 @@ def embed_ising(logical: IsingModel, emb: Embedding, jf: Number | float) -> Embe
     fields = [v * (spread // size) for v, size in zip(form.linear.tolist(), lengths)]
     shares = [v * (spread // size) for v, size in zip(form.quad.tolist(), counts)]
     largest = max(map(abs, fields + shares), default=0)
-    chain = -jf_exact.numerator * largest if sum(counts[len(shares):]) else 0
-    # all of them, the chain value too, over L * spread * denominator(jf), in lowest terms
+    # all of them, the chain value -jf * largest too, over L * spread * denominator(jf)
     up = jf_exact.denominator
-    numerators = [form.offset * spread * up, *(v * up for v in fields + shares), chain]
-    g = math.gcd(form.scale * spread * up, *numerators)
-    scale = form.scale * spread * up // g
-    offset, *numerators = [v // g for v in numerators]
-    fields = numerators[:len(fields)]
-    shares = numerators[len(fields):-1] + numerators[-1:] * emb.n_logical
-    total = abs(offset) + sum(abs(v) * size for v, size in zip(fields + shares, lengths + counts))
-    dtype = np.int64 if total < 2**63 else object  # as `_IntForm.build` chooses
-    flat = np.fromiter(itertools.chain.from_iterable(index.positions), dtype=np.intp, count=sum(lengths))
-    linear = np.empty(len(index.qubit_order), dtype=dtype)
-    linear[flat] = np.repeat(np.array(fields, dtype=dtype), lengths)
+    denominator = form.scale * spread * up
+    chain = -jf_exact.numerator * largest
+    linear = [0] * len(index.qubit_order)
+    for positions, v in zip(index.positions, fields):
+        for p in positions:
+            linear[p] = v * up
+    quad = list(itertools.chain.from_iterable(map(itertools.repeat, [v * up for v in shares] + [chain] * emb.n_logical, counts)))
     starts = np.array([group.start for group in groups], dtype=np.intp)
     keys = index.pairs[np.repeat(starts - np.cumsum([0, *counts[:-1]]), counts) + np.arange(sum(counts))]
-    physical = _IntForm(
-        "ising", len(linear), scale, offset, linear, keys[:, 0], keys[:, 1],
-        np.repeat(np.array(shares, dtype=dtype), counts),
-    )
-    exact = {v: normalize(Fraction(v, scale)) for v in {*fields, *shares}}
-    h = np.empty(len(linear), dtype=object)
-    h[flat] = np.repeat(np.array([exact[v] for v in fields], dtype=object), lengths)
-    values = np.repeat(np.array([exact[v] for v in shares], dtype=object), counts)
-    couplings = dict(zip(zip(keys[:, 0].tolist(), keys[:, 1].tolist()), values.tolist()))
-    chain_value = Fraction(numerators[-1], scale)
+    physical = _IntForm.over("ising", len(linear), denominator, form.offset * spread * up, linear, keys[:, 0], keys[:, 1], quad)
+    chain_value = Fraction(chain, denominator)
     return EmbeddedIsing(
-        model=IsingModel._from_form(physical, tuple(h.tolist()), couplings, logical.offset),
+        model=IsingModel._from_form(physical),
         embedding=emb,
         qubit_order=index.qubit_order,
         jf=normalize(jf_exact),
         scale=normalize(Fraction(largest, form.scale * spread)),
-        chain_offsets=tuple(normalize(chain_value * size) for size in counts[len(logical.couplings):]),
-        constant=normalize(chain_value * sum(counts[len(logical.couplings):])),
+        chain_offsets=tuple(normalize(chain_value * size) for size in counts[len(shares):]),
+        constant=normalize(chain_value * sum(counts[len(shares):])),
     )
 
 
@@ -423,22 +409,20 @@ def autoscale(model: IsingModel) -> tuple[IsingModel, Number]:
 
     The factor is never below 1 and scaling divides the offset too, so the
     ordering of configurations (hence the argmin) is unchanged; scaled
-    energy times the factor is the original energy.
+    energy times the factor is the original energy. Both come from the
+    model's integer form (scale L): the factor is max(1, max|h| / 2L,
+    max|J| / L), and the scaled form its numerators over L * factor.
     """
-    factor = Fraction(1)
-    for v in model.h:
-        factor = max(factor, Fraction(abs(as_exact(v)), 2))
-    for v in model.couplings.values():
-        factor = max(factor, Fraction(abs(as_exact(v))))
+    form = model.int_form
+    lin, quad = form.linear.tolist(), form.quad.tolist()
+    top = max(Fraction(max(map(abs, lin), default=0), 2), Fraction(max(map(abs, quad), default=0)))
+    factor = max(Fraction(1), top / form.scale)
     if factor == 1:
         return model, 1
-    scaled = IsingModel(
-        n=model.n,
-        h=tuple(normalize(Fraction(as_exact(v)) / factor) for v in model.h),
-        couplings={k: normalize(Fraction(as_exact(v)) / factor) for k, v in model.couplings.items()},
-        offset=normalize(Fraction(as_exact(model.offset)) / factor),
-    )
-    return scaled, normalize(factor)
+    up = factor.denominator
+    scaled = _IntForm.over("ising", form.n, form.scale * factor.numerator, form.offset * up,
+                           [v * up for v in lin], form.rows, form.cols, [v * up for v in quad])
+    return IsingModel._from_form(scaled), normalize(factor)
 
 
 def spin_reversal(n: int, gauges: int, seed: int = 0) -> list[tuple[int, ...]]:

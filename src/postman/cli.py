@@ -453,12 +453,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     mean, two_sigma = metrics.bootstrap(
         indicators, resamples=args.resamples, seed=args.seed
     )
-    n_sweeps = args.sweeps or samples.metadata.get("n_sweeps")
+    n_sweeps = samples.metadata.get("n_sweeps") if args.sweeps is None else args.sweeps
     n_vars = args.n
     if n_vars is None and samples.records and samples.records[0].config is not None:
         n_vars = len(samples.records[0].config)
     tts = None
-    if n_sweeps and n_vars:
+    if n_sweeps is not None and n_vars is not None:
         if type(n_sweeps) is not int:
             raise ParseError(f"sample-set n_sweeps is not an integer: {n_sweeps!r}")
         tts = metrics.tts_sa(prob, n_vars, n_sweeps, args.tau_s)

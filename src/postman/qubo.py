@@ -120,10 +120,18 @@ class IsingModel:
         return _IntForm.build("ising", self.n, self.h, self.couplings, self.offset)
 
     @classmethod
-    def _from_form(cls, form: "_IntForm", h, couplings: dict, offset) -> "IsingModel":
-        """A model whose integer form is already known: `form` becomes its `int_form`.
-        The caller vouches that `form` is what `_IntForm.build` would give."""
-        model = cls(n=form.n, h=h, couplings=couplings, offset=offset)
+    def _from_form(cls, form: "_IntForm") -> "IsingModel":
+        """The Ising model of an integer form, which becomes its `int_form`. Each
+        coefficient is normalize(Fraction(v, scale)), one Fraction per distinct
+        numerator; couplings follow the form's rows/cols order, zeros kept."""
+        lin, quad = form.linear.tolist(), form.quad.tolist()
+        exact = {v: normalize(Fraction(v, form.scale)) for v in {*lin, *quad}}
+        model = cls(
+            n=form.n,
+            h=tuple(map(exact.__getitem__, lin)),
+            couplings=dict(zip(zip(form.rows.tolist(), form.cols.tolist()), map(exact.__getitem__, quad))),
+            offset=normalize(Fraction(form.offset, form.scale)),
+        )
         model.__dict__["int_form"] = form
         return model
 
@@ -133,10 +141,13 @@ class _IntForm:
     """A model over its native variables as integers over one denominator.
 
     scale * energy(v) = offset + linear @ v + sum_k quad[k] * v[rows[k]] * v[cols[k]]
-    for v a bit vector (kind "qubo") or a spin vector (kind "ising"). The arrays
-    are int64 when the magnitudes of all coefficients sum below 2**63, which
-    bounds every partial sum for |v_i| <= 1, and Python ints otherwise.
-    Every sampler and exact energy reads a model through this form.
+    for v a bit vector (kind "qubo") or a spin vector (kind "ising"), in lowest
+    terms, so a model has one form. The arrays are int64 when the magnitudes
+    of all coefficients sum below 2**63, which bounds every partial sum for
+    |v_i| <= 1, and Python ints otherwise; `over` alone reduces and picks the
+    dtype. Every sampler and exact energy reads a model through this form, and
+    `to_ising`, `chimera.embed_ising` and `chimera.autoscale` derive theirs from
+    their source's form in integers.
     """
 
     kind: str
@@ -149,14 +160,40 @@ class _IntForm:
     quad: np.ndarray
 
     @staticmethod
+    def over(kind: str, n: int, denominator: int, offset: int, linear: list, rows, cols, quad: list) -> "_IntForm":
+        """The form of Python-int numerators over `denominator`, reduced by their
+        common gcd; `rows` and `cols` index the couplings of `quad`."""
+        g = math.gcd(denominator, offset, *linear, *quad)
+        if g != 1:
+            denominator, offset = denominator // g, offset // g
+            linear, quad = [v // g for v in linear], [v // g for v in quad]
+        dtype = np.int64 if abs(offset) + sum(map(abs, linear)) + sum(map(abs, quad)) < 2**63 else object
+        return _IntForm(kind, n, denominator, offset, np.array(linear, dtype=dtype), rows, cols, np.array(quad, dtype=dtype))
+
+    @staticmethod
     def build(kind: str, n: int, linear, couplings: dict, offset) -> "_IntForm":
+        """The form of exact coefficients: over the lcm of their denominators."""
         coeffs = [Fraction(v) for v in (offset, *linear, *couplings.values())]
         scale = math.lcm(*(v.denominator for v in coeffs))
         ints = [v.numerator * (scale // v.denominator) for v in coeffs]
-        dtype = np.int64 if sum(map(abs, ints)) < 2**63 else object
         keys = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
-        lin, quad = np.array(ints[1:n + 1], dtype=dtype), np.array(ints[n + 1:], dtype=dtype)
-        return _IntForm(kind, n, scale, ints[0], lin, keys[:, 0], keys[:, 1], quad)
+        return _IntForm.over(kind, n, scale, ints[0], ints[1:n + 1], keys[:, 0], keys[:, 1], ints[n + 1:])
+
+    def rebased(self) -> "_IntForm":
+        """The model in the other basis through s = 2x - 1: a QUBO form gives an
+        Ising form over 4 * scale, an Ising form a QUBO form. In Python ints,
+        since the factor 4 and the sums can pass 2**63."""
+        lin, quad = self.linear.tolist(), self.quad.tolist()
+        cross = 1 if self.kind == "qubo" else -2  # what a coupling adds to each of its two new fields
+        fields = [2 * v for v in lin]
+        for i, j, c in zip(self.rows.tolist(), self.cols.tolist(), quad):
+            fields[i] += cross * c
+            fields[j] += cross * c
+        if self.kind == "qubo":  # x = (s + 1) / 2, times 4
+            offset = 4 * self.offset + 2 * sum(lin) + sum(quad)
+            return _IntForm.over("ising", self.n, 4 * self.scale, offset, fields, self.rows, self.cols, quad)
+        offset = self.offset - sum(lin) + sum(quad)
+        return _IntForm.over("qubo", self.n, self.scale, offset, fields, self.rows, self.cols, [4 * c for c in quad])
 
 
 def _distance_matrix(table) -> tuple[tuple[Number, ...], ...]:
@@ -273,25 +310,9 @@ def decode(x: Sequence[int], d: int) -> tuple[tuple[int, int], ...]:
 
 
 def to_ising(q: QuboModel) -> IsingModel:
-    """Exact change of variables s = 2x - 1; energies agree for every x."""
-    h = [Fraction(0)] * q.dim
-    couplings: dict[tuple[int, int], Number] = {}
-    offset = Fraction(q.offset)
-    for k, a in enumerate(q.linear):
-        h[k] += Fraction(a, 2)
-        offset += Fraction(a, 2)
-    for (k, l), b in q.quadratic.items():
-        quarter = Fraction(b, 4)
-        couplings[(k, l)] = normalize(quarter)
-        h[k] += quarter
-        h[l] += quarter
-        offset += quarter
-    return IsingModel(
-        n=q.dim,
-        h=tuple(normalize(v) for v in h),
-        couplings=couplings,
-        offset=normalize(offset),
-    )
+    """Exact change of variables s = 2x - 1; energies agree for every x. The
+    model is computed in integers from the QUBO's form (`_IntForm.rebased`)."""
+    return IsingModel._from_form(q.int_form.rebased())
 
 
 # --- text and JSON formats --------------------------------------------------

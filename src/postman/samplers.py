@@ -201,25 +201,19 @@ def _int_form(model) -> _IntForm:
 def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
     """(offset, linear, upper coupling matrix, scale) over x in {0,1}.
 
-    Ising forms are rewritten through s = 2x - 1 so one search core serves
-    both bases. The values are integers over `scale` in lowest terms, held in
-    float64, which is exact while their magnitudes sum below 2**53.
+    An Ising form is rebased through s = 2x - 1 so one search core serves
+    both bases. The values are the form's integers over `scale`, in lowest
+    terms, held in float64, which is exact while their magnitudes sum below
+    2**53.
     """
-    off, lin, quad = form.offset, form.linear.tolist(), form.quad.tolist()
     if form.kind == "ising":
-        off += sum(quad) - sum(lin)
-        lin = [2 * v for v in lin]
-        for i, j, c in zip(form.rows.tolist(), form.cols.tolist(), quad):
-            lin[i] -= 2 * c
-            lin[j] -= 2 * c
-        quad = [4 * c for c in quad]
-    g = math.gcd(form.scale, off, *lin, *quad)
-    off, lin, quad = off // g, [v // g for v in lin], [v // g for v in quad]
+        form = form.rebased()
+    off, lin, quad = form.offset, form.linear.tolist(), form.quad.tolist()
     if abs(off) + sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
         raise TooLargeError("coefficients too large for exact float enumeration")
     B = np.zeros((form.n, form.n))
     B[form.rows, form.cols] = quad
-    return off, np.array(lin, dtype=np.float64), B, form.scale // g
+    return off, np.array(lin, dtype=np.float64), B, form.scale
 
 
 def _native(bits: np.ndarray, kind: str) -> np.ndarray:
@@ -459,7 +453,7 @@ def _anneal(
     plan = _block_plan(n, form.rows, form.cols, J)
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
-    width = max(1, BLOCK_FLOATS // n)
+    width = max(1, BLOCK_FLOATS // max(1, n))
     chunks: list[list[int]] = []
     for size in groups:
         if chunks and sum(chunks[-1]) + size <= width:

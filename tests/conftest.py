@@ -8,7 +8,7 @@ from postman.chimera import DecodePolicy, EmbeddedIsing, Embedding, chimera_grap
 from postman.errors import InvalidEmbeddingError
 from postman.graphs import Graph
 from postman.numbers import as_exact, normalize
-from postman.qubo import IsingModel
+from postman.qubo import IsingModel, QuboModel
 from postman.samplers import SampleSet
 
 # 6-node worked instance: odd nodes {0,1,2,3}, pair distances
@@ -145,6 +145,54 @@ def reference_embed(logical: IsingModel, emb, jf) -> EmbeddedIsing:
         chain_offsets=tuple(chain_offsets),
         constant=normalize(sum(chain_offsets, start=Fraction(0))),
     )
+
+
+def reference_to_ising(q: QuboModel) -> IsingModel:
+    """`to_ising` in Fraction arithmetic, one coefficient at a time: the
+    reference for the change of basis in integers."""
+    h = [Fraction(0)] * q.dim
+    couplings: dict[tuple[int, int], Fraction] = {}
+    offset = Fraction(q.offset)
+    for k, a in enumerate(q.linear):
+        h[k] += Fraction(a, 2)
+        offset += Fraction(a, 2)
+    for (k, l), b in q.quadratic.items():
+        quarter = Fraction(b, 4)
+        couplings[(k, l)] = normalize(quarter)
+        h[k] += quarter
+        h[l] += quarter
+        offset += quarter
+    return IsingModel(n=q.dim, h=tuple(normalize(v) for v in h), couplings=couplings, offset=normalize(offset))
+
+
+def reference_autoscale(model: IsingModel):
+    """`autoscale` in Fraction arithmetic, one coefficient at a time: the
+    reference for the rescaling in integers."""
+    factor = Fraction(1)
+    for v in model.h:
+        factor = max(factor, Fraction(abs(as_exact(v)), 2))
+    for v in model.couplings.values():
+        factor = max(factor, Fraction(abs(as_exact(v))))
+    if factor == 1:
+        return model, 1
+    scaled = IsingModel(
+        n=model.n,
+        h=tuple(normalize(Fraction(as_exact(v)) / factor) for v in model.h),
+        couplings={k: normalize(Fraction(as_exact(v)) / factor) for k, v in model.couplings.items()},
+        offset=normalize(Fraction(as_exact(model.offset)) / factor),
+    )
+    return scaled, normalize(factor)
+
+
+def assert_same_model(got: IsingModel, want: IsingModel) -> None:
+    """Two models agree in every value and its type (int or Fraction), and in
+    coupling insertion order."""
+    assert got.n == want.n
+    assert got.h == want.h
+    assert [type(v) for v in got.h] == [type(v) for v in want.h]
+    assert list(got.couplings.items()) == list(want.couplings.items())
+    assert [type(v) for v in got.couplings.values()] == [type(v) for v in want.couplings.values()]
+    assert (got.offset, type(got.offset)) == (want.offset, type(want.offset))
 
 
 def reference_decode_chains(sample, emb, policy: DecodePolicy):

@@ -25,10 +25,18 @@ from postman.errors import (
     InvalidEmbeddingError,
 )
 from postman.numbers import normalize
-from postman.qubo import IsingModel
+from postman.qubo import IsingModel, _IntForm
 from postman.samplers import brute_force
 
-from conftest import apply_gauge, assert_same_form, reference_decode_chains, reference_embed, unequal_k4
+from conftest import (
+    apply_gauge,
+    assert_same_form,
+    assert_same_model,
+    reference_autoscale,
+    reference_decode_chains,
+    reference_embed,
+    unequal_k4,
+)
 
 
 def k_couplers(n):
@@ -306,11 +314,7 @@ class TestEmbedOracle:
         makes of it, dtype included."""
         logical, emb, jf = case
         got, want = embed_ising(logical, emb, jf), reference_embed(logical, emb, jf)
-        assert got.model.h == want.model.h
-        assert [type(v) for v in got.model.h] == [type(v) for v in want.model.h]
-        assert list(got.model.couplings.items()) == list(want.model.couplings.items())
-        assert [type(v) for v in got.model.couplings.values()] == [type(v) for v in want.model.couplings.values()]
-        assert got.model.offset == want.model.offset
+        assert_same_model(got.model, want.model)
         assert (got.jf, got.scale, got.chain_offsets, got.constant) == (want.jf, want.scale, want.chain_offsets, want.constant)
         assert got.qubit_order == want.qubit_order
         assert_same_form(got.model.int_form, want.model.int_form)
@@ -325,6 +329,24 @@ def expand_unbroken(s_log, emb, embedded: EmbeddedIsing):
         for q in chain:
             owner[q] = i
     return tuple(s_log[owner[q]] for q in embedded.qubit_order)
+
+
+class TestAutoscaleOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(case=embed_cases())
+    @example(case=BIG_CASE)
+    def test_matches_fraction_reference(self, case):
+        """The rescaling in integers gives the Fraction loop's model and factor,
+        for a logical model and for its embedding, and the scaled model's form
+        is the one `_IntForm.build` makes of it, dtype included."""
+        logical, emb, jf = case
+        for model in (logical, embed_ising(logical, emb, jf).model):
+            got, factor = autoscale(model)
+            want, want_factor = reference_autoscale(model)
+            assert_same_model(got, want)
+            assert (factor, type(factor)) == (want_factor, type(want_factor))
+            assert_same_form(got.int_form, _IntForm.build("ising", got.n, got.h, got.couplings, got.offset))
+            assert_same_form(got.int_form.rebased().rebased(), got.int_form)
 
 
 class TestAutoscale:

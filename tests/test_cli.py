@@ -154,6 +154,17 @@ class TestSample:
         assert code == 0
         assert json.loads(out, parse_constant=refuse)["metadata"]["reads"] == 3
 
+    @pytest.mark.parametrize("sampler, multiplicity", [("sa", 3), ("tabu", 20), ("brute", 1)])
+    def test_zero_variable_model(self, capsys, tmp_path, sampler, multiplicity):
+        """A model with no variables has one configuration, the empty one, at its offset."""
+        path = tmp_path / "zero.qubo"
+        path.write_text("c offset 3\np qubo 0 0 0 0\n")
+        code, out, err = run(
+            capsys, "sample", str(path), "--sampler", sampler, "--reads", "3", "--sweeps", "5", "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert out == f"energy,multiplicity\n3,{multiplicity}\n"
+
     def test_json_writer_refuses_nan(self):
         from postman.cli import _json_dump
 
@@ -366,6 +377,8 @@ class TestExitCodes:
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ","],
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ""],
             ["penalty-sweep", "DEMO", "--p-grid", ","],
+            ["metrics", "SAMPLES", "--reference", "5", "--n", "0"],
+            ["metrics", "SAMPLES", "--reference", "5", "--sweeps", "0"],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):

@@ -1,5 +1,6 @@
-"""Byte-for-byte golden outputs of the CLI, of the experiment scripts that
-are presets of it, of the exact ground-state search and of the Chimera
+"""Byte-for-byte golden outputs of the CLI, of the experiment scripts (the
+presets of it and the two library studies, whose output directories are
+pinned file by file), of the exact ground-state search and of the Chimera
 embedding layer.
 
 Inputs and expected outputs live in tests/golden/. After a deliberate change
@@ -77,15 +78,26 @@ SCRIPTS = {
 }
 
 
+# case name -> script and arguments writing a directory; tests/golden/<name>.out
+# lists the sha256 of each file in it, in `sha256sum` format
+DIR_SCRIPTS = {
+    "script_mmin_ensemble_sha256": ["run_mmin_ensemble.py", "--count", "50"],
+    "script_defect_study_sha256": ["run_defect_study.py", "--deltas", "1,10"],
+}
+
+
 def run_script(name: str, out: Path) -> bytes:
-    """Run a script with its output (and the demo edge list beside it) in out's directory."""
-    script, *args = SCRIPTS[name]
+    """Run a script with its output (and the demo edge list beside it) in out's
+    directory; the output's bytes, or for a directory its `sha256sum` listing."""
+    script, *args = SCRIPTS[name] if name in SCRIPTS else DIR_SCRIPTS[name]
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args, "--out", str(out)],
         check=True, env={**os.environ, "PYTHONPATH": path},
     )
-    return out.read_bytes()
+    if name in SCRIPTS:
+        return out.read_bytes()
+    return "".join(f"{hashlib.sha256(f.read_bytes()).hexdigest()}  {f.name}\n" for f in sorted(out.iterdir())).encode()
 
 
 def _ground_states() -> str:
@@ -171,6 +183,11 @@ def test_script_golden(name, tmp_path):
     assert run_script(name, tmp_path / f"{name}.csv") == (GOLDEN / f"{name}.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", DIR_SCRIPTS)
+def test_script_directory_golden(name, tmp_path):
+    assert run_script(name, tmp_path / name) == (GOLDEN / f"{name}.out").read_bytes()
+
+
 if __name__ == "__main__":
     for name in NAMES:
         (GOLDEN / f"{name}.out").write_text(produce(name))
@@ -179,3 +196,6 @@ if __name__ == "__main__":
         for name in SCRIPTS:
             (GOLDEN / f"{name}.csv").write_bytes(run_script(name, Path(tmp) / f"{name}.csv"))
             print(f"wrote {name}.csv", file=sys.stderr)
+        for name in DIR_SCRIPTS:
+            (GOLDEN / f"{name}.out").write_bytes(run_script(name, Path(tmp) / name))
+            print(f"wrote {name}.out", file=sys.stderr)

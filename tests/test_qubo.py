@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from postman.errors import (
     DegenerateD0Error,
@@ -11,11 +11,14 @@ from postman.errors import (
     IllegalAssignmentError,
     ParseError,
     PenaltyTooSmallError,
+    TooLargeError,
 )
 from postman.exact import m_min, odd_pair_distances
+from postman.numbers import normalize
 from postman.qubo import (
     IsingModel,
     QuboModel,
+    _IntForm,
     build_qubo,
     d_from_dim,
     decode,
@@ -28,6 +31,9 @@ from postman.qubo import (
     variable_pairs,
     write_qubo,
 )
+from postman.samplers import _x_floats
+
+from conftest import assert_same_form, assert_same_model, reference_to_ising
 
 
 # --- independent oracle: literal symbolic expansion of the objective --------
@@ -270,6 +276,61 @@ class TestIsing:
         ising = to_ising(model)
         # reversed/same-position couplings 4p become J = p on the spin side
         assert max(abs(v) for v in ising.couplings.values()) == 8
+
+
+def coefficients():
+    """Ints and small fractions, zero included."""
+    return st.builds(lambda a, b: normalize(Fraction(a, b)), st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 5, 7]))
+
+
+@st.composite
+def fractional_qubos(draw):
+    """QUBOs of up to 6 variables with fractional coefficients, zero couplings
+    among them, couplings inserted in drawn order, and sometimes one
+    coefficient near 2**70 (past int64)."""
+    dim = draw(st.integers(0, 6))
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(dim), 2))), unique=True)) if dim > 1 else []
+    values = draw(st.lists(coefficients(), min_size=dim + len(keys) + 1, max_size=dim + len(keys) + 1))
+    if draw(st.booleans()):
+        big = Fraction(2**70 + draw(st.integers(-3, 3)), draw(st.sampled_from([1, 3])))
+        values[draw(st.integers(0, len(values) - 1))] = normalize(big)
+    return QuboModel(dim=dim, linear=tuple(values[:dim]), quadratic=dict(zip(keys, values[dim:-1])), offset=values[-1])
+
+
+BIG_QUBO = QuboModel(
+    dim=3, linear=(Fraction(1, 3), 2**70 + 1, -2), quadratic={(1, 2): 0, (0, 2): Fraction(-5, 7)}, offset=Fraction(1, 2),
+)
+# an int64 form whose change of basis passes 2**63 on the way (4 * offset, 2 * sum(linear))
+NEAR_INT64 = QuboModel(dim=2, linear=(2**61, 2**61 - 1), quadratic={(0, 1): 2**61}, offset=-(2**61))
+
+
+def x_floats(form):
+    """`_x_floats` as plain lists, or None where it refuses the magnitudes."""
+    try:
+        off, lin, B, scale = _x_floats(form)
+    except TooLargeError:
+        return None
+    return off, lin.tolist(), B.tolist(), scale
+
+
+class TestIsingOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(q=fractional_qubos())
+    @example(q=BIG_QUBO)
+    @example(q=NEAR_INT64)
+    def test_matches_fraction_reference(self, q):
+        """The change of basis in integers gives the Fraction loop's model; its
+        form is the one `_IntForm.build` makes of it, dtype included; rebasing
+        twice is the identity; and both forms give the search core one x-basis."""
+        ising = to_ising(q)
+        assert_same_model(ising, reference_to_ising(q))
+        assert_same_form(ising.int_form, _IntForm.build("ising", ising.n, ising.h, ising.couplings, ising.offset))
+        assert_same_form(q.int_form.rebased().rebased(), q.int_form)
+        assert_same_form(ising.int_form.rebased().rebased(), ising.int_form)
+        assert x_floats(ising.int_form) == x_floats(q.int_form)
+
+    def test_big_model_takes_the_object_path(self):
+        assert to_ising(BIG_QUBO).int_form.quad.dtype == object
 
 
 class TestFiles:
