@@ -138,6 +138,29 @@ class Embedding:
         }
         return ChainIndex(tuple(order.tolist()), positions, pairs, spans)
 
+    @cached_property
+    def chain_violations(self) -> tuple["Violation", ...]:
+        """The chains' missing-qubit, overlap and connectivity violations, checked once."""
+        violations: list[Violation] = []
+        owner: dict[int, int] = {}
+        for i, chain in enumerate(self.chains):
+            for q in chain:
+                if not self.topology.enabled(q):
+                    violations.append(Violation("missing-qubit", f"chain {i} uses disabled qubit {q}"))
+                if q in owner:
+                    where = f"appears twice in chain {i}" if owner[q] == i else f"in chains {owner[q]} and {i}"
+                    violations.append(Violation("overlap", f"qubit {q} {where}"))
+                owner.setdefault(q, i)
+        index = self.chain_index
+        for i, positions in enumerate(index.positions):
+            if not positions:
+                violations.append(Violation("connectivity", f"chain {i} is empty"))
+                continue
+            adj = _adjacency(positions, index.within[i])
+            if len(hops(adj, positions[0])) != len(adj):
+                violations.append(Violation("connectivity", f"chain {i} is not connected"))
+        return tuple(violations)
+
     def to_json(self) -> dict:
         return {
             "m": self.topology.m,
@@ -231,33 +254,17 @@ def validate_embedding(
 ) -> list[Violation]:
     """Check disjointness, chain connectivity (through the couplers inside each
     chain), and coupler coverage, all against the embedding's own topology.
+    Only coverage is checked per call; `Embedding.chain_violations` is cached.
 
     Returns the violation list (empty means valid); never raises.
     """
-    violations: list[Violation] = []
-    owner: dict[int, int] = {}
-    for i, chain in enumerate(emb.chains):
-        for q in chain:
-            if not emb.topology.enabled(q):
-                violations.append(Violation("missing-qubit", f"chain {i} uses disabled qubit {q}"))
-            if q in owner:
-                where = f"appears twice in chain {i}" if owner[q] == i else f"in chains {owner[q]} and {i}"
-                violations.append(Violation("overlap", f"qubit {q} {where}"))
-            owner.setdefault(q, i)
-    index = emb.chain_index
-    for i, positions in enumerate(index.positions):
-        if not positions:
-            violations.append(Violation("connectivity", f"chain {i} is empty"))
-            continue
-        adj = _adjacency(positions, index.within[i])
-        if len(hops(adj, positions[0])) != len(adj):
-            violations.append(Violation("connectivity", f"chain {i} is not connected"))
+    violations = list(emb.chain_violations)
     n = emb.n_logical
     for (i, j) in logical_couplers:
         if not (0 <= i < n and 0 <= j < n):
             violations.append(Violation("coverage", f"logical coupler ({i},{j}) out of range"))
             continue
-        if (min(i, j), max(i, j)) not in index.spans:
+        if (min(i, j), max(i, j)) not in emb.chain_index.spans:
             violations.append(Violation("coverage", f"no physical coupler joins chains {i} and {j}"))
     return violations
 

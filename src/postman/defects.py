@@ -55,6 +55,8 @@ def defect_map(
     if not is_connected(g):
         raise DisconnectedGraphError("defect scan requires a connected graph")
     exact_deltas = tuple(as_exact(d) for d in deltas)
+    if not exact_deltas:
+        raise InvalidArgumentError("need at least one delta")
     if any(d < 0 for d in exact_deltas):
         raise InvalidArgumentError("deltas must be nonnegative")
     if k == 3 and len(g.edges) > COMBINATION_GUARD_EDGES:

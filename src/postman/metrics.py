@@ -26,7 +26,7 @@ from .chimera import (
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, finite_or_str, normalize, to_jsonable
 from .qubo import IsingModel
-from .samplers import SampleSet, Schedule, _anneal, _int_form, _read_groups, _row_blocks, _sa_metadata
+from .samplers import SampleSet, Schedule, _anneal, _row_blocks, _sa_metadata
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -172,29 +172,22 @@ def sample_embedded(
 ) -> SampleSet:
     """Anneal the physical model, splitting the read budget across gauges.
 
-    Every read of every gauge is annealed in one `_anneal` call over the
-    model's ungauged integer form. Read r of gauge g keeps the stream
-    (seed of gauge g, r) that a per-gauge `simulated_annealing` run of the
-    gauged model would give it, and starts from that run's initial spins times
-    g. Negation is exact in floating point, so each field of that chain is g_i
-    times the gauged run's field, every energy change and acceptance test is
-    the same, and the final spins come back already ungauged. Each gauge's
-    reads keep that run's product grouping (`_read_groups`), so the output
-    equals the per-gauge runs merged, bit for bit. gauges=0 runs the identity
-    gauge only.
+    One `_anneal` call over the model's ungauged integer form anneals every
+    read, one run per gauge g seeded by (seed, 2, g). Read r of gauge g keeps
+    the stream and product group that a per-gauge `simulated_annealing` run of
+    the gauged model would give it, and starts from that run's initial spins
+    times g. Negation is exact in floating point, so each field of that chain
+    is g_i times the gauged run's field, every energy change and acceptance
+    test is the same, and the final spins come back already ungauged: the
+    output equals the per-gauge runs merged, bit for bit. Only the first
+    min(gauges, reads) gauges get reads and are drawn; gauges=0 is the identity.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
-    form = _int_form(embedded.model)
-    signs = spin_reversal(form.n, gauges, seed=_derived_seed(seed, 1, 0))[:reads]  # later gauges get no read
-    base, extras = divmod(reads, len(signs))
-    counts = [base + (1 if g_index < extras else 0) for g_index in range(len(signs))]
-    gauge_seeds = [_derived_seed(seed, 2, g_index) for g_index in range(len(signs))]
-    streams = [(g_seed, r) for g_seed, count in zip(gauge_seeds, counts) for r in range(count)]
-    per_gauge = [_read_groups(count, schedule.n_sweeps, form.n) for count in counts]
-    groups = [size for sizes in per_gauge for size in sizes]
-    group_signs = np.repeat(np.array(signs, dtype=np.int8), [len(sizes) for sizes in per_gauge], axis=0)
-    finals = _anneal(form, schedule, streams, groups, signs=group_signs)
+    form = embedded.model.int_form
+    signs = spin_reversal(form.n, min(gauges, reads), seed=_derived_seed(seed, 1, 0))
+    seeds = [_derived_seed(seed, 2, g_index) for g_index in range(len(signs))]
+    finals = _anneal(form, schedule, seeds, reads, signs=np.array(signs, dtype=np.int8))
     meta = {**_sa_metadata(seed, reads, schedule), "gauges": gauges, "jf": float(embedded.jf)}
     return SampleSet.from_configs(form, finals, meta)
 

@@ -31,6 +31,9 @@ GROUND_STATE_GUARD = 32
 # value in those blocks is exact or is drawn in stream order, so no result
 # depends on it.
 BLOCK_FLOATS = 1 << 18
+# floats (sweeps x spins x reads) of one product group of `_anneal`, the rule
+# that once capped a chunk's uniforms; unlike BLOCK_FLOATS it fixes records.
+GROUP_FLOATS = 1 << 24
 
 
 def _row_blocks(count: int, width: int):
@@ -405,31 +408,24 @@ def _block_plan(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> li
     return [(a, e, lay) for a, e, lay in zip(starts, starts[1:] + [n], layers)]
 
 
-def _read_groups(reads: int, n_sweeps: int, n: int, chunk: int | None = None) -> list[int]:
-    """Sizes of the consecutive read groups whose initial fields come from one
-    product: `chunk` reads each, by default the rule that once capped a
-    chunk's uniforms at 2**24 floats, min(reads, 2**24 // (sweeps x spins))."""
-    if chunk is None:
-        chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
-    return [min(chunk, reads - start) for start in range(0, reads, chunk)]
-
-
 def _anneal(
     form: _IntForm,
     schedule: Schedule,
-    streams: list[tuple],
-    groups: list[int],
+    seeds: list[int],
+    reads: int,
     signs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final spins, one int8 row per read, of the block-step annealing kernel.
+    """Final spins, one int8 row per read, run by run, of the block-step kernel.
 
-    Read r draws from the stream seeded by `streams[r]`: its uniform initial
-    spins, then one acceptance uniform per (sweep, spin). `groups` splits the
-    reads, in order, into runs whose initial fields come from one matrix
-    product over their rows; BLAS rounds a product of another shape (a
-    one-row product takes the matrix-vector path) differently in the last
-    place, and the chain inherits the rounding. When given, `signs` holds one
-    +-1 row per group, multiplied into the initial spins of each of its reads.
+    Run k (one per seed) gets reads // len(seeds) reads, the first
+    reads % len(seeds) runs one more, and its read r draws from the stream
+    seeded by (seeds[k], r): uniform initial spins, then one acceptance uniform
+    per (sweep, spin). A run's reads fall into groups of at most GROUP_FLOATS //
+    (sweeps x spins) reads (at least one), each group's initial fields one
+    matrix product; BLAS rounds a product of another shape (a one-row product
+    takes the matrix-vector path) differently in the last place, and the chain
+    inherits the rounding. `signs`, when given, holds one +-1 row per run,
+    multiplied into the initial spins of its reads.
     Reads are annealed together in chunks of whole groups, each filled up to
     BLOCK_FLOATS // spins reads unless one group alone is wider. The chunks
     fix no record: the uniforms are drawn a slab of sweeps at a time (about
@@ -453,32 +449,38 @@ def _anneal(
     plan = _block_plan(n, form.rows, form.cols, J)
     betas = schedule.betas()
     n_sweeps = schedule.n_sweeps
+    base, extras = divmod(reads, len(seeds))
     width = max(1, BLOCK_FLOATS // max(1, n))
-    chunks: list[list[int]] = []
-    for size in groups:
-        if chunks and sum(chunks[-1]) + size <= width:
-            chunks[-1].append(size)
-        else:
-            chunks.append([size])
-    finals = np.empty((len(streams), n), dtype=np.int8)
-    start = group = 0
-    for sizes in chunks:
-        stop = start + sum(sizes)
-        m = stop - start
-        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=streams[r])) for r in range(start, stop)]
+    chunks: list[list[tuple[int, int, int]]] = []  # product groups (run, first read, reads)
+    for run in range(len(seeds)):
+        count = base + (run < extras)
+        size = max(1, min(count, GROUP_FLOATS // max(1, n_sweeps * n)))
+        for first in range(0, count, size):
+            group = (run, first, min(size, count - first))
+            if chunks and sum(g[2] for g in chunks[-1]) + group[2] <= width:
+                chunks[-1].append(group)
+            else:
+                chunks.append([group])
+    finals = np.empty((reads, n), dtype=np.int8)
+    start = 0
+    for chunk in chunks:
+        m = sum(size for _, _, size in chunk)
+        rngs = [
+            np.random.default_rng(np.random.SeedSequence(entropy=(seeds[run], r)))
+            for run, first, size in chunk for r in range(first, first + size)
+        ]
         S = np.empty((n, m))
         F = np.empty((n, m))
         col = 0
-        for size in sizes:  # one product per group: its shape sets the rounding the chain inherits
+        for run, _, size in chunk:  # one product per group: its shape sets the rounding the chain inherits
             S0 = np.empty((size, n))
             for row, rng in enumerate(rngs[col:col + size]):
                 S0[row] = rng.integers(0, 2, n) * 2 - 1
             if signs is not None:
-                S0 *= signs[group]
+                S0 *= signs[run]
             S[:, col:col + size] = S0.T
             F[:, col:col + size] = (S0 @ Jm).T
             col += size
-            group += 1
         slabs = list(_row_blocks(n_sweeps, n * m))
         U = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
         H = np.repeat(hf[:, None], m, axis=1)
@@ -511,8 +513,8 @@ def _anneal(
                                     view += x
                                 else:
                                     F.put(flat, F.take(flat) + x.ravel())
-        finals[start:stop] = S.T.astype(np.int8)
-        start = stop
+        finals[start:start + m] = S.T.astype(np.int8)
+        start += m
     return finals
 
 
@@ -533,21 +535,16 @@ def simulated_annealing(
     schedule: Schedule | None = None,
     reads: int = 1000,
     seed: int = 0,
-    chunk: int | None = None,
 ) -> SampleSet:
     """Single-spin-flip Metropolis annealing over a linear beta ramp.
 
     Per read: an independent RNG stream seeded by (seed, read index) draws the
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
-    beta. The reads fall into groups of `chunk` reads (by default
-    min(reads, 2**24 // (sweeps x spins))); each group's initial fields come
-    from one matrix product over its reads, whose rounding the chain
-    inherits, so the chunk rule fixes that grouping and nothing else.
-    `_anneal` runs the chain, the block-step kernel that reproduces the
-    one-spin-at-a-time loop bit for bit; it anneals whole groups together,
-    up to BLOCK_FLOATS // spins reads at a time, which changes no record.
-    `model` may be an integer form.
+    beta. One `_anneal` run holds every read, so its product groups
+    (GROUP_FLOATS) fix the rounding of the initial fields, and its block-step
+    kernel reproduces the one-spin-at-a-time loop bit for bit. `model` may be
+    an integer form.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -555,8 +552,7 @@ def simulated_annealing(
     form = _int_form(model)
     if form.kind != "ising":
         raise TypeError("simulated annealing needs an IsingModel")
-    groups = _read_groups(reads, schedule.n_sweeps, form.n, chunk)
-    finals = _anneal(form, schedule, [(seed, r) for r in range(reads)], groups)
+    finals = _anneal(form, schedule, [seed], reads)
     return SampleSet.from_configs(form, finals, _sa_metadata(seed, reads, schedule))
 
 

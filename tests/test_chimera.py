@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from postman import chimera
 from postman.chimera import (
     DecodePolicy,
     EmbeddedIsing,
@@ -24,6 +25,7 @@ from postman.errors import (
     FaultOutOfRangeError,
     InvalidEmbeddingError,
 )
+from postman.graphs import hops
 from postman.numbers import normalize
 from postman.qubo import IsingModel, _IntForm
 from postman.samplers import brute_force
@@ -161,6 +163,18 @@ class TestValidate:
         ]
         with pytest.raises(InvalidEmbeddingError):
             embed_ising(random_logical(12, seed=1), twice, 1)
+
+    def test_chain_checks_run_once_per_embedding(self, monkeypatch):
+        # a jf sweep embeds at every grid point; only coverage depends on the model
+        emb = clique_embedding(8, chimera_graph(2))
+        starts = []
+        monkeypatch.setattr(chimera, "hops", lambda adj, start: starts.append(start) or hops(adj, start))
+        logical = random_logical(8, seed=2)
+        embed_ising(logical, emb, 1)
+        embed_ising(logical, emb, 2)
+        assert len(starts) == len(emb.chains)
+        assert [v.kind for v in validate_embedding(emb, [(0, 8)])] == ["coverage"]
+        assert len(starts) == len(emb.chains)
 
 
 class TestChainIndex:

@@ -379,6 +379,8 @@ class TestExitCodes:
             ["penalty-sweep", "DEMO", "--p-grid", ","],
             ["metrics", "SAMPLES", "--reference", "5", "--n", "0"],
             ["metrics", "SAMPLES", "--reference", "5", "--sweeps", "0"],
+            ["defects", "DEMO", "--deltas", ""],
+            ["defects", "DEMO", "--deltas", ",", "--k", "1", "--out", "DIR"],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):
@@ -389,6 +391,7 @@ class TestExitCodes:
             "DEMO": demo_file,
             "NEGATIVE": str(negative),
             "SAMPLES": str(Path(__file__).parent / "golden" / "samples.json"),
+            "DIR": str(tmp_path / "maps"),
         }
         assert_domain_error(*run(capsys, *[files.get(a, a) for a in argv])[::2])
 

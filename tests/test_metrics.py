@@ -204,6 +204,22 @@ class TestSampleEmbedded:
         assert a.records == b.records
         assert a.total_reads == 50
 
+    def test_gauges_without_reads_are_not_drawn(self, monkeypatch):
+        embedded = chimera.embed_ising(frustrated_k4(), clique_embedding(4, chimera_graph(1)), 1.0)
+        sched = Schedule(n_sweeps=20)
+        asked = []
+
+        def spy(n, gauges, seed=0):
+            asked.append(gauges)
+            return spin_reversal(n, gauges, seed=seed)
+
+        monkeypatch.setattr(metrics, "spin_reversal", spy)
+        many = sample_embedded(embedded, sched, reads=3, gauges=10**6, seed=4)
+        few = sample_embedded(embedded, sched, reads=3, gauges=3, seed=4)
+        sample_embedded(embedded, sched, reads=5, gauges=2, seed=4)
+        assert asked == [3, 3, 2]  # never more gauges than reads
+        assert many.records == few.records
+
     def test_gauged_energies_match_model(self, monkeypatch):
         logical = frustrated_k4()
         emb = clique_embedding(4, chimera_graph(1))
@@ -222,27 +238,20 @@ class TestSampleEmbedded:
         from postman import qubo
 
         embedded = chimera.embed_ising(frustrated_k4(), clique_embedding(4, chimera_graph(1)), 1.0)
-        build, anneal = samplers._int_form, samplers._anneal
-        builds, forms = [], []
-
-        def counting(model):
-            if not isinstance(model, samplers._IntForm):
-                builds.append(model)
-            return build(model)
+        anneal = samplers._anneal
+        forms = []
 
         def recording(form, *args, **kwargs):
             forms.append(form)
             return anneal(form, *args, **kwargs)
 
-        def refuse(self):
-            raise AssertionError("a gauged IsingModel was built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("a gauged IsingModel or another integer form was built")
 
-        monkeypatch.setattr(samplers, "_int_form", counting)
-        monkeypatch.setattr(metrics, "_int_form", counting)
         monkeypatch.setattr(metrics, "_anneal", recording)
         monkeypatch.setattr(qubo.IsingModel, "__post_init__", refuse)
+        monkeypatch.setattr(qubo._IntForm, "__init__", refuse)
         out = sample_embedded(embedded, Schedule(n_sweeps=20), reads=12, gauges=4, seed=3)
-        assert builds == [embedded.model]
         assert len(forms) == 1 and forms[0] is embedded.model.int_form
         assert out.total_reads == 12
 
@@ -345,13 +354,7 @@ class TestBatchedGauges:
         schedule = Schedule(math.inf, math.inf, sweeps) if frozen else Schedule(0.1, 3.0, sweeps)
         with pytest.MonkeyPatch.context() as mp:
             if chunk is not None:  # several product groups per gauge, as at 1000 sweeps on 840 spins
-                rule = samplers._read_groups
-
-                def fixed(reads, n_sweeps, n, _=None):
-                    return rule(reads, n_sweeps, n, chunk)
-
-                mp.setattr(samplers, "_read_groups", fixed)
-                mp.setattr(metrics, "_read_groups", fixed)
+                mp.setattr(samplers, "GROUP_FLOATS", chunk * sweeps * embedded.model.n)
             got = sample_embedded(embedded, schedule, reads, gauges, seed)
             want = per_gauge_loop(embedded, schedule, reads, gauges, seed)
         assert got.records == want.records
@@ -367,8 +370,10 @@ class TestBatchedGauges:
         schedule = Schedule(beta, beta, 40)
 
         def run():
-            return (sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9),
-                    simulated_annealing(embedded.model, schedule, reads=23, seed=9, chunk=4))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(samplers, "GROUP_FLOATS", 4 * 40 * embedded.model.n)  # 4-read groups
+                annealed = simulated_annealing(embedded.model, schedule, reads=23, seed=9)
+            return sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9), annealed
 
         want = run()
         monkeypatch.setattr(samplers, "BLOCK_FLOATS", width * embedded.model.n)

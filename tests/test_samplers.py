@@ -32,6 +32,7 @@ from postman.samplers import (
 )
 
 from conftest import apply_gauge, exhaustive, levels
+from test_metrics import fractional_embedded
 
 
 def demo_qubo(demo, p=8):
@@ -215,12 +216,13 @@ class TestSimulatedAnnealing:
         b = simulated_annealing(ising, reads=50, seed=9)
         assert a.records == b.records
 
-    def test_chunking_invariant(self, demo):
+    def test_chunking_invariant(self, monkeypatch, demo):
         # per-read RNG streams make the result independent of chunk splits
         ising = to_ising(demo_qubo(demo))
         sched = Schedule(n_sweeps=120)
         whole = simulated_annealing(ising, schedule=sched, reads=30, seed=2)
-        split = simulated_annealing(ising, schedule=sched, reads=30, seed=2, chunk=7)
+        monkeypatch.setattr(samplers, "GROUP_FLOATS", 7 * 120 * ising.n)  # groups of 7 reads
+        split = simulated_annealing(ising, schedule=sched, reads=30, seed=2)
         assert whole.records == split.records
 
     def test_finds_demo_ground(self, demo):
@@ -349,7 +351,10 @@ class TestBlockSteps:
         chunk=st.sampled_from((None, 1, 3)),
     )
     def test_matches_one_spin_loop(self, model, schedule, reads, seed, chunk):
-        got = simulated_annealing(model, schedule=schedule, reads=reads, seed=seed, chunk=chunk)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(samplers, "GROUP_FLOATS", chunk * schedule.n_sweeps * model.n)
+            got = simulated_annealing(model, schedule=schedule, reads=reads, seed=seed)
         want = one_spin_annealing(model, schedule, reads, seed, chunk)
         assert got.records == want.records
 
@@ -380,6 +385,17 @@ class TestBlockSteps:
                     if c:
                         replayed[j].append((i, c))
         assert replayed == {j: sorted(sources) for j, sources in want.items()}
+
+    @pytest.mark.parametrize("chunk", [1, 5, None])
+    def test_product_groups_follow_group_floats(self, monkeypatch, chunk):
+        # frozen chains whose fields round across zero, so the grouping of the
+        # initial-field products shows in the records (groups of 1 and of 12 differ)
+        model = fractional_embedded(6, 2, 1.0, seed=3).model
+        sched = Schedule(math.inf, math.inf, 20)
+        if chunk is not None:
+            monkeypatch.setattr(samplers, "GROUP_FLOATS", chunk * 20 * model.n)
+        got = simulated_annealing(model, schedule=sched, reads=12, seed=3)
+        assert got.records == one_spin_annealing(model, sched, 12, 3, chunk).records
 
     def test_uncoupled_and_zero_couplings(self):
         # a coupling of 0 joins no block; a lone spin is its own block
@@ -436,9 +452,10 @@ class TestBoundedMemory:
         model = random_ising(6, seed=17, lo=-2, hi=2)
         sched = Schedule(0.2, 2.0, 10)
         want = one_spin_annealing(model, sched, 12, 8, chunk=5)  # every uniform drawn up front
-        whole = simulated_annealing(model, schedule=sched, reads=12, seed=8, chunk=5)
+        monkeypatch.setattr(samplers, "GROUP_FLOATS", 5 * 10 * 6)
+        whole = simulated_annealing(model, schedule=sched, reads=12, seed=8)
         monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
-        got = simulated_annealing(model, schedule=sched, reads=12, seed=8, chunk=5)
+        got = simulated_annealing(model, schedule=sched, reads=12, seed=8)
         assert got.records == whole.records == want.records
 
     @pytest.mark.parametrize("budget", [1, 64, 1 << 12])
