@@ -31,8 +31,8 @@ GROUND_STATE_GUARD = 32
 # value in those blocks is exact or is drawn in stream order, so no result
 # depends on it.
 BLOCK_FLOATS = 1 << 18
-# floats (sweeps x spins x reads) of one product group of `_anneal`, the rule
-# that once capped a chunk's uniforms; unlike BLOCK_FLOATS it fixes records.
+# sweeps x spins x reads of one product group of `_anneal`, at most; unlike
+# BLOCK_FLOATS it fixes records, as BLAS rounds each product shape its own way.
 GROUP_FLOATS = 1 << 24
 
 
