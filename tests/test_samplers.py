@@ -389,7 +389,8 @@ class TestBlockSteps:
     @pytest.mark.parametrize("chunk", [1, 5, None])
     def test_product_groups_follow_group_floats(self, monkeypatch, chunk):
         # frozen chains whose fields round across zero, so the grouping of the
-        # initial-field products shows in the records (groups of 1 and of 12 differ)
+        # initial-field products shows in the records (with OpenBLAS, groups of 1
+        # and of 12 give different records)
         model = fractional_embedded(6, 2, 1.0, seed=3).model
         sched = Schedule(math.inf, math.inf, 20)
         if chunk is not None:
