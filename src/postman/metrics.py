@@ -174,12 +174,12 @@ def sample_embedded(
 
     One `_anneal` call over the model's ungauged integer form anneals every
     read, one run per gauge g seeded by (seed, 2, g). Read r of gauge g keeps
-    the stream and product group that a per-gauge `simulated_annealing` run of
-    the gauged model would give it, and starts from that run's initial spins
-    times g. Negation is exact in floating point, so each field of that chain
-    is g_i times the gauged run's field, every energy change and acceptance
-    test is the same, and the final spins come back already ungauged: the
-    output equals the per-gauge runs merged, bit for bit. Only the first
+    the stream that a per-gauge `simulated_annealing` run of the gauged model
+    would give it, and starts from that run's initial spins times g. The
+    fields are exact integers, so each field of that chain is g_i times the
+    gauged run's field, every energy change and acceptance test is the same,
+    and the final spins come back already ungauged: the output equals the
+    per-gauge runs merged, bit for bit. Only the first
     min(gauges, reads) gauges get reads and are drawn; gauges=0 is the identity.
     """
     if reads < 1:

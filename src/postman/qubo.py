@@ -123,16 +123,16 @@ class IsingModel:
     def _from_form(cls, form: "_IntForm") -> "IsingModel":
         """The Ising model of an integer form, which becomes its `int_form`. Each
         coefficient is normalize(Fraction(v, scale)), one Fraction per distinct
-        numerator; couplings follow the form's rows/cols order, zeros kept."""
+        numerator; couplings follow the form's rows/cols order, zeros kept. A
+        form's keys are valid, so `__post_init__` does not check them again."""
         lin, quad = form.linear.tolist(), form.quad.tolist()
         exact = {v: normalize(Fraction(v, form.scale)) for v in {*lin, *quad}}
-        model = cls(
-            n=form.n,
-            h=tuple(map(exact.__getitem__, lin)),
+        model = cls.__new__(cls)
+        model.__dict__.update(
+            n=form.n, h=tuple(map(exact.__getitem__, lin)), int_form=form,
             couplings=dict(zip(zip(form.rows.tolist(), form.cols.tolist()), map(exact.__getitem__, quad))),
             offset=normalize(Fraction(form.offset, form.scale)),
         )
-        model.__dict__["int_form"] = form
         return model
 
 

@@ -31,9 +31,6 @@ GROUND_STATE_GUARD = 32
 # value in those blocks is exact or is drawn in stream order, so no result
 # depends on it.
 BLOCK_FLOATS = 1 << 18
-# sweeps x spins x reads of one product group of `_anneal`, at most; unlike
-# BLOCK_FLOATS it fixes records, as BLAS rounds each product shape its own way.
-GROUP_FLOATS = 1 << 24
 
 
 def _row_blocks(count: int, width: int):
@@ -201,22 +198,29 @@ def _int_form(model) -> _IntForm:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
+def _exact_floats(offset: int, linear: np.ndarray, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An integer form's linear and coupling integers in float64. Every sum of
+    them and `offset` with weights in {-1, 0, 1} is then exact, in any order,
+    while their magnitudes sum below 2**53; beyond that the form is refused."""
+    lin, quad = linear.tolist(), quad.tolist()
+    if abs(offset) + sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
+        raise TooLargeError("coefficients too large for exact float arithmetic")
+    return np.array(lin, dtype=np.float64), np.array(quad, dtype=np.float64)
+
+
 def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
     """(offset, linear, upper coupling matrix, scale) over x in {0,1}.
 
     An Ising form is rebased through s = 2x - 1 so one search core serves
     both bases. The values are the form's integers over `scale`, in lowest
-    terms, held in float64, which is exact while their magnitudes sum below
-    2**53.
+    terms, held in float64 by `_exact_floats`.
     """
     if form.kind == "ising":
         form = form.rebased()
-    off, lin, quad = form.offset, form.linear.tolist(), form.quad.tolist()
-    if abs(off) + sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
-        raise TooLargeError("coefficients too large for exact float enumeration")
+    lin, quad = _exact_floats(form.offset, form.linear, form.quad)
     B = np.zeros((form.n, form.n))
     B[form.rows, form.cols] = quad
-    return off, np.array(lin, dtype=np.float64), B, form.scale
+    return form.offset, lin, B, form.scale
 
 
 def _native(bits: np.ndarray, kind: str) -> np.ndarray:
@@ -367,45 +371,21 @@ def ground_state(model) -> SampleSet:
 
 # --- simulated annealing -----------------------------------------------------
 
-def _block_plan(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> list[tuple[int, int, list]]:
-    """Blocks of the sweep order, each with the field updates of its flips.
-
-    A block is a maximal run [a, e) of consecutive spins with no coupling
-    among them (couplings J[k] between rows[k] < cols[k]). A block's updates
-    come in layers of (targets, coefficients, sources): a target appears at
-    most once per layer, and its k-th layer carries its k-th coupled source in
-    ascending order, so each field receives its additions in single-spin sweep
-    order. A layer whose targets fill at least half of their index range is
-    one slice, zero at the rows between. Sources index the block's rows.
-    """
+def _levels(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Each spin's level in the sweep order, for couplings J[k] between
+    rows[k] < cols[k]: 0 for a spin with no coupled lower-index spin, else one
+    more than the highest level among those spins (zero couplings do not
+    count). It is the length of the longest coupled increasing path that ends
+    at the spin."""
     keep = J != 0
-    rows, cols, J = rows[keep], cols[keep], J[keep]
-    below = np.full(n, -1)
-    np.maximum.at(below, cols, rows)  # each spin's highest coupled spin below it
-    starts = [0]
-    for e, j in enumerate(below.tolist()):
-        if j >= starts[-1]:
-            starts.append(e)
-    block = np.repeat(np.arange(len(starts)), np.diff(starts + [n]))
-    src, tgt, coef = np.concatenate([rows, cols]), np.concatenate([cols, rows]), np.concatenate([J, J])
-    order = np.lexsort((src, tgt, block[src]))  # by block, target, then source
-    src, tgt, coef = src[order], tgt[order], coef[order]
-    heads = np.flatnonzero(np.diff(block[src] * n + tgt, prepend=-1))
-    rank = np.arange(len(src)) - np.repeat(heads, np.diff(np.r_[heads, len(src)]))  # place among the target's sources
-    order = np.lexsort((tgt, rank, block[src]))  # by block, layer, then target
-    src, tgt, coef = src[order], tgt[order], coef[order]
-    heads = np.flatnonzero(np.diff(block[src] * n + rank[order], prepend=-1)).tolist()
-    layers: list[list] = [[] for _ in starts]
-    for lo_k, hi_k in zip(heads, heads[1:] + [len(src)]):
-        s, t, c = src[lo_k:hi_k], tgt[lo_k:hi_k], coef[lo_k:hi_k]
-        lo, hi = int(t[0]), int(t[-1]) + 1
-        if 2 * len(t) >= hi - lo:
-            fill_s, fill_c = np.full(hi - lo, s[0]), np.zeros(hi - lo)
-            fill_s[t - lo], fill_c[t - lo] = s, c
-            s, c, t = fill_s, fill_c, slice(lo, hi)
-        b = int(block[s[0]])
-        layers[b].append((t, c[:, None], s - starts[b]))
-    return [(a, e, lay) for a, e, lay in zip(starts, starts[1:] + [n], layers)]
+    lo, hi = rows[keep], cols[keep]
+    level = np.zeros(n, dtype=np.intp)
+    while True:  # each pass settles the spins one step further along those paths
+        new = np.zeros(n, dtype=np.intp)
+        np.maximum.at(new, hi, level[lo] + 1)
+        if np.array_equal(new, level):
+            return level
+        level = new
 
 
 def _anneal(
@@ -415,106 +395,93 @@ def _anneal(
     reads: int,
     signs: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Final spins, one int8 row per read, run by run, of the block-step kernel.
+    """Final spins, one int8 row per read, run by run, of the level-step kernel.
 
     Run k (one per seed) gets reads // len(seeds) reads, the first
     reads % len(seeds) runs one more, and its read r draws from the stream
     seeded by (seeds[k], r): uniform initial spins, then one acceptance uniform
-    per (sweep, spin). A run's reads fall into groups of at most GROUP_FLOATS //
-    (sweeps x spins) reads (at least one), each group's initial fields one
-    matrix product; BLAS rounds a product of another shape (a one-row product
-    takes the matrix-vector path) differently in the last place, and the chain
-    inherits the rounding. `signs`, when given, holds one +-1 row per run,
+    per (sweep, spin). `signs`, when given, holds one +-1 row per run,
     multiplied into the initial spins of its reads.
-    Reads are annealed together in chunks of whole groups, each filled up to
-    BLOCK_FLOATS // spins reads unless one group alone is wider. The chunks
-    fix no record: the uniforms are drawn a slab of sweeps at a time (about
-    BLOCK_FLOATS per chunk), each stream continuing where the last slab left
-    it, so every draw is the one a single (sweeps x spins) draw would give.
 
-    A sweep steps through blocks of consecutive, mutually uncoupled spins
-    (`_block_plan`), deciding a whole block over all reads at once. No spin of
-    a block reads a field another spin of it writes, each field receives its
-    additions in sweep order, and an accepted flip adds the same (-2 s) * J as
-    a one-spin step (a rejected one adds zero), so the chain is that of the
-    one-spin-at-a-time loop, bit for bit.
+    Fields are held in the form's integers (`_exact_floats`), so each is an
+    exact integer whatever the order of its additions; only the energy change
+    is divided by the scale, in the test u < exp(-beta * (dE / scale)), or
+    dE <= 0 at infinite beta. A sweep steps through the levels of `_levels`:
+    the spins of a level are mutually uncoupled, each coupled lower-index spin
+    sits in an earlier level and each coupled higher-index one in a later
+    level, so every spin sees exactly the field of the one-spin ascending
+    sweep and is decided with its own (sweep, spin) uniform. The chain is that
+    of the one-spin-at-a-time loop, bit for bit. The spins are permuted once
+    so that each level is a contiguous slice, and a level's flips reach its
+    neighbours' fields in one product.
+
+    Reads anneal together in chunks of at most BLOCK_FLOATS // max(spins, 512)
+    consecutive (run, read) pairs, and draw their uniforms a slab of sweeps at
+    a time: about BLOCK_FLOATS floats per chunk and slab, counting the slab's
+    copy in level order, and at least one sweep. Each stream continues where
+    its last slab left it, so every draw is the one a single (sweeps x spins)
+    draw would give, and no record depends on the chunks or slabs. The floor
+    of 512 keeps a small model's slabs several sweeps deep, so that its reads
+    do not pay one generator call per sweep.
     """
     n = form.n
-    # Python int / int is correctly rounded, so each entry equals float(J)
-    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
-    J = np.array([v / form.scale for v in form.quad.tolist()], dtype=np.float64)
+    h, J = _exact_floats(0, form.linear, form.quad)
+    level = _levels(n, form.rows, form.cols, J)
+    order = np.argsort(level, kind="stable")  # level by level, ascending within each
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
     Jm = np.zeros((n, n))
-    Jm[form.rows, form.cols] = J
-    Jm[form.cols, form.rows] = J
-    plan = _block_plan(n, form.rows, form.cols, J)
-    betas = schedule.betas()
-    n_sweeps = schedule.n_sweeps
+    Jm[rank[form.rows], rank[form.cols]] = J
+    Jm[rank[form.cols], rank[form.rows]] = J
+    h = h[order, None]
+    plan = []  # (level slice, the spins coupled to it, their couplings to it)
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for a, e in zip([0] + ends, ends):
+        targets = np.flatnonzero(Jm[a:e].any(axis=0))
+        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
+            targets = slice(int(targets[0]), int(targets[-1]) + 1)  # the rows between add an exact 0
+        plan.append((slice(a, e), targets, -2.0 * Jm[targets, a:e]))
+    betas, n_sweeps, half = schedule.betas(), schedule.n_sweeps, -form.scale / 2
     base, extras = divmod(reads, len(seeds))
-    width = max(1, BLOCK_FLOATS // max(1, n))
-    chunks: list[list[tuple[int, int, int]]] = []  # product groups (run, first read, reads)
-    for run in range(len(seeds)):
-        count = base + (run < extras)
-        size = max(1, min(count, GROUP_FLOATS // max(1, n_sweeps * n)))
-        for first in range(0, count, size):
-            group = (run, first, min(size, count - first))
-            if chunks and sum(g[2] for g in chunks[-1]) + group[2] <= width:
-                chunks[-1].append(group)
-            else:
-                chunks.append([group])
+    pairs = [(run, r) for run in range(len(seeds)) for r in range(base + (run < extras))]
+    width = max(1, BLOCK_FLOATS // max(n, 512))
     finals = np.empty((reads, n), dtype=np.int8)
-    start = 0
-    for chunk in chunks:
-        m = sum(size for _, _, size in chunk)
-        rngs = [
-            np.random.default_rng(np.random.SeedSequence(entropy=(seeds[run], r)))
-            for run, first, size in chunk for r in range(first, first + size)
-        ]
-        S = np.empty((n, m))
-        F = np.empty((n, m))
-        col = 0
-        for run, _, size in chunk:  # one product per group: its shape sets the rounding the chain inherits
-            S0 = np.empty((size, n))
-            for row, rng in enumerate(rngs[col:col + size]):
-                S0[row] = rng.integers(0, 2, n) * 2 - 1
-            if signs is not None:
-                S0 *= signs[run]
-            S[:, col:col + size] = S0.T
-            F[:, col:col + size] = (S0 @ Jm).T
-            col += size
-        slabs = list(_row_blocks(n_sweeps, n * m))
-        U = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
-        H = np.repeat(hf[:, None], m, axis=1)
-        # a slice target adds in place; scattered targets go through F's flat indices
-        cols = np.arange(m)
-        blocks = [
-            (S[a:e], F[a:e], H[a:e], U[:, :, a:e].transpose(1, 2, 0), [
-                (F[tg], None, c, src) if type(tg) is slice else (None, (tg[:, None] * m + cols).ravel(), c, src)
-                for tg, c, src in layers
-            ])
-            for a, e, layers in plan
-        ]
-        # U < 1 <= exp(-beta * dE) wherever dE <= 0 at finite beta, so the
-        # Metropolis test is one comparison; its exp overflows harmlessly there
+    for start in range(0, reads, width):
+        chunk = pairs[start:start + width]
+        m = len(chunk)
+        rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seeds[run], r))) for run, r in chunk]
+        S0 = np.array([rng.integers(0, 2, n) * 2 - 1 for rng in rngs], dtype=np.float64)
+        if signs is not None:
+            S0 *= signs[[run for run, _ in chunk]]
+        S = S0[:, order].T.copy()
+        F = Jm @ S + h
+        slabs = list(_row_blocks(n_sweeps, 2 * n * m))
+        drawn = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
+        U = np.empty_like(drawn)  # the same slab in level order
+        steps = [(S[lv], F[lv], U[:, :, lv].transpose(1, 2, 0), targets, Jt) for lv, targets, Jt in plan]
+        # U < 1 <= exp(-beta * dE / scale) wherever dE <= 0 at finite beta, so
+        # the Metropolis test is one comparison; its exp overflows harmlessly there
         with np.errstate(over="ignore"):
             for slab in slabs:
                 slab_betas = betas[slab]
+                k0 = len(slab_betas)
                 for row, rng in enumerate(rngs):  # each stream goes on where the last slab stopped
-                    rng.random(out=U[row, :len(slab_betas)])
+                    rng.random(out=drawn[row, :k0])
+                # mode "clip" (the indices are in range) lets take write into U unbuffered
+                np.take(drawn[:, :k0], order, axis=2, out=U[:, :k0], mode="clip")
                 for k, beta in enumerate(slab_betas):
-                    for s, f, h, u, layers in blocks:
-                        m2 = -2.0 * s
-                        dE = m2 * (h + f)
-                        d = m2 * (dE <= 0.0 if beta == math.inf else u[k] < np.exp(-beta * dE))
-                        if np.count_nonzero(d):
-                            s += d
-                            for view, flat, coef, src in layers:
-                                x = coef * d.take(src, axis=0)
-                                if flat is None:
-                                    view += x
-                                else:
-                                    F.put(flat, F.take(flat) + x.ravel())
-        finals[start:start + m] = S.T.astype(np.int8)
-        start += m
+                    for s, f, u, targets, Jt in steps:
+                        x = s * f  # -dE / 2, so x / (-scale / 2) is dE / scale, rounded once
+                        if beta == math.inf:
+                            accept = x >= 0.0
+                        else:
+                            x /= half
+                            x *= -beta
+                            accept = u[k] < np.exp(x, out=x)
+                        if np.count_nonzero(accept):
+                            F[targets] += Jt @ (s * accept)  # Jt holds -2 J: each flip adds -2 s J
+                            np.negative(s, out=s, where=accept)
+        finals[start:start + m] = S[rank].T
     return finals
 
 
@@ -541,10 +508,9 @@ def simulated_annealing(
     Per read: an independent RNG stream seeded by (seed, read index) draws the
     uniform initial spins, then one acceptance uniform per (sweep, spin);
     every sweep proposes all spins in ascending index order at that sweep's
-    beta. One `_anneal` run holds every read, so its product groups
-    (GROUP_FLOATS) fix the rounding of the initial fields, and its block-step
-    kernel reproduces the one-spin-at-a-time loop bit for bit. `model` may be
-    an integer form.
+    beta. One `_anneal` run holds every read; its fields are exact integers,
+    and its level steps reproduce the one-spin-at-a-time loop bit for bit.
+    `model` may be an integer form.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")

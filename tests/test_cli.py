@@ -165,6 +165,13 @@ class TestSample:
         assert (code, err) == (0, "")
         assert out == f"energy,multiplicity\n3,{multiplicity}\n"
 
+    def test_sa_refuses_fields_past_2_53(self, capsys, tmp_path):
+        # its Ising fields would round in float64, so the annealer refuses the model
+        path = tmp_path / "big.qubo"
+        path.write_text(qubo.write_qubo(qubo.QuboModel(dim=2, linear=(2**53, 1), quadratic={(0, 1): 1})))
+        code, _, err = run(capsys, "sample", str(path), "--sampler", "sa", "--reads", "2", "--sweeps", "2")
+        assert_domain_error(code, err)
+
     def test_json_writer_refuses_nan(self):
         from postman.cli import _json_dump
 

@@ -289,9 +289,9 @@ class TestSampleEmbedded:
 
 def fractional_embedded(k: int, m: int, jf: float, seed: int):
     """A random K_k Ising model in tenths, clique-embedded on C_m. Its fields
-    often sum to zero exactly, and their float sums then round to either
-    sign depending on the order of the terms, so at infinite beta a change
-    of product grouping (a one-row product rounds differently) shows."""
+    often sum to zero exactly, where float sums of the coefficients in tenths
+    would round to either sign depending on the order of the terms, so at
+    infinite beta it shows any field that is not held exactly."""
     rng = np.random.default_rng(seed)
 
     def coefficient():
@@ -343,18 +343,18 @@ class TestBatchedGauges:
         chunk=st.sampled_from([None, 1, 2, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # ragged splits, reads < gauges, and single-read gauges (one-row products)
+    # ragged splits, reads < gauges, and single-read gauges
     @example(size=(6, 2), jf=1.0, reads=7, gauges=5, sweeps=20, frozen=False, chunk=None, seed=1)
     @example(size=(6, 2), jf=1.0, reads=3, gauges=5, sweeps=20, frozen=False, chunk=None, seed=2)
     @example(size=(6, 2), jf=1.0, reads=41, gauges=40, sweeps=20, frozen=True, chunk=None, seed=3)
     @example(size=(6, 2), jf=1.0, reads=25, gauges=2, sweeps=20, frozen=False, chunk=3, seed=4)
     def test_matches_per_gauge_loop(self, size, jf, reads, gauges, sweeps, frozen, chunk, seed):
         embedded = fractional_embedded(*size, jf, seed % 97)
-        # at infinite beta a field that rounds across zero flips the decision
+        # at infinite beta a field that rounded across zero would flip the decision
         schedule = Schedule(math.inf, math.inf, sweeps) if frozen else Schedule(0.1, 3.0, sweeps)
         with pytest.MonkeyPatch.context() as mp:
-            if chunk is not None:  # several product groups per gauge, as at 1000 sweeps on 840 spins
-                mp.setattr(samplers, "GROUP_FLOATS", chunk * sweeps * embedded.model.n)
+            if chunk is not None:  # chunks of `chunk` reads, splitting gauges as wide models do
+                mp.setattr(samplers, "BLOCK_FLOATS", chunk * 512)
             got = sample_embedded(embedded, schedule, reads, gauges, seed)
             want = per_gauge_loop(embedded, schedule, reads, gauges, seed)
         assert got.records == want.records
@@ -363,20 +363,17 @@ class TestBatchedGauges:
     @pytest.mark.parametrize("beta", [1.0, math.inf])
     @pytest.mark.parametrize("width", [1, 2, 5, 16])
     def test_annealing_width_changes_no_record(self, monkeypatch, width, beta):
-        # groups of 6, 6, 6 and 5 reads: a width below 6 anneals each group
-        # alone, 16 packs two per chunk; simulated_annealing packs its
-        # 4-read groups the same way
+        # chunks of 1, 2, 5 or 16 reads (BLOCK_FLOATS // 512 below 512 spins):
+        # the 23 reads of 4 gauges, 6, 6, 6 and 5, split across chunks at every width
         embedded = fractional_embedded(6, 2, 1.0, seed=3)
         schedule = Schedule(beta, beta, 40)
 
         def run():
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(samplers, "GROUP_FLOATS", 4 * 40 * embedded.model.n)  # 4-read groups
-                annealed = simulated_annealing(embedded.model, schedule, reads=23, seed=9)
+            annealed = simulated_annealing(embedded.model, schedule, reads=23, seed=9)
             return sample_embedded(embedded, schedule, reads=23, gauges=4, seed=9), annealed
 
         want = run()
-        monkeypatch.setattr(samplers, "BLOCK_FLOATS", width * embedded.model.n)
+        monkeypatch.setattr(samplers, "BLOCK_FLOATS", width * 512)
         got = run()
         assert [out.records for out in got] == [out.records for out in want]
 

@@ -19,8 +19,8 @@ from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     BLOCK_FLOATS,
     _HalfSplit,
-    _block_plan,
     _int_form,
+    _levels,
     spectral_gap_large,
     SampleRecord,
     SampleSet,
@@ -221,7 +221,7 @@ class TestSimulatedAnnealing:
         ising = to_ising(demo_qubo(demo))
         sched = Schedule(n_sweeps=120)
         whole = simulated_annealing(ising, schedule=sched, reads=30, seed=2)
-        monkeypatch.setattr(samplers, "GROUP_FLOATS", 7 * 120 * ising.n)  # groups of 7 reads
+        monkeypatch.setattr(samplers, "BLOCK_FLOATS", 7 * 512)  # chunks of 7 reads below 512 spins
         split = simulated_annealing(ising, schedule=sched, reads=30, seed=2)
         assert whole.records == split.records
 
@@ -264,48 +264,37 @@ class TestSimulatedAnnealing:
         assert Schedule(beta_start=math.inf, beta_end=math.inf, n_sweeps=2).betas().tolist() == [math.inf] * 2
 
 
-def one_spin_annealing(model, schedule, reads, seed, chunk=None):
-    """The one-spin-at-a-time Metropolis loop that `simulated_annealing`
-    replaced, kept as the reference its block steps must reproduce bit for bit."""
+def one_spin_annealing(model, schedule, reads, seed):
+    """The one-spin-at-a-time Metropolis loop in the form's integer units: the
+    reference that the level steps of `simulated_annealing` must reproduce bit
+    for bit. Fields are exact integers; only dE is divided by the scale."""
     form = _int_form(model)
-    n = form.n
-    hf = np.array([v / form.scale for v in form.linear.tolist()], dtype=np.float64)
-    J = [v / form.scale for v in form.quad.tolist()]
+    n, sweeps = form.n, schedule.n_sweeps
     Jm = np.zeros((n, n))
-    Jm[form.rows, form.cols] = J
-    Jm[form.cols, form.rows] = J
-    betas = schedule.betas()
-    n_sweeps = schedule.n_sweeps
-    finals = np.empty((reads, n), dtype=np.int8)
-    if chunk is None:  # cap the pregenerated uniform block at ~128 MB
-        chunk = max(1, min(reads, (1 << 24) // max(1, n_sweeps * n)))
-    for start in range(0, reads, chunk):
-        stop = min(start + chunk, reads)
-        m = stop - start
-        S = np.empty((m, n))
-        U = np.empty((m, n_sweeps, n))
-        for row, r in enumerate(range(start, stop)):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
-            S[row] = rng.integers(0, 2, n) * 2 - 1
-            U[row] = rng.random((n_sweeps, n))
-        F = S @ Jm
-        for t in range(n_sweeps):
-            beta = betas[t]
-            for i in range(n):
-                dE = -2.0 * S[:, i] * (hf[i] + F[:, i])
-                accept = dE <= 0.0
-                hard = ~accept
-                if hard.any():
-                    accept[hard] = U[hard, t, i] < np.exp(-beta * dE[hard])
-                if accept.any():
-                    old = S[accept, i].copy()
-                    S[accept, i] = -old
-                    F[accept] += (-2.0 * old)[:, None] * Jm[i][None, :]
-        finals[start:stop] = S.astype(np.int8)
-    return SampleSet.from_configs(form, finals, {})
+    Jm[form.rows, form.cols] = form.quad.tolist()
+    Jm[form.cols, form.rows] = form.quad.tolist()
+    S = np.empty((reads, n))
+    U = np.empty((reads, sweeps, n))
+    for r in range(reads):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, r)))
+        S[r] = rng.integers(0, 2, n) * 2 - 1
+        U[r] = rng.random((sweeps, n))
+    F = S @ Jm + np.array(form.linear.tolist(), dtype=np.float64)
+    for t, beta in enumerate(schedule.betas()):
+        for i in range(n):
+            dE = -2.0 * S[:, i] * F[:, i]
+            accept = dE <= 0.0
+            hard = ~accept
+            if hard.any():
+                accept[hard] = U[hard, t, i] < np.exp(-beta * (dE[hard] / form.scale))
+            if accept.any():
+                old = S[accept, i].copy()
+                S[accept, i] = -old
+                F[accept] += (-2.0 * old)[:, None] * Jm[i][None, :]
+    return SampleSet.from_configs(form, S.astype(np.int8), {})
 
 
-# coefficients with denominators 1..7, so the float form rounds
+# coefficients with denominators 1..7, so the scale is rarely 1
 _fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
 
 
@@ -342,6 +331,8 @@ schedules = st.builds(
 
 
 class TestBlockSteps:
+    """The annealer decides a level of mutually uncoupled spins in one step."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         model=st.one_of(dense_ising(), embedded_ising()),
@@ -352,54 +343,40 @@ class TestBlockSteps:
     )
     def test_matches_one_spin_loop(self, model, schedule, reads, seed, chunk):
         with pytest.MonkeyPatch.context() as mp:
-            if chunk is not None:
-                mp.setattr(samplers, "GROUP_FLOATS", chunk * schedule.n_sweeps * model.n)
+            if chunk is not None:  # chunks of `chunk` reads below 512 spins
+                mp.setattr(samplers, "BLOCK_FLOATS", chunk * 512)
             got = simulated_annealing(model, schedule=schedule, reads=reads, seed=seed)
-        want = one_spin_annealing(model, schedule, reads, seed, chunk)
-        assert got.records == want.records
+        assert got.records == one_spin_annealing(model, schedule, reads, seed).records
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(model=st.one_of(dense_ising(), embedded_ising()))
-    def test_plan_replays_couplings_in_sweep_order(self, model):
-        # field changes are exact only in the single-spin order, which sample
-        # outputs almost never reveal, so the plan itself is checked
+    def test_levels_are_the_longest_coupled_paths(self, model):
         form = _int_form(model)
-        n, J = form.n, form.quad / form.scale
-        plan = _block_plan(n, form.rows, form.cols, J)
-        coupled, want = set(), {j: [] for j in range(n)}
-        for i, j, v in zip(form.rows.tolist(), form.cols.tolist(), J.tolist()):
-            if v:
-                coupled.add(frozenset((i, j)))
-                want[i].append((j, v))
-                want[j].append((i, v))
-        assert [a for a, _, _ in plan] == [0] + [e for _, e, _ in plan][:-1] and plan[-1][1] == n
-        replayed = {j: [] for j in range(n)}
-        for a, e, layers in plan:
-            assert not any(frozenset((i, j)) in coupled for i in range(a, e) for j in range(i + 1, e))
-            assert e == n or any(frozenset((i, e)) in coupled for i in range(a, e))  # maximal
-            for target, coef, src in layers:
-                targets = range(target.start, target.stop) if isinstance(target, slice) else target.tolist()
-                assert len(set(targets)) == len(targets) == len(coef) == len(src)
-                for j, c, i in zip(targets, coef[:, 0].tolist(), (src + a).tolist()):
-                    assert a <= i < e
-                    if c:
-                        replayed[j].append((i, c))
-        assert replayed == {j: sorted(sources) for j, sources in want.items()}
+        level = _levels(form.n, form.rows, form.cols, form.quad).tolist()
+        coupled = [(i, j) for i, j, v in zip(form.rows.tolist(), form.cols.tolist(), form.quad.tolist()) if v]
+        # every coupled pair i < j steps up a level, so no level holds a coupled pair
+        assert all(level[i] < level[j] for i, j in coupled)
+        assert not any(level[i] == level[j] for i, j in coupled)
+        # minimal: a spin above level 0 has a coupled lower-index spin one level down,
+        # so its level is the length of the longest coupled increasing path ending there
+        for j, lv in enumerate(level):
+            assert lv == 0 or any(level[i] == lv - 1 for i, k in coupled if k == j)
 
-    @pytest.mark.parametrize("chunk", [1, 5, None])
-    def test_product_groups_follow_group_floats(self, monkeypatch, chunk):
-        # frozen chains whose fields round across zero, so the grouping of the
-        # initial-field products shows in the records (with OpenBLAS, groups of 1
-        # and of 12 give different records)
+    @pytest.mark.parametrize("budget", [1, 3 * 512, None])
+    @pytest.mark.parametrize("reads", [1, 5, 12])
+    def test_frozen_ties_follow_the_oracle(self, monkeypatch, budget, reads):
+        # this model's fields often sum to exactly zero; in float units they
+        # rounded to either sign by the order of their terms, which decided the
+        # frozen chain. In integer units a tie is an exact dE = 0 under any chunking
         model = fractional_embedded(6, 2, 1.0, seed=3).model
         sched = Schedule(math.inf, math.inf, 20)
-        if chunk is not None:
-            monkeypatch.setattr(samplers, "GROUP_FLOATS", chunk * 20 * model.n)
-        got = simulated_annealing(model, schedule=sched, reads=12, seed=3)
-        assert got.records == one_spin_annealing(model, sched, 12, 3, chunk).records
+        if budget is not None:
+            monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
+        got = simulated_annealing(model, schedule=sched, reads=reads, seed=3)
+        assert got.records == one_spin_annealing(model, sched, reads, 3).records
 
     def test_uncoupled_and_zero_couplings(self):
-        # a coupling of 0 joins no block; a lone spin is its own block
+        # a coupling of 0 raises no level; uncoupled spins share level 0
         sched = Schedule(n_sweeps=5)
         for model in (
             IsingModel(n=1, h=(Fraction(1, 3),), couplings={}),
@@ -407,6 +384,14 @@ class TestBlockSteps:
         ):
             got = simulated_annealing(model, schedule=sched, reads=6, seed=4)
             assert got.records == one_spin_annealing(model, sched, 6, 4).records
+        form = _int_form(IsingModel(n=4, h=(0,) * 4, couplings={(0, 1): 0, (1, 3): 2}))
+        assert _levels(4, form.rows, form.cols, form.quad).tolist() == [0, 0, 0, 1]
+
+    def test_guard(self):
+        # a field past 2**53 would round in float64, so the model is refused
+        model = IsingModel(n=2, h=(2**53, 0), couplings={(0, 1): 1})
+        with pytest.raises(TooLargeError):
+            simulated_annealing(model, Schedule(n_sweeps=2), reads=1)
 
 
 def traced_peak_mb(run) -> float:
@@ -445,19 +430,18 @@ class TestBoundedMemory:
         # a (resamples x reads) index matrix and its float gather would take 305 MB
         assert traced_peak_mb(lambda: bootstrap(hits, resamples=5000, seed=1)) < 16
 
-    @pytest.mark.parametrize("budget", [1, 36, 100, 250])
+    @pytest.mark.parametrize("budget", [1, 36, 100, 250, 5 * 512])
     def test_uniform_slabs(self, monkeypatch, budget):
-        # chunks of 5, 5 and 2 reads of 6 spins: a budget of 36 gives slabs of
-        # 1 and 3 sweeps, 100 gives 3 and 8 (3 + 3 + 3 + 1 and 8 + 2, ragged),
-        # 250 gives 8 and 10
+        # 12 reads of 6 spins over 100 sweeps: budgets of 1, 36, 100 and 250
+        # give one-read chunks with slabs of 1, 3, 8 (8 x 12 + 4, ragged) and
+        # 20 sweeps; 5 * 512 gives chunks of 5, 5 and 2 reads with slabs of
+        # 42 (42 + 42 + 16) and 100 sweeps
         model = random_ising(6, seed=17, lo=-2, hi=2)
-        sched = Schedule(0.2, 2.0, 10)
-        want = one_spin_annealing(model, sched, 12, 8, chunk=5)  # every uniform drawn up front
-        monkeypatch.setattr(samplers, "GROUP_FLOATS", 5 * 10 * 6)
-        whole = simulated_annealing(model, schedule=sched, reads=12, seed=8)
+        sched = Schedule(0.2, 2.0, 100)
+        want = one_spin_annealing(model, sched, 12, 8)  # every uniform drawn up front
         monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
         got = simulated_annealing(model, schedule=sched, reads=12, seed=8)
-        assert got.records == whole.records == want.records
+        assert got.records == want.records
 
     @pytest.mark.parametrize("budget", [1, 64, 1 << 12])
     def test_exact_scans_ignore_the_budget(self, monkeypatch, demo, budget):
