@@ -11,7 +11,7 @@ results are deterministic regardless of execution order.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -525,18 +525,29 @@ def simulated_annealing(
 # --- tabu search --------------------------------------------------------------
 
 def tabu_search(
-    model: QuboModel,
+    model: QuboModel | IsingModel | _IntForm,
     tenure: int = 10,
     max_restarts: int = 20,
     seed: int = 0,
 ) -> SampleSet:
     """Steepest-descent single-flip search with a recency tabu list.
 
-    Recently flipped variables stay tabu for `tenure` iterations unless a
-    move beats the best energy seen anywhere (aspiration). After 50 * dim
-    iterations without improving the restart's best, the search restarts
-    from a fresh random configuration. One record per restart-best is
-    reported, deduplicated with multiplicities.
+    Each move flips the variable whose flip gives the lowest energy, the
+    lowest index on ties. A variable flipped at move t is tabu through move
+    t + tenure, unless flipping it would beat the lowest energy that any move
+    of this or an earlier restart has reached (aspiration; the random starts
+    do not count). When every variable is tabu and none aspires, the lowest
+    flip is taken anyway. After 50 * dim moves without improving the
+    restart's best, the search restarts from a fresh random configuration.
+    Restarts run one after another, since aspiration reads the moves of the
+    earlier ones. One record per restart-best is reported, deduplicated with
+    multiplicities. `model` may be an integer form.
+
+    Energies and flip gains are integer-valued floats (`_x_floats`), so every
+    comparison is exact. The best flip k0 passes aspiration exactly when some
+    flip does, and then it is the first minimum over the allowed flips; when
+    it fails, the allowed flips are the non-tabu ones. So a move needs a
+    second argmin, over the non-tabu flips, only when k0 does not aspire.
     """
     if tenure < 1:
         raise InvalidArgumentError("tenure must be positive")
@@ -546,7 +557,7 @@ def tabu_search(
     n = form.n
     off_i, lin_i, B, _ = _x_floats(form)
     stagnation_limit = 50 * n
-    Bsym = B + B.T
+    Bsym = B + B.T  # symmetric, so row k is the column k a flip of k adds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
     global_best = np.inf
     bests: list[np.ndarray] = []
@@ -554,35 +565,47 @@ def tabu_search(
         x = rng.integers(0, 2, n).astype(np.float64)
         f = Bsym @ x
         energy = off_i + lin_i @ x + 0.5 * x @ f
-        delta = (1.0 - 2.0 * x) * (lin_i + f)
-        tabu_until = np.zeros(n, dtype=np.int64)
+        g = lin_i + f  # the gain of setting each bit
+        sx = 1.0 - 2.0 * x  # +1 where a flip sets the bit, -1 where it clears it
+        delta = sx * g  # the energy change of each flip
+        blocked = np.zeros(n)  # +inf on the tabu variables
+        masked = np.empty(n)
+        tabu_until = [0] * n  # the last move at which each variable is tabu
+        flips: deque[int] = deque()  # the variable of each recent move, oldest first
         it = 0
-        best_x = x.copy()
+        best_sx = sx.copy()
         best_e = energy
         since_improve = 0
         while since_improve < stagnation_limit:
             it += 1
-            cand = energy + delta
-            allowed = (tabu_until < it) | (cand < global_best)
-            if allowed.any():
-                masked = np.where(allowed, cand, np.inf)
-            else:
-                masked = cand
-            k = int(np.argmin(masked))
-            sign = 1.0 - 2.0 * x[k]  # +1 when flipping 0 -> 1
+            if len(flips) > tenure:  # the flip of move it - tenure - 1 expires, unless repeated since
+                j = flips.popleft()
+                if tabu_until[j] < it:
+                    blocked[j] = 0.0
+            k = int(delta.argmin())
+            if not delta[k] < global_best - energy:  # no flip aspires
+                np.add(delta, blocked, out=masked)
+                free = int(masked.argmin())
+                if masked[free] != np.inf:  # else every variable is tabu
+                    k = free
             energy += delta[k]
-            x[k] += sign
-            f += Bsym[:, k] * sign
-            delta = (1.0 - 2.0 * x) * (lin_i + f)
+            if sx[k] > 0.0:
+                g += Bsym[k]
+            else:
+                g -= Bsym[k]
+            sx[k] = -sx[k]
+            np.multiply(sx, g, out=delta)
+            blocked[k] = np.inf
             tabu_until[k] = it + tenure
+            flips.append(k)
             global_best = min(global_best, energy)
             if energy < best_e:
                 best_e = energy
-                best_x = x.copy()
+                best_sx = sx.copy()
                 since_improve = 0
             else:
                 since_improve += 1
-        bests.append(_native(best_x.astype(np.int64), form.kind))
+        bests.append(_native(((1 - best_sx) / 2).astype(np.int64), form.kind))
     meta = {
         "sampler": "tabu_search",
         "seed": seed,

@@ -9,7 +9,7 @@ from postman.errors import InvalidEmbeddingError
 from postman.graphs import Graph
 from postman.numbers import as_exact, normalize
 from postman.qubo import IsingModel, QuboModel
-from postman.samplers import SampleSet
+from postman.samplers import SampleSet, _int_form, _native, _x_floats
 
 # 6-node worked instance: odd nodes {0,1,2,3}, pair distances
 # W01=2 W02=5 W03=7 W12=7 W13=5 W23=3, minimum matching {(0,1),(2,3)} at 5.
@@ -236,3 +236,66 @@ def reference_decode_sampleset(physical: SampleSet, emb, logical_model, policy: 
     out = SampleSet.from_configs(logical_model, configs, meta, rejected=rejected)
     total = physical.total_reads
     return out, (broken_reads / total if total else 0.0)
+
+
+def reference_tabu(model, tenure=10, max_restarts=20, seed=0, moves=None):
+    """The move loop that `samplers.tabu_search` ran before its moves were cut
+    to a few numpy calls, kept as written: the reference for its records and
+    metadata. Only the tabu clock differs, held as Python ints (dtype object)
+    so that a tenure past int64 is read as it is. When `moves` is a list,
+    each move appends (variable, kind, ties): kind is "free" for a non-tabu
+    flip, "aspiration" for a tabu flip that beats the best energy so far and
+    "all tabu" for the fallback; ties counts the allowed flips at the minimum."""
+    form = _int_form(model)
+    n = form.n
+    off_i, lin_i, B, _ = _x_floats(form)
+    stagnation_limit = 50 * n
+    Bsym = B + B.T
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
+    global_best = np.inf
+    bests: list[np.ndarray] = []
+    for _ in range(max_restarts):
+        x = rng.integers(0, 2, n).astype(np.float64)
+        f = Bsym @ x
+        energy = off_i + lin_i @ x + 0.5 * x @ f
+        delta = (1.0 - 2.0 * x) * (lin_i + f)
+        tabu_until = np.zeros(n, dtype=object)
+        it = 0
+        best_x = x.copy()
+        best_e = energy
+        since_improve = 0
+        while since_improve < stagnation_limit:
+            it += 1
+            cand = energy + delta
+            allowed = (tabu_until < it) | (cand < global_best)
+            if allowed.any():
+                masked = np.where(allowed, cand, np.inf)
+            else:
+                masked = cand
+            k = int(np.argmin(masked))
+            if moves is not None:
+                kind = "all tabu" if not allowed.any() else "free" if tabu_until[k] < it else "aspiration"
+                moves.append((k, kind, int(np.count_nonzero(masked == masked[k]))))
+            sign = 1.0 - 2.0 * x[k]  # +1 when flipping 0 -> 1
+            energy += delta[k]
+            x[k] += sign
+            f += Bsym[:, k] * sign
+            delta = (1.0 - 2.0 * x) * (lin_i + f)
+            tabu_until[k] = it + tenure
+            global_best = min(global_best, energy)
+            if energy < best_e:
+                best_e = energy
+                best_x = x.copy()
+                since_improve = 0
+            else:
+                since_improve += 1
+        bests.append(_native(best_x.astype(np.int64), form.kind))
+    meta = {
+        "sampler": "tabu_search",
+        "seed": seed,
+        "tenure": tenure,
+        "max_restarts": max_restarts,
+        "stagnation_limit": stagnation_limit,
+        "reads": max_restarts,
+    }
+    return SampleSet.from_configs(form, bests, meta)

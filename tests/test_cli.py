@@ -137,6 +137,14 @@ class TestSample:
         assert out.splitlines()[0] == "energy,multiplicity"
         assert out.splitlines()[1].startswith("5,")
 
+    def test_tabu_tenure_past_int64(self, capsys, qubo_file):
+        # a tenure longer than any search is read as it is: every flip stays tabu
+        argv = ("sample", qubo_file, "--sampler", "tabu", "--restarts", "1", "--tenure")
+        code, out, err = run(capsys, *argv, str(10**20))
+        assert code == 0 and err == ""
+        _, want, _ = run(capsys, *argv, str(10**6))
+        assert json.loads(out)["records"] == json.loads(want)["records"]
+
     def test_infinite_beta_is_strict_json(self, capsys, tmp_path):
         def refuse(constant):
             raise AssertionError(f"non-JSON constant {constant}")

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from postman.errors import (
     DimensionMismatchError, InvalidArgumentError, NoGapError, ParseError, TooLargeError,
 )
 from postman.exact import odd_pair_distances
-from postman.graphs import Graph
+from postman.graphs import Graph, read_edge_list
 from postman.metrics import bootstrap
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
@@ -31,8 +32,10 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import apply_gauge, exhaustive, levels
+from conftest import apply_gauge, exhaustive, levels, reference_tabu
 from test_metrics import fractional_embedded
+
+D8 = Path(__file__).parent / "golden" / "d8.edgelist"  # the bench's d = 8 instance
 
 
 def demo_qubo(demo, p=8):
@@ -457,6 +460,28 @@ class TestBoundedMemory:
         assert results() == want
 
 
+@st.composite
+def tabu_models(draw):
+    """A QUBO, an Ising model or an integer form of up to 20 variables, with
+    mixed-sign fractional coefficients."""
+    n = draw(st.integers(1, 20))
+    linear = tuple(draw(_fraction) for _ in range(n))
+    pairs = {(i, j): draw(_fraction) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    kind = draw(st.sampled_from(("qubo", "ising", "form")))
+    if kind == "ising":
+        return IsingModel(n=n, h=linear, couplings=pairs, offset=draw(_fraction))
+    model = QuboModel(dim=n, linear=linear, quadratic=pairs, offset=draw(_fraction))
+    return model.int_form if kind == "form" else model
+
+
+def tabu_case(moves, kind):
+    """Whether the reference's move log holds a move of `kind`; "tie" is a
+    non-tabu move with another allowed move at the same energy."""
+    if kind == "tie":
+        return any(k == "free" and ties > 1 for _, k, ties in moves)
+    return any(k == kind for _, k, _ in moves)
+
+
 class TestTabu:
     def test_demo(self, demo):
         result = tabu_search(demo_qubo(demo), seed=5)
@@ -477,8 +502,56 @@ class TestTabu:
     def test_small_dim_all_tabu_fallback(self):
         # tenure exceeding dim forces the all-tabu fallback path
         model = QuboModel(dim=2, linear=(1, -3), quadratic={(0, 1): 2}, offset=0)
+        moves = []
+        want = reference_tabu(model, tenure=10, max_restarts=2, seed=0, moves=moves)
+        assert tabu_case(moves, "all tabu")
         result = tabu_search(model, tenure=10, max_restarts=2, seed=0)
+        assert result == want
         assert result.best().energy == -3
+
+    @pytest.mark.parametrize(
+        "model, tenure, restarts, seed, kind",
+        [
+            # restart 1 starts at x = (1, 0, 0), E = -1, where every flip climbs
+            # to 0 and x0 is taken; flipping x0 back is tabu at tenure 1, but -1
+            # beats the best energy reached so far (the start is not counted)
+            (QuboModel(dim=3, linear=(-1, 0, 1), quadratic={(0, 1): 1, (0, 2): 0, (1, 2): -3}), 1, 3, 3, "aspiration"),
+            # restart 2 starts at x = (1, 1), E = 3; either flip reaches 0, the
+            # best of restart 1, so neither aspires, and x0 is taken
+            (QuboModel(dim=2, linear=(0, 0), quadratic={(0, 1): 3}), 2, 2, 4, "tie"),
+            # restart 1 flips x3, x1, x2 and x0; at move 5 all four are tabu at
+            # tenure 4, no flip beats the best so far, and the lowest flip is taken
+            (QuboModel(dim=4, linear=(-4, 0, 2, -2), quadratic={(1, 2): -3, (1, 3): 2}), 4, 3, 2, "all tabu"),
+        ],
+    )
+    def test_move_rule_branches(self, model, tenure, restarts, seed, kind):
+        # each model's records change if that branch takes another move: no
+        # aspiration, the higher index on a tie, or the flip that leaves the list first
+        moves = []
+        want = reference_tabu(model, tenure=tenure, max_restarts=restarts, seed=seed, moves=moves)
+        assert tabu_case(moves, kind)
+        assert tabu_search(model, tenure=tenure, max_restarts=restarts, seed=seed) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        model=tabu_models(),
+        tenure=st.sampled_from(("1", "n - 1", "n", "above n", "10**20")),
+        restarts=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        above=st.integers(1, 30),
+    )
+    def test_matches_reference(self, model, tenure, restarts, seed, above):
+        n = _int_form(model).n
+        tenure = {"1": 1, "n - 1": max(1, n - 1), "n": n, "above n": n + above, "10**20": 10**20}[tenure]
+        want = reference_tabu(model, tenure=tenure, max_restarts=restarts, seed=seed)
+        assert tabu_search(model, tenure=tenure, max_restarts=restarts, seed=seed) == want
+
+    @pytest.mark.parametrize("p, seed", [(8, 1), (32, 2)])
+    def test_matches_reference_d8(self, p, seed):
+        # a 56-variable pair-QUBO
+        model = build_qubo(odd_pair_distances(read_edge_list(D8.read_text())), p)
+        want = reference_tabu(model, max_restarts=3, seed=seed)
+        assert tabu_search(model, max_restarts=3, seed=seed) == want
 
     def test_restart_multiplicities(self, demo):
         result = tabu_search(demo_qubo(demo), max_restarts=6, seed=2)
