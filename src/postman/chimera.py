@@ -57,9 +57,6 @@ class ChimeraTopology:
     def enabled(self, q: int) -> bool:
         return 0 <= q < 8 * self.m * self.m and q not in self.faulty
 
-    def nodes(self) -> tuple[int, ...]:
-        return tuple(q for q in range(8 * self.m * self.m) if q not in self.faulty)
-
     def couplers(self) -> tuple[tuple[int, int], ...]:
         return tuple(map(tuple, self.coupler_array().tolist()))
 
@@ -79,9 +76,6 @@ class ChimeraTopology:
         a, b = a[keep], b[keep]
         order = np.lexsort((b, a))
         return np.stack([a[order], b[order]], axis=1)
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return {q: tuple(sorted(nb)) for q, nb in _adjacency(self.nodes(), self.couplers()).items()}
 
 
 def chimera_graph(m: int, faulty: Iterable[int] = ()) -> ChimeraTopology:

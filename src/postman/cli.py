@@ -235,15 +235,9 @@ def cmd_sample(args: argparse.Namespace) -> int:
             model, tenure=args.tenure, max_restarts=args.restarts, seed=args.seed
         )
     else:
-        spins = samplers.simulated_annealing(
-            qubo.to_ising(model), schedule=_schedule(args), reads=args.reads, seed=args.seed
+        result = samplers.simulated_annealing(
+            model, schedule=_schedule(args), reads=args.reads, seed=args.seed
         )
-        # s -> (s + 1) / 2 keeps each energy and, being monotone, the record order
-        records = tuple(
-            dataclasses.replace(r, config=tuple((s + 1) // 2 for s in r.config))
-            for r in spins.records
-        )
-        result = samplers.SampleSet(records=records, metadata=spins.metadata)
     if args.fmt == "csv":
         _emit(result.to_csv(), args.out)
     else:

@@ -198,29 +198,31 @@ def _int_form(model) -> _IntForm:
     raise TypeError(f"unsupported model type {type(model).__name__}")
 
 
-def _exact_floats(offset: int, linear: np.ndarray, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _exact_floats(linear: np.ndarray, quad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """An integer form's linear and coupling integers in float64. Every sum of
-    them and `offset` with weights in {-1, 0, 1} is then exact, in any order,
-    while their magnitudes sum below 2**53; beyond that the form is refused."""
+    them with weights in {-1, 0, 1} is then exact, in any order, while their
+    magnitudes sum below 2**53; beyond that the form is refused. No float sum
+    carries the offset: it cancels from every comparison, and exact levels
+    add it back in Python integers."""
     lin, quad = linear.tolist(), quad.tolist()
-    if abs(offset) + sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
+    if sum(map(abs, lin)) + sum(map(abs, quad)) >= 2**53:
         raise TooLargeError("coefficients too large for exact float arithmetic")
     return np.array(lin, dtype=np.float64), np.array(quad, dtype=np.float64)
 
 
-def _x_floats(form: _IntForm) -> tuple[int, np.ndarray, np.ndarray, int]:
-    """(offset, linear, upper coupling matrix, scale) over x in {0,1}.
+def _x_floats(form: _IntForm) -> tuple[_IntForm, np.ndarray, np.ndarray]:
+    """(x-form, linear, upper coupling matrix): the model over bits x in {0,1}.
 
     An Ising form is rebased through s = 2x - 1 so one search core serves
-    both bases. The values are the form's integers over `scale`, in lowest
-    terms, held in float64 by `_exact_floats`.
+    both bases; callers read the offset and the scale from the x-form. The
+    linear and coupling values are its integers, held in float64 by
+    `_exact_floats`.
     """
-    if form.kind == "ising":
-        form = form.rebased()
-    lin, quad = _exact_floats(form.offset, form.linear, form.quad)
+    x_form = form.rebased() if form.kind == "ising" else form
+    lin, quad = _exact_floats(x_form.linear, x_form.quad)
     B = np.zeros((form.n, form.n))
-    B[form.rows, form.cols] = quad
-    return form.offset, lin, B, form.scale
+    B[x_form.rows, x_form.cols] = quad
+    return x_form, lin, B
 
 
 def _native(bits: np.ndarray, kind: str) -> np.ndarray:
@@ -260,7 +262,7 @@ class _HalfSplit:
         n = self.form.n
         if n > GROUND_STATE_GUARD:
             raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
-        self.offset, lin, B, self.scale = _x_floats(self.form)
+        self.x_form, lin, B = _x_floats(self.form)
         self.nA, self.nB = nA, nB = n // 2, n - n // 2
         self.EA = _energies(lin[:nA], B[:nA, :nA])
         self.EB = _energies(lin[nA:], B[nA:, nA:])
@@ -335,10 +337,11 @@ def spectral_gap_large(model) -> tuple[Number, Number, Number]:
         tot[tot == m0] = math.inf
         m1 = tot.min()
         lows += [m0] if m1 == math.inf else [m0, m1]
-    levels = np.unique(lows)[:2] + split.offset
+    levels = np.unique(lows)[:2]
     if len(levels) < 2:
         raise NoGapError("spectrum has a single level")
-    e0, e1 = (normalize(Fraction(int(v), split.scale)) for v in levels)
+    x = split.x_form
+    e0, e1 = (normalize(Fraction(int(v) + x.offset, x.scale)) for v in levels)
     return e0, e1, normalize(e1 - e0)
 
 
@@ -425,7 +428,7 @@ def _anneal(
     do not pay one generator call per sweep.
     """
     n = form.n
-    h, J = _exact_floats(0, form.linear, form.quad)
+    h, J = _exact_floats(form.linear, form.quad)
     level = _levels(n, form.rows, form.cols, J)
     order = np.argsort(level, kind="stable")  # level by level, ascending within each
     rank = np.empty(n, dtype=np.intp)
@@ -498,7 +501,7 @@ def _sa_metadata(seed: int, reads: int, schedule: Schedule) -> dict:
 
 
 def simulated_annealing(
-    model: IsingModel | _IntForm,
+    model: QuboModel | IsingModel | _IntForm,
     schedule: Schedule | None = None,
     reads: int = 1000,
     seed: int = 0,
@@ -510,15 +513,18 @@ def simulated_annealing(
     every sweep proposes all spins in ascending index order at that sweep's
     beta. One `_anneal` run holds every read; its fields are exact integers,
     and its level steps reproduce the one-spin-at-a-time loop bit for bit.
-    `model` may be an integer form.
+    `model` may be an integer form. A QUBO anneals as its rebased Ising form
+    (the model of `qubo.to_ising`), and its reads come back as bits
+    (s + 1) / 2 with the QUBO's energies.
     """
     if reads < 1:
         raise InvalidArgumentError("need at least one read")
     schedule = schedule or Schedule()
     form = _int_form(model)
-    if form.kind != "ising":
-        raise TypeError("simulated annealing needs an IsingModel")
-    finals = _anneal(form, schedule, [seed], reads)
+    if form.kind == "ising":
+        finals = _anneal(form, schedule, [seed], reads)
+    else:
+        finals = (_anneal(form.rebased(), schedule, [seed], reads) + 1) // 2
     return SampleSet.from_configs(form, finals, _sa_metadata(seed, reads, schedule))
 
 
@@ -543,8 +549,11 @@ def tabu_search(
     earlier ones. One record per restart-best is reported, deduplicated with
     multiplicities. `model` may be an integer form.
 
-    Energies and flip gains are integer-valued floats (`_x_floats`), so every
-    comparison is exact. The best flip k0 passes aspiration exactly when some
+    Energies and flip gains are integer-valued floats over the x-form
+    (`_x_floats`) without its offset, which cancels from every comparison.
+    Each is a sum of the form's coefficients, each coupling taken once, with
+    weights in {-1, 0, 1}, so it lies below 2**53 and every comparison is
+    exact. The best flip k0 passes aspiration exactly when some
     flip does, and then it is the first minimum over the allowed flips; when
     it fails, the allowed flips are the non-tabu ones. So a move needs a
     second argmin, over the non-tabu flips, only when k0 does not aspire.
@@ -555,7 +564,7 @@ def tabu_search(
         raise InvalidArgumentError("need at least one restart")
     form = _int_form(model)
     n = form.n
-    off_i, lin_i, B, _ = _x_floats(form)
+    _, lin_i, B = _x_floats(form)
     stagnation_limit = 50 * n
     Bsym = B + B.T  # symmetric, so row k is the column k a flip of k adds
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
@@ -563,8 +572,8 @@ def tabu_search(
     bests: list[np.ndarray] = []
     for _ in range(max_restarts):
         x = rng.integers(0, 2, n).astype(np.float64)
+        energy = lin_i @ x + x @ (B @ x)
         f = Bsym @ x
-        energy = off_i + lin_i @ x + 0.5 * x @ f
         g = lin_i + f  # the gain of setting each bit
         sx = 1.0 - 2.0 * x  # +1 where a flip sets the bit, -1 where it clears it
         delta = sx * g  # the energy change of each flip

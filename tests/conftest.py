@@ -24,6 +24,15 @@ DEMO_EDGES = [
     (3, 5, 1),
 ]
 
+# a QUBO whose coefficients pass the 2**53 float guard, but whose energy
+# counted with each coupling twice (x @ (B + B.T) @ x) passes 2**53 and rounds
+# at some starts; tabu search with tenure 4, 4 restarts and seed 2 reaches
+# -4 three times and -3 once
+NEAR_GUARD_QUBO = QuboModel(
+    dim=5, linear=(0, -3, -1, -3, 3),
+    quadratic={(0, 2): 2**52, (0, 4): -1, (1, 3): 3, (1, 4): 1, (2, 3): 3, (2, 4): 1},
+)
+
 
 @pytest.fixture(scope="session")
 def demo() -> Graph:
@@ -240,15 +249,18 @@ def reference_decode_sampleset(physical: SampleSet, emb, logical_model, policy: 
 
 def reference_tabu(model, tenure=10, max_restarts=20, seed=0, moves=None):
     """The move loop that `samplers.tabu_search` ran before its moves were cut
-    to a few numpy calls, kept as written: the reference for its records and
-    metadata. Only the tabu clock differs, held as Python ints (dtype object)
-    so that a tenure past int64 is read as it is. When `moves` is a list,
-    each move appends (variable, kind, ties): kind is "free" for a non-tabu
-    flip, "aspiration" for a tabu flip that beats the best energy so far and
-    "all tabu" for the fallback; ties counts the allowed flips at the minimum."""
+    to a few numpy calls: the reference for its records and metadata. Two
+    things differ from that loop. The tabu clock is held as Python ints
+    (dtype object), so that a tenure past int64 is read as it is. The energy
+    leaves out the offset and its start takes each coupling once, so that
+    every energy is exact while the coefficients pass `_x_floats`. When
+    `moves` is a list, each move appends (variable, kind, ties): kind is
+    "free" for a non-tabu flip, "aspiration" for a tabu flip that beats the
+    best energy so far and "all tabu" for the fallback; ties counts the
+    allowed flips at the minimum."""
     form = _int_form(model)
     n = form.n
-    off_i, lin_i, B, _ = _x_floats(form)
+    _, lin_i, B = _x_floats(form)
     stagnation_limit = 50 * n
     Bsym = B + B.T
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed,)))
@@ -257,7 +269,7 @@ def reference_tabu(model, tenure=10, max_restarts=20, seed=0, moves=None):
     for _ in range(max_restarts):
         x = rng.integers(0, 2, n).astype(np.float64)
         f = Bsym @ x
-        energy = off_i + lin_i @ x + 0.5 * x @ f
+        energy = lin_i @ x + x @ B @ x
         delta = (1.0 - 2.0 * x) * (lin_i + f)
         tabu_until = np.zeros(n, dtype=object)
         it = 0

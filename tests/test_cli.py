@@ -11,7 +11,7 @@ from postman import chimera, qubo
 from postman.cli import main
 from postman.graphs import Graph, write_edge_list
 
-from conftest import DEMO_EDGES
+from conftest import DEMO_EDGES, NEAR_GUARD_QUBO
 
 
 @pytest.fixture()
@@ -179,6 +179,25 @@ class TestSample:
         path.write_text(qubo.write_qubo(qubo.QuboModel(dim=2, linear=(2**53, 1), quadratic={(0, 1): 1})))
         code, _, err = run(capsys, "sample", str(path), "--sampler", "sa", "--reads", "2", "--sweeps", "2")
         assert_domain_error(code, err)
+
+    @pytest.mark.parametrize("sampler, multiplicity", [("tabu", 20), ("brute", 1)])
+    def test_offset_past_2_53(self, capsys, tmp_path, sampler, multiplicity):
+        # no float sum carries the offset, so it meets no guard and adds exactly
+        path = tmp_path / "offset.qubo"
+        path.write_text(qubo.write_qubo(qubo.QuboModel(dim=2, linear=(1, -1), quadratic={(0, 1): 2}, offset=2**53 + 1)))
+        code, out, err = run(capsys, "sample", str(path), "--sampler", sampler, "--format", "csv")
+        assert (code, err) == (0, "")
+        assert out == f"energy,multiplicity\n{2**53},{multiplicity}\n"
+
+    def test_tabu_start_energy_counts_each_coupling_once(self, capsys, tmp_path):
+        path = tmp_path / "near.qubo"
+        path.write_text(qubo.write_qubo(NEAR_GUARD_QUBO))
+        code, out, err = run(
+            capsys, "sample", str(path), "--sampler", "tabu", "--tenure", "4", "--restarts", "4", "--seed", "2",
+            "--format", "csv",
+        )
+        assert (code, err) == (0, "")
+        assert out == "energy,multiplicity\n-4,3\n-3,1\n"
 
     def test_json_writer_refuses_nan(self):
         from postman.cli import _json_dump

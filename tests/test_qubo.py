@@ -307,10 +307,10 @@ NEAR_INT64 = QuboModel(dim=2, linear=(2**61, 2**61 - 1), quadratic={(0, 1): 2**6
 def x_floats(form):
     """`_x_floats` as plain lists, or None where it refuses the magnitudes."""
     try:
-        off, lin, B, scale = _x_floats(form)
+        x, lin, B = _x_floats(form)
     except TooLargeError:
         return None
-    return off, lin.tolist(), B.tolist(), scale
+    return x.offset, lin.tolist(), B.tolist(), x.scale
 
 
 class TestIsingOracle:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from postman import samplers
 from postman.chimera import chimera_graph, clique_embedding, embed_ising
@@ -32,7 +32,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import apply_gauge, exhaustive, levels, reference_tabu
+from conftest import NEAR_GUARD_QUBO, apply_gauge, exhaustive, levels, reference_tabu
 from test_metrics import fractional_embedded
 
 D8 = Path(__file__).parent / "golden" / "d8.edgelist"  # the bench's d = 8 instance
@@ -239,6 +239,20 @@ class TestSimulatedAnnealing:
         for r in result.records:
             assert ising.energy(r.config) == r.energy
         assert result.total_reads == 40
+
+    @pytest.mark.parametrize("p", [8, Fraction(17, 2)])
+    def test_qubo_anneals_as_its_ising_model(self, demo, p):
+        # a QUBO's reads are its Ising model's, each spin s read as the bit (s + 1) / 2
+        q = demo_qubo(demo, p)
+        sched = Schedule(n_sweeps=30)
+        got = simulated_annealing(q, schedule=sched, reads=40, seed=6)
+        spins = simulated_annealing(to_ising(q), schedule=sched, reads=40, seed=6)
+        assert got.records == tuple(
+            dataclasses.replace(r, config=tuple((s + 1) // 2 for s in r.config)) for r in spins.records
+        )
+        assert got.metadata == spins.metadata
+        assert simulated_annealing(q.int_form, schedule=sched, reads=40, seed=6) == got
+        assert all(q.energy(r.config) == r.energy for r in got.records)
 
     def test_greedy_limit_never_climbs(self):
         model = random_ising(9, seed=7)
@@ -556,6 +570,63 @@ class TestTabu:
     def test_restart_multiplicities(self, demo):
         result = tabu_search(demo_qubo(demo), max_restarts=6, seed=2)
         assert result.total_reads == 6
+
+    def test_start_energy_counts_each_coupling_once(self):
+        # a start energy that sums the 2**52 coupling twice rounds, and the
+        # moves that compare against it end at -4 four times
+        want = reference_tabu(NEAR_GUARD_QUBO, tenure=4, max_restarts=4, seed=2)
+        got = tabu_search(NEAR_GUARD_QUBO, tenure=4, max_restarts=4, seed=2)
+        assert got == want
+        assert [(r.energy, r.multiplicity) for r in got.records] == [(-4, 3), (-3, 1)]
+
+
+@st.composite
+def near_guard_models(draw):
+    """A QUBO of 2 to 8 variables, or its Ising model, whose x-basis form has
+    one coefficient of +-2**52 and small integers elsewhere, so that the
+    magnitudes sum below 2**53, with an offset of up to 2**60."""
+    n = draw(st.integers(2, 8))
+    small = st.integers(-20, 20)
+    linear = [draw(small) for _ in range(n)]
+    pairs = {(i, j): draw(small) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    key = draw(st.sampled_from([*range(n), *pairs]))
+    big = draw(st.sampled_from((2**52, -(2**52))))
+    if isinstance(key, int):
+        linear[key] = big
+    else:
+        pairs[key] = big
+    model = QuboModel(dim=n, linear=tuple(linear), quadratic=pairs, offset=draw(st.integers(-(2**60), 2**60)))
+    return to_ising(model) if draw(st.booleans()) else model
+
+
+# offsets past 2**53 that no float sum may carry
+BIG_OFFSETS = [
+    dataclasses.replace(NEAR_GUARD_QUBO, offset=2**60),
+    to_ising(dataclasses.replace(NEAR_GUARD_QUBO, offset=-(2**53) - 1)),
+]
+
+
+class TestNearGuard:
+    """Coefficients just inside the float guard and offsets far outside it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=near_guard_models())
+    @example(model=BIG_OFFSETS[0])
+    @example(model=BIG_OFFSETS[1])
+    def test_exact_scans(self, model):
+        every = exhaustive(model)
+        e0, e1 = levels(every)[:2]
+        assert brute_force(model, keep=2).records == tuple(r for r in every.records if r.energy <= e1)
+        assert ground_state(model).best().energy == e0
+        assert spectral_gap_large(model) == (e0, e1, e1 - e0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=near_guard_models(), tenure=st.integers(1, 9), restarts=st.integers(1, 4), seed=st.integers(0, 2**16))
+    @example(model=BIG_OFFSETS[0], tenure=4, restarts=4, seed=2)
+    @example(model=BIG_OFFSETS[1], tenure=4, restarts=4, seed=2)
+    def test_tabu_matches_reference(self, model, tenure, restarts, seed):
+        want = reference_tabu(model, tenure=tenure, max_restarts=restarts, seed=seed)
+        assert tabu_search(model, tenure=tenure, max_restarts=restarts, seed=seed) == want
 
 
 class TestSampleSet:
