@@ -194,6 +194,12 @@ class ChainIndex:
     spans: dict[tuple[int, int], slice]
 
     @cached_property
+    def joined(self) -> np.ndarray:
+        """i * len(positions) + j for each chain pair (i, j) of `spans`, sorted."""
+        keys = np.array(list(self.spans), dtype=np.int64).reshape(-1, 2)
+        return keys[:, 0] * len(self.positions) + keys[:, 1]
+
+    @cached_property
     def within(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The sorted couplers inside each chain."""
         return tuple(self._group((i, i)) for i in range(len(self.positions)))
@@ -248,17 +254,24 @@ def validate_embedding(
 ) -> list[Violation]:
     """Check disjointness, chain connectivity (through the couplers inside each
     chain), and coupler coverage, all against the embedding's own topology.
-    Only coverage is checked per call; `Embedding.chain_violations` is cached.
+    Only coverage is checked per call, for every coupler at once in int64
+    arrays; `Embedding.chain_violations` is cached.
 
-    Returns the violation list (empty means valid); never raises.
+    Returns the violation list (empty means valid), coverage in coupler order;
+    never raises on couplers of two int64 indices.
     """
     violations = list(emb.chain_violations)
     n = emb.n_logical
-    for (i, j) in logical_couplers:
-        if not (0 <= i < n and 0 <= j < n):
+    couplers = list(logical_couplers)
+    lo, hi = np.fromiter(itertools.chain.from_iterable(couplers), dtype=np.int64).reshape(len(couplers), 2).T
+    inside = (lo >= 0) & (lo < n) & (hi >= 0) & (hi < n)
+    # a table over the joined pairs' codes, which lie below n**2
+    joined = np.isin(np.minimum(lo, hi) * n + np.maximum(lo, hi), emb.chain_index.joined, kind="table")
+    for k in np.flatnonzero(~(inside & joined)).tolist():
+        i, j = couplers[k]
+        if not inside[k]:
             violations.append(Violation("coverage", f"logical coupler ({i},{j}) out of range"))
-            continue
-        if (min(i, j), max(i, j)) not in emb.chain_index.spans:
+        else:
             violations.append(Violation("coverage", f"no physical coupler joins chains {i} and {j}"))
     return violations
 

@@ -391,6 +391,49 @@ def _levels(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> np.nda
         level = new
 
 
+def _level_plan(form: _IntForm) -> tuple[np.ndarray, np.ndarray, list]:
+    """(order, h, plan): the spins level by level (`_levels`), ascending within
+    each level; their linear integers in that order, as a column; and per
+    level, (its slice of that order, the spins coupled to it, their -2 J
+    couplings to it as a dense targets x level block), all positions in that order.
+
+    The blocks come from the nonzero couplings, both directions of each, sorted
+    stably by source position, so each level's run of that list holds exactly
+    its couplings. Targets that fill at least half of their position range
+    become a slice, whose rows between them hold an exact 0. The blocks hold at
+    most n**2 floats in all, and as many as the couplings when the levels are
+    narrow and sparsely coupled.
+    """
+    n = form.n
+    h, J = _exact_floats(form.linear, form.quad)
+    level = _levels(n, form.rows, form.cols, J)
+    order = np.argsort(level, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    keep = J != 0
+    lo, hi, values = rank[form.rows[keep]], rank[form.cols[keep]], -2.0 * J[keep]
+    source, target, values = np.concatenate([lo, hi]), np.concatenate([hi, lo]), np.concatenate([values, values])
+    by_source = np.argsort(source, kind="stable")
+    source, target, values = source[by_source], target[by_source], values[by_source]
+    ends = np.cumsum(np.bincount(level)).tolist()
+    cuts = np.searchsorted(source, ends).tolist()  # where each level's run ends
+    # each level's distinct targets, sorted, and each coupling's row among them
+    keys, rows = np.unique(level[order][source] * n + target, return_inverse=True)
+    bounds = np.searchsorted(keys, n * np.arange(1, len(ends) + 1)).tolist()
+    plan = []
+    for k, (a, e, i, j, b, c) in enumerate(zip([0] + ends, ends, [0] + cuts, cuts, [0] + bounds, bounds)):
+        targets = keys[b:c] - k * n
+        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
+            targets = slice(int(targets[0]), int(targets[-1]) + 1)  # the rows between add an exact 0
+            block = np.zeros((targets.stop - targets.start, e - a))
+            block[target[i:j] - targets.start, source[i:j] - a] = values[i:j]
+        else:
+            block = np.zeros((len(targets), e - a))
+            block[rows[i:j] - b, source[i:j] - a] = values[i:j]
+        plan.append((slice(a, e), targets, block))
+    return order, h[order, None], plan
+
+
 def _anneal(
     form: _IntForm,
     schedule: Schedule,
@@ -416,7 +459,10 @@ def _anneal(
     sweep and is decided with its own (sweep, spin) uniform. The chain is that
     of the one-spin-at-a-time loop, bit for bit. The spins are permuted once
     so that each level is a contiguous slice, and a level's flips reach its
-    neighbours' fields in one product.
+    neighbours' fields in one product with its `_level_plan` block. A chunk's
+    fields start as h - 1/2 sum over levels L of (block of L) @ S[L]: the block
+    sums are even integers below 2**54, so they too are exact, and no n x n
+    matrix is built.
 
     Reads anneal together in chunks of at most BLOCK_FLOATS // max(spins, 512)
     consecutive (run, read) pairs, and draw their uniforms a slab of sweeps at
@@ -428,22 +474,7 @@ def _anneal(
     do not pay one generator call per sweep.
     """
     n = form.n
-    h, J = _exact_floats(form.linear, form.quad)
-    level = _levels(n, form.rows, form.cols, J)
-    order = np.argsort(level, kind="stable")  # level by level, ascending within each
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    Jm = np.zeros((n, n))
-    Jm[rank[form.rows], rank[form.cols]] = J
-    Jm[rank[form.cols], rank[form.rows]] = J
-    h = h[order, None]
-    plan = []  # (level slice, the spins coupled to it, their couplings to it)
-    ends = np.cumsum(np.bincount(level)).tolist()
-    for a, e in zip([0] + ends, ends):
-        targets = np.flatnonzero(Jm[a:e].any(axis=0))
-        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
-            targets = slice(int(targets[0]), int(targets[-1]) + 1)  # the rows between add an exact 0
-        plan.append((slice(a, e), targets, -2.0 * Jm[targets, a:e]))
+    order, h, plan = _level_plan(form)
     betas, n_sweeps, half = schedule.betas(), schedule.n_sweeps, -form.scale / 2
     base, extras = divmod(reads, len(seeds))
     pairs = [(run, r) for run in range(len(seeds)) for r in range(base + (run < extras))]
@@ -457,7 +488,11 @@ def _anneal(
         if signs is not None:
             S0 *= signs[[run for run, _ in chunk]]
         S = S0[:, order].T.copy()
-        F = Jm @ S + h
+        F = np.zeros_like(S)
+        for lv, targets, Jt in plan:  # sums of -2 J s: even integers below 2**54, so exact
+            F[targets] += Jt @ S[lv]
+        F *= -0.5
+        F += h
         slabs = list(_row_blocks(n_sweeps, 2 * n * m))
         drawn = np.empty((m, slabs[0].stop, n))  # one slab of sweeps, read-major, as each stream draws it
         U = np.empty_like(drawn)  # the same slab in level order
@@ -484,7 +519,7 @@ def _anneal(
                         if np.count_nonzero(accept):
                             F[targets] += Jt @ (s * accept)  # Jt holds -2 J: each flip adds -2 s J
                             np.negative(s, out=s, where=accept)
-        finals[start:start + m] = S[rank].T
+        finals[start:start + m, order] = S.T
     return finals
 
 

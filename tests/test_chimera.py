@@ -176,6 +176,27 @@ class TestValidate:
         assert [v.kind for v in validate_embedding(emb, [(0, 8)])] == ["coverage"]
         assert len(starts) == len(emb.chains)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        chains=st.lists(st.lists(st.integers(0, 31), min_size=0, max_size=4, unique=True), max_size=5),
+        couplers=st.lists(st.tuples(st.integers(-2, 6), st.integers(-2, 6)), max_size=12),
+    )
+    @example(chains=[[0, 4]], couplers=[(2**62, 0), (0, -(2**63)), (0, 0)])
+    @example(chains=[], couplers=[(0, 0)])
+    def test_coverage_matches_per_coupler_check(self, chains, couplers):
+        # every coupler is checked at once; the messages and their order are
+        # those of a check of one coupler at a time
+        emb = Embedding(chains=tuple(map(tuple, chains)), topology=chimera_graph(2))
+        n, spans = len(chains), emb.chain_index.spans
+        want = list(emb.chain_violations)
+        for i, j in couplers:
+            if not (0 <= i < n and 0 <= j < n):
+                want.append(chimera.Violation("coverage", f"logical coupler ({i},{j}) out of range"))
+            elif (min(i, j), max(i, j)) not in spans:
+                want.append(chimera.Violation("coverage", f"no physical coupler joins chains {i} and {j}"))
+        assert validate_embedding(emb, couplers) == want
+        assert validate_embedding(emb, iter(couplers)) == want
+
 
 class TestChainIndex:
     @pytest.mark.parametrize("seed", range(6))

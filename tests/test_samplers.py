@@ -20,7 +20,9 @@ from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     BLOCK_FLOATS,
     _HalfSplit,
+    _exact_floats,
     _int_form,
+    _level_plan,
     _levels,
     spectral_gap_large,
     SampleRecord,
@@ -411,6 +413,68 @@ class TestBlockSteps:
             simulated_annealing(model, Schedule(n_sweeps=2), reads=1)
 
 
+def dense_level_plan(form):
+    """`_level_plan` from the permuted n x n coupling matrix: the reference for
+    the plan that the annealer builds from the coupling list."""
+    n = form.n
+    h, J = _exact_floats(form.linear, form.quad)
+    level = _levels(n, form.rows, form.cols, J)
+    order = np.argsort(level, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    Jm = np.zeros((n, n))
+    Jm[rank[form.rows], rank[form.cols]] = J
+    Jm[rank[form.cols], rank[form.rows]] = J
+    plan = []
+    ends = np.cumsum(np.bincount(level)).tolist()
+    for a, e in zip([0] + ends, ends):
+        targets = np.flatnonzero(Jm[a:e].any(axis=0))
+        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
+            targets = slice(int(targets[0]), int(targets[-1]) + 1)
+        plan.append((slice(a, e), targets, -2.0 * Jm[targets, a:e]))
+    return order, h[order, None], plan
+
+
+class TestLevelPlan:
+    """The plan built from the coupling list equals the dense construction."""
+
+    @staticmethod
+    def assert_dense_plan(model):
+        form = _int_form(model)
+        order, h, plan = _level_plan(form)
+        want_order, want_h, want_plan = dense_level_plan(form)
+        assert order.tolist() == want_order.tolist()
+        assert h.shape == want_h.shape and h.tolist() == want_h.tolist()
+        assert [lv for lv, _, _ in plan] == [lv for lv, _, _ in want_plan]
+        for (_, targets, block), (_, want_targets, want_block) in zip(plan, want_plan):
+            if isinstance(want_targets, slice):
+                assert targets == want_targets
+            else:
+                assert not isinstance(targets, slice) and targets.tolist() == want_targets.tolist()
+            assert block.shape == want_block.shape and block.tolist() == want_block.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=st.one_of(dense_ising(), embedded_ising()))
+    def test_matches_dense_construction(self, model):
+        self.assert_dense_plan(model)
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            # zero couplings, one of them between spins that are otherwise uncoupled
+            IsingModel(n=5, h=(1, 0, -1, 2, 3), couplings={(0, 1): 0, (1, 3): Fraction(2, 7), (2, 4): 0}),
+            IsingModel(n=3, h=(1, 2, 3), couplings={(0, 2): 0}),
+            IsingModel(n=4, h=(0, 1, 0, 1), couplings={}),  # uncoupled: one level, no targets
+            IsingModel(n=6, h=(1,) * 6, couplings={(0, 5): 1, (4, 5): -1}),  # level 1's targets 0 and 4 stay a list
+            IsingModel(n=1, h=(Fraction(1, 3),), couplings={}),
+            IsingModel(n=0, h=(), couplings={}),
+        ],
+        ids=["zero couplings", "only zero couplings", "uncoupled", "spread targets", "n = 1", "n = 0"],
+    )
+    def test_edge_cases(self, model):
+        self.assert_dense_plan(model)
+
+
 def traced_peak_mb(run) -> float:
     """Peak traced allocation of run(), numpy buffers included, in MB."""
     tracemalloc.start()
@@ -446,6 +510,17 @@ class TestBoundedMemory:
         hits = np.random.default_rng(6).integers(0, 2, 4000)
         # a (resamples x reads) index matrix and its float gather would take 305 MB
         assert traced_peak_mb(lambda: bootstrap(hits, resamples=5000, seed=1)) < 16
+
+    def test_embedded_annealer_peak(self):
+        # K132 clique-embedded on C33 is 4488 spins, whose n x n float64
+        # coupling matrix alone would take 154 MB
+        k = 132
+        couplings = {(i, j): 1 + (i + j) % 3 for i in range(k) for j in range(i + 1, k)}
+        logical = IsingModel(n=k, h=(1, -2) * (k // 2), couplings=couplings)
+        model = embed_ising(logical, clique_embedding(k, chimera_graph(33)), 2).model
+        assert model.n == 4488
+        peak = traced_peak_mb(lambda: simulated_annealing(model, Schedule(n_sweeps=1), reads=1, seed=1))
+        assert peak < 20
 
     @pytest.mark.parametrize("budget", [1, 36, 100, 250, 5 * 512])
     def test_uniform_slabs(self, monkeypatch, budget):
@@ -599,6 +674,36 @@ def near_guard_models(draw):
     return to_ising(model) if draw(st.booleans()) else model
 
 
+@st.composite
+def near_guard_spins(draw):
+    """An Ising model of 2 to 8 spins, over a denominator of 1 or 3, whose form's
+    coefficient magnitudes sum to just below 2**53: one to three couplings
+    share what small integers elsewhere leave, so a field near them sums terms
+    of about 2**52 from several levels."""
+    n = draw(st.integers(2, 8))
+    small = st.integers(-20, 20)
+    h = [draw(small) for _ in range(n)]
+    pairs = {(i, j): draw(small) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    every = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    big = draw(st.lists(st.sampled_from(every), min_size=1, max_size=3, unique=True))
+    for key in big:
+        pairs[key] = 0
+    room = 2**53 - 1 - sum(map(abs, h)) - sum(map(abs, pairs.values()))
+    for key in big:
+        pairs[key] = draw(st.sampled_from((1, -1))) * (room // len(big) - draw(st.integers(0, 7)))
+    q = draw(st.sampled_from((1, 3)))
+    return IsingModel(
+        n=n, h=tuple(Fraction(v, q) for v in h), couplings={k: Fraction(v, q) for k, v in pairs.items()},
+        offset=draw(st.integers(-(2**60), 2**60)),
+    )
+
+
+# over a denominator of 3, spin 1 takes J = 2**52 - 1 from level 0 and -J from
+# level 2, so its field is exactly 0 whenever spins 0 and 2 agree
+NEAR_GUARD_CHAIN = IsingModel(
+    n=3, h=(Fraction(1, 3), 0, 0), couplings={(0, 1): Fraction(2**52 - 1, 3), (1, 2): Fraction(1 - 2**52, 3)}
+)
+
 # offsets past 2**53 that no float sum may carry
 BIG_OFFSETS = [
     dataclasses.replace(NEAR_GUARD_QUBO, offset=2**60),
@@ -627,6 +732,16 @@ class TestNearGuard:
     def test_tabu_matches_reference(self, model, tenure, restarts, seed):
         want = reference_tabu(model, tenure=tenure, max_restarts=restarts, seed=seed)
         assert tabu_search(model, tenure=tenure, max_restarts=restarts, seed=seed) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=near_guard_spins(), schedule=schedules, reads=st.integers(1, 5), seed=st.integers(0, 2**16))
+    @example(model=NEAR_GUARD_CHAIN, schedule=Schedule(math.inf, math.inf, 3), reads=4, seed=1)
+    @example(model=NEAR_GUARD_CHAIN, schedule=Schedule(0.1, 2.0, 3), reads=4, seed=2)
+    def test_annealing_matches_one_spin_loop(self, model, schedule, reads, seed):
+        # the annealer sums each initial field level by level, in units of -2 J;
+        # the fields are exact, so that grouping does not show in any record
+        got = simulated_annealing(model, schedule=schedule, reads=reads, seed=seed)
+        assert got.records == one_spin_annealing(model, schedule, reads, seed).records
 
 
 class TestSampleSet:
