@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
 from .errors import ParseError, PenaltyTooSmallError, PostmanError
-from .numbers import finite_or_str, parse_number, to_jsonable
+from .numbers import finite_or_str, format_number, parse_number, to_jsonable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -429,7 +429,8 @@ def cmd_defects(args: argparse.Namespace) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for delta in scan.deltas:
-            (out_dir / f"defects_delta_{delta}.csv").write_text(
+            name = format_number(delta).replace("/", "_")  # 7/2 -> defects_delta_7_2.csv
+            (out_dir / f"defects_delta_{name}.csv").write_text(
                 defects.heatmap_csv(scan, delta)
             )
         sys.stdout.write(f"wrote {len(scan.deltas)} heatmaps to {out_dir}\n")

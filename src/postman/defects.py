@@ -13,9 +13,9 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
-from .exact import m_min
-from .graphs import Graph, graph_features, is_connected
-from .numbers import Number, as_exact, format_number
+from .exact import OddPairDistances, m_min, minimum_matching
+from .graphs import Graph, _dijkstra, graph_features, is_connected, odd_nodes
+from .numbers import Number, as_exact, format_number, normalize
 
 DEFAULT_DELTAS = (1, 2, 3, 10, 15, 27, 34, 50)
 COMBINATION_GUARD_EDGES = 60  # applies to triple-defect scans
@@ -50,6 +50,13 @@ def defect_map(
     deltas: Sequence[Number] = DEFAULT_DELTAS,
     k: int = 1,
 ) -> DefectScan:
+    """Exact M_min of g with every k-combination of edges bumped by each delta.
+
+    A bump changes edge weights only, never the connectivity, the degrees or
+    the odd nodes, so those are found once. Each cell patches the bumped
+    weights into one copy of the adjacency, re-runs Dijkstra from the odd
+    nodes and re-matches them, then restores the weights.
+    """
     if k not in (1, 2, 3):
         raise InvalidArgumentError("defects per configuration must be 1, 2, or 3")
     if not is_connected(g):
@@ -59,21 +66,28 @@ def defect_map(
         raise InvalidArgumentError("need at least one delta")
     if any(d < 0 for d in exact_deltas):
         raise InvalidArgumentError("deltas must be nonnegative")
+    for i, d in enumerate(exact_deltas):
+        if d in exact_deltas[:i]:
+            raise InvalidArgumentError(f"delta {format_number(d)} is repeated")
     if k == 3 and len(g.edges) > COMBINATION_GUARD_EDGES:
         raise CombinationExplosionError(
             f"triple-defect scan over {len(g.edges)} edges exceeds the guard "
             f"of {COMBINATION_GUARD_EDGES}"
         )
     base = m_min(g).m_min
-    edge_pairs = [(u, v) for u, v, _ in g.edges]
-    combos = list(combinations(edge_pairs, k))
+    odd = tuple(odd_nodes(g))
+    adj = [dict(nbrs) for nbrs in g.adjacency]
+    combos = list(combinations([(u, v) for u, v, _ in g.edges], k))
     results: dict[Number, dict[Combo, Number]] = {d: {} for d in exact_deltas}
     for delta in exact_deltas:
         for combo in combos:
-            bumped = Graph(
-                g.n, [(u, v, w + delta if (u, v) in combo else w) for u, v, w in g.edges]
-            )
-            results[delta][combo] = m_min(bumped).m_min
+            for u, v in combo:
+                adj[u][v] = adj[v][u] = normalize(g.adjacency[u][v] + delta)
+            dist, _ = _dijkstra(adj, odd)
+            table = OddPairDistances(nodes=odd, dist=tuple(tuple(dist[a][b] for b in odd) for a in odd))
+            results[delta][combo] = minimum_matching(table).weight
+            for u, v in combo:
+                adj[u][v] = adj[v][u] = g.adjacency[u][v]
     return DefectScan(graph=g, deltas=exact_deltas, k=k, base=base, results=results)
 
 

@@ -129,7 +129,13 @@ def shortest_paths(g: Graph, sources: Iterable[int]):
     """
     if not is_connected(g):
         raise DisconnectedGraphError("shortest paths require a connected graph")
-    adj = g.adjacency
+    return _dijkstra(g.adjacency, sources)
+
+
+def _dijkstra(adj: Sequence[dict[int, Number]], sources: Iterable[int]):
+    """The core of `shortest_paths` over per-node neighbor -> weight dicts,
+    with no connectivity check; a defect scan runs it on a patched copy of
+    a Graph's adjacency."""
     dist_all: dict[int, dict[int, Number]] = {}
     pred_all: dict[int, dict[int, int | None]] = {}
     for s in sources:

@@ -6,6 +6,7 @@ import pytest
 
 from postman.chimera import DecodePolicy, EmbeddedIsing, Embedding, chimera_graph, validate_embedding
 from postman.errors import InvalidEmbeddingError
+from postman.exact import m_min
 from postman.graphs import Graph
 from postman.numbers import as_exact, normalize
 from postman.qubo import IsingModel, QuboModel
@@ -311,3 +312,17 @@ def reference_tabu(model, tenure=10, max_restarts=20, seed=0, moves=None):
         "reads": max_restarts,
     }
     return SampleSet.from_configs(form, bests, meta)
+
+
+def reference_defect_map(g: Graph, deltas, k: int):
+    """The per-cell rebuild that `defects.defect_map` ran before it patched
+    one adjacency: a new Graph per (delta, combo) cell, solved through
+    `m_min`. Returns the base weight and the results, keyed like the scan's."""
+    exact_deltas = tuple(as_exact(d) for d in deltas)
+    combos = list(itertools.combinations([(u, v) for u, v, _ in g.edges], k))
+    results = {d: {} for d in exact_deltas}
+    for delta in exact_deltas:
+        for combo in combos:
+            bumped = Graph(g.n, [(u, v, w + delta if (u, v) in combo else w) for u, v, w in g.edges])
+            results[delta][combo] = m_min(bumped).m_min
+    return m_min(g).m_min, results

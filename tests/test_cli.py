@@ -320,6 +320,15 @@ class TestPipelines:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["defects_delta_1.csv", "defects_delta_5.csv"]
 
+    def test_defects_heatmaps_fractional_delta(self, capsys, demo_file, tmp_path):
+        out_dir = tmp_path / "maps"
+        code, _, _ = run(
+            capsys, "defects", demo_file, "--k", "1", "--deltas", "1/2,3", "--out", str(out_dir)
+        )
+        assert code == 0
+        names = sorted(p.name for p in out_dir.iterdir())
+        assert names == ["defects_delta_1_2.csv", "defects_delta_3.csv"]
+
     def test_defects_combos_stdout(self, capsys, demo_file):
         code, out, _ = run(capsys, "defects", demo_file, "--k", "2", "--deltas", "3")
         assert out.splitlines()[0] == "delta,edges,m_min"
@@ -415,6 +424,8 @@ class TestExitCodes:
             ["metrics", "SAMPLES", "--reference", "5", "--sweeps", "0"],
             ["defects", "DEMO", "--deltas", ""],
             ["defects", "DEMO", "--deltas", ",", "--k", "1", "--out", "DIR"],
+            ["defects", "DEMO", "--deltas", "1,1"],
+            ["defects", "DEMO", "--deltas", "1,2/2", "--k", "1", "--out", "DIR"],
         ],
     )
     def test_argument_out_of_range_is_domain(self, capsys, tmp_path, demo_file, argv):

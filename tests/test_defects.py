@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import islice
 
 import pytest
@@ -11,11 +12,11 @@ from postman.defects import (
     mmin_vs_cmax,
     scatter_csv,
 )
-from postman.errors import CombinationExplosionError, DisconnectedGraphError
+from postman.errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
 from postman.exact import m_min
 from postman.graphs import Graph, odd_nodes
 
-from conftest import graph_stream
+from conftest import graph_stream, reference_defect_map
 
 
 def pendant_graph():
@@ -80,6 +81,67 @@ class TestDefectMap:
         scan = defect_map(demo, deltas=[1], k=2)
         with pytest.raises(ValueError):
             scan.matrix(1)
+
+
+def halved(g):
+    """g with every weight halved: fractional weights, same shortest paths."""
+    return Graph(g.n, [(u, v, Fraction(w, 2)) for u, v, w in g.edges])
+
+
+def bridged_triangles():
+    """Two triangles joined by the bridge (2, 3); odd nodes 2 and 3."""
+    return Graph(6, [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 4), (3, 4, 1), (4, 5, 2), (3, 5, 5)])
+
+
+class TestReferenceDefectMap:
+    """The patched-adjacency scan against a fresh Graph solved per cell."""
+
+    DELTAS = (0, 1, Fraction(7, 2), 10)
+
+    def assert_matches_reference(self, g, k):
+        before = [dict(nbrs) for nbrs in g.adjacency]
+        scan = defect_map(g, deltas=self.DELTAS, k=k)
+        base, results = reference_defect_map(g, self.DELTAS, k)
+        assert scan.base == base
+        assert scan.results == results
+        assert list(scan.results) == list(results)
+        for delta in results:
+            assert list(scan.results[delta]) == list(results[delta])
+        assert [dict(nbrs) for nbrs in g.adjacency] == before
+        return scan
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_integer_weights(self, k):
+        for g in islice(graph_stream(seed=20 + k, n=7, p=0.45), 4):
+            self.assert_matches_reference(g, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_fractional_weights(self, k):
+        for g in islice(graph_stream(seed=30 + k, n=7, p=0.45), 4):
+            self.assert_matches_reference(halved(g), k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_demo(self, demo, k):
+        self.assert_matches_reference(demo, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_bridge(self, k):
+        self.assert_matches_reference(bridged_triangles(), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_eulerian_cells_are_zero(self, k):
+        g = Graph(5, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (3, 4, 1), (0, 4, 5)])
+        assert not odd_nodes(g)
+        scan = self.assert_matches_reference(g, k)
+        assert scan.base == 0
+        assert all(v == 0 for row in scan.results.values() for v in row.values())
+
+    @pytest.mark.parametrize(
+        "deltas, repeated", [((1, 1), "1"), ((1, Fraction(2, 2)), "1"), ((3, Fraction(1, 2), 3), "3")]
+    )
+    def test_repeated_delta_raises(self, demo, deltas, repeated):
+        with pytest.raises(InvalidArgumentError, match=f"^delta {repeated} is repeated$"):
+            defect_map(demo, deltas=deltas, k=1)
 
 
 class TestHeatmapCsv:

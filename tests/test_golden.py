@@ -64,6 +64,8 @@ CASES = {
         "--reads", "9", "--sweeps", "10", "--seed", "3",
     ],
     "defects_k2": ["defects", DEMO, "--k", "2", "--deltas", "1,5"],
+    "defects_d6_k3": ["defects", D6, "--k", "3", "--deltas", "1,7/2"],
+    "defects_d8_k1": ["defects", D8, "--k", "1"],
     "embed": ["embed", "--n-logical", "12", "--m", "3"],
     "metrics": ["metrics", SAMPLES, "--reference", "5", "--resamples", "200", "--seed", "0"],
 }
