@@ -220,10 +220,6 @@ def walk_nodes(walk: tuple[tuple[int, int, int], ...]) -> list[int]:
     return [walk[0][0]] + [step[1] for step in walk]
 
 
-def walk_length(mg: MultiGraph, walk: tuple[tuple[int, int, int], ...]) -> Number:
-    return sum((mg.edges[eid][2] for _, _, eid in walk), start=0)
-
-
 def solve(g: Graph, with_circuit: bool = False) -> CppSolution:
     """Full exact solution; optionally extracts the closed route."""
     sol = m_min(g)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DisconnectedGraphError, InfeasibleSpecError, InvalidArgumentError, ParseError
-from .numbers import Number, as_exact, format_number, json_int, parse_number, to_jsonable
+from .numbers import Number, as_exact, format_number, json_int, parse_number
 
 Edge = tuple[int, int, Number]
 
@@ -276,10 +276,6 @@ def random_graph(spec: EnsembleSpec, index: int) -> Graph:
     )
 
 
-def random_non_eulerian(spec: EnsembleSpec) -> list[Graph]:
-    return [random_graph(spec, i) for i in range(spec.count)]
-
-
 # --- edge-list and JSON formats --------------------------------------------
 #
 # Text: first non-comment line "n m", then m lines "u v w"; '#' starts a
@@ -321,10 +317,6 @@ def read_edge_list(text: str) -> Graph:
     if len(edges) != m:
         raise ParseError(f"header promised {m} edges, found {len(edges)}")
     return Graph(n, edges)
-
-
-def graph_to_json(g: Graph) -> dict:
-    return {"n": g.n, "edges": [[u, v, to_jsonable(w)] for u, v, w in g.edges]}
 
 
 def graph_from_json(obj) -> Graph:

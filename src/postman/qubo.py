@@ -78,10 +78,6 @@ class QuboModel:
                 e += b
         return normalize(e)
 
-    @property
-    def num_quadratic(self) -> int:
-        return sum(1 for v in self.quadratic.values() if v != 0)
-
     @cached_property
     def int_form(self) -> "_IntForm":
         """The model's integer form, built once per instance."""
@@ -426,13 +422,3 @@ def qubo_from_json(obj) -> QuboModel:
         )
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise ParseError(f"bad QUBO JSON: {exc}") from None
-
-
-def ising_to_json(m: IsingModel) -> dict:
-    return {
-        "n": m.n,
-        "offset": to_jsonable(m.offset),
-        "h": [to_jsonable(v) for v in m.h],
-        "couplings": [[i, j, to_jsonable(v)] for (i, j), v in sorted(m.couplings.items())],
-    }
-

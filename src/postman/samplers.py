@@ -2,7 +2,8 @@
 
 Every model is read through one integer form: its coefficients as integers
 over a common denominator. Search loops run in float over that form
-(integer-valued, so argmins are sound), and stored energies are exact integer
+(integer-valued, so argmins are sound), except the branch-and-bound gap
+search, which runs in Python integers; stored energies are exact integer
 products of the same arrays, divided by the denominator. Randomized
 samplers derive one RNG stream per read (or restart) from the master seed, so
 results are deterministic regardless of execution order.
@@ -26,6 +27,8 @@ from .qubo import IsingModel, QuboModel, _IntForm
 
 BRUTE_FORCE_GUARD = 26
 GROUND_STATE_GUARD = 32
+# variables of the branch-and-bound gap search; see `_branch_levels`
+BRANCH_GUARD = 90
 # float64 entries (2 MB) in one working block of the exact scans, of the
 # annealer's uniforms and of the products in `SampleSet.from_configs`. Every
 # value in those blocks is exact or is drawn in stream order, so no result
@@ -319,17 +322,17 @@ def brute_force(model, keep: int = 1) -> SampleSet:
     return SampleSet.from_configs(form, split.configs(np.concatenate(a), np.concatenate(b)), meta)
 
 
-def spectral_gap_large(model) -> tuple[Number, Number, Number]:
-    """(E0, E1, E1 - E0), E1 the next level above E0, for up to 32 variables.
+def _split_levels(split: _HalfSplit) -> list[int]:
+    """The two lowest x-form levels, offset excluded (one if the spectrum has
+    one), by the split scan.
 
-    Split enumeration with sound pruning: the energies of both half-spaces are
-    attained outright (zero complement), which seeds an upper bound for the
-    second level; half-assignments whose cross-term lower bound exceeds that
-    seed cannot host either of the two lowest levels and are skipped. Each
-    block gives its two lowest levels in place (its minimum is masked to +inf),
-    so the scan holds one block of about BLOCK_FLOATS floats at a time.
+    The energies of both half-spaces are attained outright (zero complement),
+    which seeds an upper bound for the second level; half-assignments whose
+    cross-term lower bound exceeds that seed cannot host either of the two
+    lowest levels and are skipped. Each block gives its two lowest levels in
+    place (its minimum is masked to +inf), so the scan holds one block of
+    about BLOCK_FLOATS floats at a time.
     """
-    split = _HalfSplit(model)
     lows = list(np.unique(np.concatenate([split.EA, split.EB]))[:2])
     cutoff = lows[1] if len(lows) > 1 else math.inf
     for _, tot in split.blocks(split.candidates(cutoff)):
@@ -337,12 +340,114 @@ def spectral_gap_large(model) -> tuple[Number, Number, Number]:
         tot[tot == m0] = math.inf
         m1 = tot.min()
         lows += [m0] if m1 == math.inf else [m0, m1]
-    levels = np.unique(lows)[:2]
+    return [int(v) for v in np.unique(lows)[:2]]
+
+
+def _branch_levels(x_form: _IntForm) -> list[int]:
+    """The two lowest levels, offset excluded (one if the spectrum has one),
+    of an x-form whose couplings are all >= 0, by depth-first branch and
+    bound in Python integers.
+
+    A node of the search fixes some bits; e is the energy of the fixed ones,
+    and each free bit u keeps its field phi[u]: its linear term plus its
+    couplings to the fixed bits set to 1. Setting free bits to 1 adds their
+    fields and their couplings among themselves, which are >= 0, so
+    e + sum(min(0, phi[u]) over the free u) bounds the node's subtree from
+    below (Boros & Hammer, "Pseudo-Boolean optimization", 2002), and a node
+    whose bound reaches the second level found so far is pruned. Once every
+    free field is >= 0, the search stops descending: e is the subtree's
+    lowest level (every free bit 0), and the next adds the least of the
+    positive free fields (one bit set) and the couplings between zero-field
+    bits (two bits set). A set of free bits that adds more than 0 holds a
+    positive-field bit or two coupled zero-field bits, so nothing lies in
+    between; the couplings count because two zero-field bits joined by a
+    coupling can give a level below the least positive field. Until then it
+    branches on the free bit of lowest field, 1 before 0. The all-zero state
+    and each bit alone seed the two levels. Memory is the fields and the
+    coupling lists, linear in the model's size; time is guarded at
+    BRANCH_GUARD variables.
+    """
+    n = x_form.n
+    if n > BRANCH_GUARD:
+        raise TooLargeError(f"dim {n} exceeds branch-and-bound guard {BRANCH_GUARD}")
+    phi = x_form.linear.tolist()
+    coupled = [[] for _ in range(n)]
+    for i, j, b in zip(x_form.rows.tolist(), x_form.cols.tolist(), x_form.quad.tolist()):
+        if b:
+            coupled[i].append((j, b))
+            coupled[j].append((i, b))
+    free = set(range(n))
+    seeds = sorted({0, *phi})
+    lo0, lo1 = seeds[0], seeds[1] if len(seeds) > 1 else math.inf
+
+    def keep(v):
+        nonlocal lo0, lo1
+        if v < lo0:
+            lo0, lo1 = v, lo0
+        elif lo0 < v < lo1:
+            lo1 = v
+
+    def visit(e, slack):  # slack: the sum of min(0, phi[u]) over the free bits
+        if e + slack >= lo1:
+            return
+        if not free:
+            keep(e)
+            return
+        u = min(free, key=phi.__getitem__)
+        f = phi[u]
+        if f > 0:
+            keep(e)
+            keep(e + f)
+            return
+        if f == 0:
+            keep(e)
+            zero = {v for v in free if phi[v] == 0}
+            rises = [phi[v] for v in free if phi[v]]
+            rises += [b for v in zero for w, b in coupled[v] if w in zero]
+            if rises:
+                keep(e + min(rises))
+            return
+        free.remove(u)
+        raised = [(v, b) for v, b in coupled[u] if v in free]
+        rise = 0
+        for v, b in raised:
+            old = phi[v]
+            phi[v] = old + b
+            if old < 0:
+                rise += min(old + b, 0) - old
+        visit(e + f, slack - f + rise)
+        for v, b in raised:
+            phi[v] -= b
+        visit(e, slack - f)
+        free.add(u)
+
+    visit(0, sum(min(0, a) for a in phi))
+    return [lo0] if lo1 == math.inf else [lo0, lo1]
+
+
+def _gap(x_form: _IntForm, levels: list[int]) -> tuple[Number, Number, Number]:
+    """(E0, E1, E1 - E0) of an x-form's two lowest levels, offset excluded."""
     if len(levels) < 2:
         raise NoGapError("spectrum has a single level")
-    x = split.x_form
-    e0, e1 = (normalize(Fraction(int(v) + x.offset, x.scale)) for v in levels)
+    e0, e1 = (normalize(Fraction(v + x_form.offset, x_form.scale)) for v in levels)
     return e0, e1, normalize(e1 - e0)
+
+
+def spectral_gap_large(model) -> tuple[Number, Number, Number]:
+    """(E0, E1, E1 - E0), E1 the next level above E0, exactly.
+
+    A model whose couplings are all >= 0 in the bit basis (every `build_qubo`
+    model; an Ising model with every J >= 0) takes the branch and bound of
+    `_branch_levels`, up to BRANCH_GUARD variables. Any other model takes the
+    meet-in-the-middle scan of `_split_levels`, up to GROUND_STATE_GUARD
+    variables. Both return the same levels, as exact ints or Fractions.
+    """
+    form = _int_form(model)
+    x_form = form.rebased() if form.kind == "ising" else form
+    if min(x_form.quad.tolist(), default=0) >= 0:
+        return _gap(x_form, _branch_levels(x_form))
+    split = _HalfSplit(form)
+    return _gap(split.x_form, _split_levels(split))
 
 
 def ground_state(model) -> SampleSet:

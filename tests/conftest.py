@@ -7,8 +7,8 @@ import pytest
 from postman.chimera import DecodePolicy, EmbeddedIsing, Embedding, chimera_graph, validate_embedding
 from postman.errors import InvalidEmbeddingError
 from postman.exact import m_min
-from postman.graphs import Graph
-from postman.numbers import as_exact, normalize
+from postman.graphs import EnsembleSpec, Graph, random_graph
+from postman.numbers import Number, as_exact, normalize, to_jsonable
 from postman.qubo import IsingModel, QuboModel
 from postman.samplers import SampleSet, _int_form, _native, _x_floats
 
@@ -62,6 +62,36 @@ def graph_stream(seed: int, n: int, p: float, w_hi: int = 9):
         g = random_connected_graph(rng, n, p, w_hi)
         if g is not None:
             yield g
+
+
+def ensemble(spec: EnsembleSpec) -> list[Graph]:
+    """The spec's graphs 0 .. count - 1, as `postman gen` draws them."""
+    return [random_graph(spec, i) for i in range(spec.count)]
+
+
+def walk_length(mg, walk) -> Number:
+    """Total weight of a walk's multigraph edges."""
+    return sum((mg.edges[eid][2] for _, _, eid in walk), start=0)
+
+
+def num_quadratic(model: QuboModel) -> int:
+    """The nonzero couplings of a QUBO."""
+    return sum(1 for v in model.quadratic.values() if v != 0)
+
+
+def graph_to_json(g: Graph) -> dict:
+    """A graph in the JSON form that `graphs.graph_from_json` reads."""
+    return {"n": g.n, "edges": [[u, v, to_jsonable(w)] for u, v, w in g.edges]}
+
+
+def ising_to_json(m: IsingModel) -> dict:
+    """An Ising model as JSON, couplings in key order; golden outputs hash it."""
+    return {
+        "n": m.n,
+        "offset": to_jsonable(m.offset),
+        "h": [to_jsonable(v) for v in m.h],
+        "couplings": [[i, j, to_jsonable(v)] for (i, j), v in sorted(m.couplings.items())],
+    }
 
 
 def exhaustive(model) -> SampleSet:

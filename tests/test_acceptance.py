@@ -34,7 +34,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import DEMO_EDGES, apply_gauge, exhaustive, graph_stream
+from conftest import DEMO_EDGES, apply_gauge, exhaustive, graph_stream, num_quadratic
 
 
 def report(line: str):
@@ -147,7 +147,7 @@ def test_c05_size_bookkeeping():
         assert model.dim == dim
         if terms is not None:
             # d=6 yields 255 couplings, not 256: see README, encoding conventions
-            assert model.num_quadratic == terms
+            assert num_quadratic(model) == terms
     report("criterion 5: variable counts 2/12/30/56; coupling counts 54/255/700 (d=6 is 255, documented)")
 
 

@@ -11,7 +11,7 @@ from postman import chimera, qubo
 from postman.cli import main
 from postman.graphs import Graph, write_edge_list
 
-from conftest import DEMO_EDGES, NEAR_GUARD_QUBO
+from conftest import DEMO_EDGES, NEAR_GUARD_QUBO, graph_to_json
 
 
 @pytest.fixture()
@@ -49,8 +49,6 @@ class TestExact:
         assert payload["circuit"][0] == payload["circuit"][-1]
 
     def test_json_graph_input(self, capsys, tmp_path):
-        from postman.graphs import graph_to_json
-
         path = tmp_path / "g.json"
         path.write_text(json.dumps(graph_to_json(Graph(6, DEMO_EDGES))))
         code, out, _ = run(capsys, "exact", str(path))
@@ -64,6 +62,16 @@ class TestExact:
         assert_domain_error(code, err)
         assert out == ""
         assert err == "error: refusing to enumerate pairings for d=16 > 14\n"
+
+    def test_gap_search_guard(self, capsys, tmp_path):
+        # the star K1,12 has 12 odd leaves: a 132-variable pair-QUBO, past the
+        # branch-and-bound guard of 90
+        path = tmp_path / "star.edgelist"
+        path.write_text(write_edge_list(Graph(13, [(0, v, 1) for v in range(1, 13)])))
+        code, out, err = run(capsys, "penalty-sweep", str(path), "--p-grid", "12")
+        assert_domain_error(code, err)
+        assert out == ""
+        assert err == "error: dim 132 exceeds branch-and-bound guard 90\n"
 
 
 class TestQubo:

@@ -17,12 +17,11 @@ from postman.exact import (
     minimum_matching,
     odd_pair_distances,
     solve,
-    walk_length,
     walk_nodes,
 )
 from postman.graphs import Graph, MultiGraph, odd_nodes, total_weight
 
-from conftest import graph_stream
+from conftest import graph_stream, walk_length
 
 
 def double_factorial(d):

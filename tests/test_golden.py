@@ -25,6 +25,8 @@ from postman import chimera, exact, graphs, metrics, qubo, samplers
 from postman.cli import main
 from postman.numbers import to_jsonable
 
+from conftest import ising_to_json
+
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
 DEMO = str(GOLDEN / "demo.edgelist")
@@ -54,6 +56,10 @@ CASES = {
     "penalty_sweep_d6": [
         "penalty-sweep", D6, "--p-grid", "6", "--reads", "20", "--sweeps", "60",
         "--restarts", "3", "--seed", "1", "--format", "json",
+    ],
+    "penalty_sweep_d8": [
+        "penalty-sweep", D8, "--p-grid", "8,16,32", "--reads", "10", "--sweeps", "20",
+        "--restarts", "2", "--seed", "1", "--format", "json",
     ],
     "jf_sweep_d8": [
         "jf-sweep", D8, "--m", "14", "--p", "8", "--jf-grid", "0.5,2.0",
@@ -115,7 +121,7 @@ def _embedded(path: str, p: int, n: int, m: int) -> str:
     emb = chimera.clique_embedding(n, chimera.chimera_graph(m))
     embedded = chimera.embed_ising(qubo.to_ising(model), emb, 1.5)
     payload = {
-        "model": qubo.ising_to_json(embedded.model),
+        "model": ising_to_json(embedded.model),
         "coupling_insertion_order": [list(k) for k in embedded.model.couplings],
         "chain_offsets": [to_jsonable(v) for v in embedded.chain_offsets],
         "constant": to_jsonable(embedded.constant),
@@ -178,6 +184,18 @@ NAMES = [*CASES, *PRODUCERS]
 @pytest.mark.parametrize("name", NAMES)
 def test_golden(name):
     assert produce(name) == (GOLDEN / f"{name}.out").read_text()
+
+
+def test_penalty_sweep_d8_levels():
+    # e0 is M_min at every p, and e0 + gap is the next level: at most the
+    # second-lowest pairing weight, since every pairing is a legal state
+    table = exact.odd_pair_distances(graphs.read_edge_list(Path(D8).read_text()))
+    weights = sorted({sum(table.dist[i][j] for i, j in m) for m in exact.enumerate_matchings(table.d)})
+    rows = json.loads((GOLDEN / "penalty_sweep_d8.out").read_text())["rows"]
+    assert [r["p"] for r in rows] == [8, 16, 32]
+    for r in rows:
+        assert r["e0"] == weights[0] == 4
+        assert r["e0"] + r["gap"] == 5 <= weights[1]
 
 
 @pytest.mark.parametrize("name", SCRIPTS)

@@ -10,13 +10,11 @@ from postman.graphs import (
     Graph,
     graph_features,
     graph_from_json,
-    graph_to_json,
     hops,
     is_connected,
     is_eulerian,
     odd_nodes,
     random_graph,
-    random_non_eulerian,
     read_edge_list,
     reconstruct_path,
     shortest_paths,
@@ -24,7 +22,7 @@ from postman.graphs import (
     write_edge_list,
 )
 
-from conftest import graph_stream
+from conftest import ensemble, graph_stream, graph_to_json
 
 
 def brute_force_distance(g: Graph, a: int, b: int):
@@ -180,20 +178,20 @@ class TestHandshake:
 class TestEnsemble:
     def test_deterministic(self):
         spec = EnsembleSpec(n=10, edge_prob=0.3, count=4, seed=7)
-        a = random_non_eulerian(spec)
-        b = random_non_eulerian(spec)
+        a = ensemble(spec)
+        b = ensemble(spec)
         assert [g.edges for g in a] == [g.edges for g in b]
 
     def test_all_connected_non_eulerian(self):
         spec = EnsembleSpec(n=9, edge_prob=0.35, count=25, seed=3)
-        for g in random_non_eulerian(spec):
+        for g in ensemble(spec):
             assert is_connected(g)
             odd = odd_nodes(g)
             assert len(odd) >= 2 and len(odd) % 2 == 0
 
     def test_weight_range(self):
         spec = EnsembleSpec(n=8, edge_prob=0.4, count=5, seed=1, w_lo=2, w_hi=6)
-        for g in random_non_eulerian(spec):
+        for g in ensemble(spec):
             assert all(2 <= w <= 6 for _, _, w in g.edges)
 
     def test_infeasible_spec(self):

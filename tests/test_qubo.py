@@ -33,7 +33,7 @@ from postman.qubo import (
 )
 from postman.samplers import _x_floats
 
-from conftest import assert_same_form, assert_same_model, reference_to_ising
+from conftest import assert_same_form, assert_same_model, num_quadratic, reference_to_ising
 
 
 # --- independent oracle: literal symbolic expansion of the objective --------
@@ -106,19 +106,19 @@ class TestBuilderAgainstOracle:
     @pytest.mark.parametrize("d,terms", [(4, 54), (6, 255), (8, 700)])
     def test_nonzero_pairwise_counts(self, d, terms):
         model = build_qubo(random_table(d, seed=1), d)
-        assert model.num_quadratic == terms
+        assert num_quadratic(model) == terms
 
     def test_demo_model(self, demo):
         model = build_qubo(demo_table(demo), 8)
         assert model.dim == 12
         assert model.offset == 32
         assert model.linear[0] == -14  # x01 carries W01 - 2p = 2 - 16
-        assert model.num_quadratic == 54
+        assert num_quadratic(model) == 54
 
     def test_d2_dimensions(self):
         model = build_qubo(((0, 3), (3, 0)), 2)
         assert model.dim == 2
-        assert model.num_quadratic == 1
+        assert num_quadratic(model) == 1
 
 
 class TestBuilderErrors:

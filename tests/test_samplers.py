@@ -16,10 +16,15 @@ from postman.errors import (
 from postman.exact import odd_pair_distances
 from postman.graphs import Graph, read_edge_list
 from postman.metrics import bootstrap
+from postman.numbers import normalize
 from postman.qubo import IsingModel, QuboModel, build_qubo, to_ising
 from postman.samplers import (
     BLOCK_FLOATS,
+    BRANCH_GUARD,
     _HalfSplit,
+    _branch_levels,
+    _gap,
+    _split_levels,
     _exact_floats,
     _int_form,
     _level_plan,
@@ -37,7 +42,8 @@ from postman.samplers import (
 from conftest import NEAR_GUARD_QUBO, apply_gauge, exhaustive, levels, reference_tabu
 from test_metrics import fractional_embedded
 
-D8 = Path(__file__).parent / "golden" / "d8.edgelist"  # the bench's d = 8 instance
+GOLDEN = Path(__file__).parent / "golden"
+D8 = GOLDEN / "d8.edgelist"  # the bench's d = 8 instance
 
 
 def demo_qubo(demo, p=8):
@@ -182,6 +188,127 @@ class TestSpectralGap:
         assert max(size for _, size in sizes) == BLOCK_FLOATS
 
 
+# coefficients with denominators 1..7, so the scale is rarely 1
+_fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
+_nonnegative = st.builds(Fraction, st.integers(0, 12), st.integers(1, 7))
+
+
+@st.composite
+def nonnegative_qubos(draw):
+    """A QUBO of up to 10 bits whose couplings are all >= 0: Fraction, zero
+    and absent couplings, and a share of zero fields."""
+    n = draw(st.integers(0, 10))
+    linear = tuple(draw(st.one_of(st.just(0), _fraction)) for _ in range(n))
+    quadratic = {(i, j): draw(_nonnegative) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())}
+    return QuboModel(dim=n, linear=linear, quadratic=quadratic, offset=draw(_fraction))
+
+
+@st.composite
+def pair_qubos(draw):
+    """The pair-QUBO of a random symmetric d x d table, d = 2 or 4, with
+    integer or Fraction weights and a penalty p >= d."""
+    d = draw(st.sampled_from((2, 4)))
+    dist = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            dist[i][j] = dist[j][i] = draw(st.builds(Fraction, st.integers(1, 20), st.integers(1, 3)))
+    return build_qubo(dist, draw(st.builds(Fraction, st.integers(d, 8 * d), st.integers(1, 2)).filter(lambda p: p >= d)))
+
+
+def assert_gap_is_exhaustive(model):
+    """The gap of both routes into the branch and bound, against the exhaustive
+    spectrum: equal values, and equal int/Fraction types."""
+    e0, e1 = levels(exhaustive(model))[:2]
+    form = model.int_form
+    x_form = form.rebased() if form.kind == "ising" else form
+    for got in (spectral_gap_large(model), _gap(x_form, _branch_levels(x_form))):
+        assert got == (e0, e1, e1 - e0)
+        assert list(map(type, got)) == list(map(type, (e0, e1, normalize(e1 - e0))))
+
+
+class TestBranchLevels:
+    """The branch-and-bound gap search of models whose couplings are all >= 0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(model=nonnegative_qubos())
+    # two zero fields joined by a positive coupling: the level 1 sits below the
+    # lowest positive field, 5, so the next level counts zero-field couplings
+    @example(model=QuboModel(dim=3, linear=(0, 0, 5), quadratic={(0, 1): 1}))
+    @example(model=QuboModel(dim=4, linear=(0, 0, 0, 7), quadratic={(0, 1): 2, (1, 2): 3, (0, 2): 1}))
+    def test_matches_exhaustive(self, model):
+        if len(levels(exhaustive(model))) < 2:
+            with pytest.raises(NoGapError):
+                spectral_gap_large(model)
+        else:
+            assert_gap_is_exhaustive(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=pair_qubos())
+    def test_pair_qubos(self, model):
+        assert_gap_is_exhaustive(model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_ising_with_nonnegative_couplings(self, data):
+        # J >= 0 is a coupling of 4 J >= 0 in the bit basis
+        n = data.draw(st.integers(1, 9))
+        h = tuple(data.draw(_fraction) for _ in range(n))
+        couplings = {(i, j): data.draw(_nonnegative) for i in range(n) for j in range(i + 1, n) if data.draw(st.booleans())}
+        model = IsingModel(n=n, h=h, couplings=couplings, offset=data.draw(_fraction))
+        if len(levels(exhaustive(model))) > 1:
+            assert_gap_is_exhaustive(model)
+
+    def test_single_level(self):
+        # 90 zero fields end the search at its root: branching on them would visit 2**90 nodes
+        for model in (QuboModel(dim=0, linear=(), quadratic={}), QuboModel(dim=90, linear=(0,) * 90, quadratic={})):
+            with pytest.raises(NoGapError):
+                spectral_gap_large(model)
+        plateau = QuboModel(dim=90, linear=(0,) * 90, quadratic={(i, i + 1): 3 for i in range(0, 89, 2)})
+        assert spectral_gap_large(plateau) == (0, 3, 3)
+
+    @pytest.mark.parametrize("source", ["d6.edgelist", "d6_pair_qubo"])
+    @pytest.mark.parametrize("p", [6, Fraction(27, 2), 24])
+    def test_d6_matches_split_scan(self, source, p):
+        if source == "d6_pair_qubo":
+            model = d6_pair_qubo(p)[0]
+        else:
+            model = build_qubo(odd_pair_distances(read_edge_list((GOLDEN / source).read_text())), p)
+        for m in (model, to_ising(model)):
+            split = _HalfSplit(m)
+            want = _gap(split.x_form, _split_levels(split))
+            got = spectral_gap_large(m)
+            assert got == want
+            assert list(map(type, got)) == list(map(type, want))
+
+    def test_routing(self, monkeypatch, demo):
+        # the split scan serves only models with a negative bit-basis coupling
+        mixed = random_ising(9, seed=8)
+        assert min(mixed.int_form.rebased().quad.tolist()) < 0
+        e0, e1 = levels(exhaustive(mixed))[:2]
+
+        def refuse(model):
+            raise AssertionError("split scan built")
+
+        monkeypatch.setattr(samplers, "_HalfSplit", refuse)
+        assert spectral_gap_large(demo_qubo(demo)) == (5, 10, 5)
+        with pytest.raises(AssertionError):
+            spectral_gap_large(mixed)
+        monkeypatch.undo()
+        assert spectral_gap_large(mixed) == (e0, e1, e1 - e0)
+
+    def test_guard(self):
+        assert BRANCH_GUARD == 90  # d = 10 pair-QUBOs take 0.3-1.4 s per call, d = 12 13-19 s
+        at = QuboModel(dim=BRANCH_GUARD, linear=(1,) * BRANCH_GUARD, quadratic={(0, 1): 1})
+        assert spectral_gap_large(at) == (0, 1, 1)
+        past = QuboModel(dim=BRANCH_GUARD + 1, linear=(1,) * (BRANCH_GUARD + 1), quadratic={(0, 1): 1})
+        with pytest.raises(TooLargeError, match="dim 91 exceeds branch-and-bound guard 90"):
+            spectral_gap_large(past)
+        # a negative coupling keeps the split scan and its guard of 32
+        mixed = QuboModel(dim=33, linear=(1,) * 33, quadratic={(0, 1): -1})
+        with pytest.raises(TooLargeError, match="dim 33 exceeds ground-state guard 32"):
+            spectral_gap_large(mixed)
+
+
 class TestGroundState:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force(self, seed):
@@ -311,10 +438,6 @@ def one_spin_annealing(model, schedule, reads, seed):
                 S[accept, i] = -old
                 F[accept] += (-2.0 * old)[:, None] * Jm[i][None, :]
     return SampleSet.from_configs(form, S.astype(np.int8), {})
-
-
-# coefficients with denominators 1..7, so the scale is rarely 1
-_fraction = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 7))
 
 
 @st.composite
@@ -489,10 +612,18 @@ class TestBoundedMemory:
     """Working memory is set by BLOCK_FLOATS, and no result depends on it."""
 
     def test_gap_scan_peak(self):
-        model, _ = d6_pair_qubo()
+        # one negative coupling sends the d = 6 pair-QUBO to the split scan:
         # 2**15 x 15 cross fields and B-assignments take 7.5 MB; a full-width
         # scan block was 16 MB, held up to three times
-        assert traced_peak_mb(lambda: spectral_gap_large(model)) < 24
+        model, _ = d6_pair_qubo()
+        mixed = dataclasses.replace(model, quadratic={**model.quadratic, (0, 1): -1})
+        assert traced_peak_mb(lambda: spectral_gap_large(mixed)) < 24
+
+    def test_branch_search_peak(self):
+        # the d = 8 pair-QUBO's search holds its fields and coupling lists alone
+        model = build_qubo(odd_pair_distances(read_edge_list(D8.read_text())), 8)
+        model.int_form  # built and kept on the model before the trace starts
+        assert traced_peak_mb(lambda: spectral_gap_large(model)) < 1
 
     def test_annealer_peak(self):
         ising = to_ising(d6_pair_qubo()[0])
