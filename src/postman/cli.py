@@ -332,12 +332,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "physical_qubits": len(embedded.qubit_order),
         "policies": {},
     }
-    for policy in _policies(args.policy):
-        decoded, broken = metrics.decode_sampleset(physical, emb, logical, policy)
-        prob = metrics.p_gs(decoded, reference)
+    for policy, prob, t99, broken in metrics._policy_outcomes(
+        physical, emb, logical, reference, _policies(args.policy), args.anneal_time
+    ):
         report["policies"][policy.value] = {
             "p_gs": float(prob),
-            "t_99": finite_or_str(metrics.t_99(prob, args.anneal_time)),
+            "t_99": finite_or_str(t99),
             "broken_fraction": broken,
         }
     _emit(_json_dump(report), args.out)

@@ -146,6 +146,15 @@ def decode_sampleset(
     return out, (int(reads[broken > 0].sum()) / total if total else 0.0)
 
 
+def _policy_outcomes(physical: SampleSet, emb: Embedding, logical: IsingModel, reference_energy: Number,
+                     policies: Sequence[DecodePolicy], anneal_time: float):
+    """(policy, p_gs, t_99, broken fraction) per decode policy, each decoding the same physical reads."""
+    for policy in policies:
+        decoded, broken = decode_sampleset(physical, emb, logical, policy)
+        prob = p_gs(decoded, reference_energy)
+        yield policy, prob, t_99(prob, anneal_time), broken
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     """One sweep measurement: coupling, policy, gauge count, and outcomes."""
@@ -213,23 +222,13 @@ def jf_sweep(
     points = []
     for index, jf in enumerate(jf_grid):
         embedded = embed_ising(logical, emb, jf)
-        physical = sample_embedded(
-            embedded, schedule, reads, gauges, seed=_derived_seed(seed, index)
-        )
-        for policy in policies:
-            decoded, broken = decode_sampleset(physical, emb, logical, policy)
-            prob = p_gs(decoded, reference_energy)
-            points.append(
-                CurvePoint(
-                    jf=float(jf),
-                    policy=policy.value,
-                    gauges=gauges,
-                    reads=reads,
-                    p_gs=prob,
-                    t_99=t_99(prob, anneal_time),
-                    broken_fraction=broken,
-                )
+        physical = sample_embedded(embedded, schedule, reads, gauges, seed=_derived_seed(seed, index))
+        points.extend(
+            CurvePoint(float(jf), policy.value, gauges, reads, prob, t99, broken)
+            for policy, prob, t99, broken in _policy_outcomes(
+                physical, emb, logical, reference_energy, policies, anneal_time
             )
+        )
     return points
 
 

@@ -499,15 +499,14 @@ def _levels(n: int, rows: np.ndarray, cols: np.ndarray, J: np.ndarray) -> np.nda
 def _level_plan(form: _IntForm) -> tuple[np.ndarray, np.ndarray, list]:
     """(order, h, plan): the spins level by level (`_levels`), ascending within
     each level; their linear integers in that order, as a column; and per
-    level, (its slice of that order, the spins coupled to it, their -2 J
-    couplings to it as a dense targets x level block), all positions in that order.
+    level, (its slice of that order, the spins coupled to it as an ascending
+    index array, their -2 J couplings to it as a dense targets x level block),
+    all positions in that order.
 
     The blocks come from the nonzero couplings, both directions of each, sorted
     stably by source position, so each level's run of that list holds exactly
-    its couplings. Targets that fill at least half of their position range
-    become a slice, whose rows between them hold an exact 0. The blocks hold at
-    most n**2 floats in all, and as many as the couplings when the levels are
-    narrow and sparsely coupled.
+    its couplings. The blocks hold at most n**2 floats in all, and as many as
+    the couplings when the levels are narrow and sparsely coupled.
     """
     n = form.n
     h, J = _exact_floats(form.linear, form.quad)
@@ -527,15 +526,9 @@ def _level_plan(form: _IntForm) -> tuple[np.ndarray, np.ndarray, list]:
     bounds = np.searchsorted(keys, n * np.arange(1, len(ends) + 1)).tolist()
     plan = []
     for k, (a, e, i, j, b, c) in enumerate(zip([0] + ends, ends, [0] + cuts, cuts, [0] + bounds, bounds)):
-        targets = keys[b:c] - k * n
-        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
-            targets = slice(int(targets[0]), int(targets[-1]) + 1)  # the rows between add an exact 0
-            block = np.zeros((targets.stop - targets.start, e - a))
-            block[target[i:j] - targets.start, source[i:j] - a] = values[i:j]
-        else:
-            block = np.zeros((len(targets), e - a))
-            block[rows[i:j] - b, source[i:j] - a] = values[i:j]
-        plan.append((slice(a, e), targets, block))
+        block = np.zeros((c - b, e - a))
+        block[rows[i:j] - b, source[i:j] - a] = values[i:j]
+        plan.append((slice(a, e), keys[b:c] - k * n, block))
     return order, h[order, None], plan
 
 
@@ -564,10 +557,10 @@ def _anneal(
     sweep and is decided with its own (sweep, spin) uniform. The chain is that
     of the one-spin-at-a-time loop, bit for bit. The spins are permuted once
     so that each level is a contiguous slice, and a level's flips reach its
-    neighbours' fields in one product with its `_level_plan` block. A chunk's
-    fields start as h - 1/2 sum over levels L of (block of L) @ S[L]: the block
-    sums are even integers below 2**54, so they too are exact, and no n x n
-    matrix is built.
+    neighbours' fields in one product with its `_level_plan` block, added to
+    the field rows its target indices pick. A chunk's fields start as
+    h - 1/2 sum over levels L of (block of L) @ S[L]: the block sums are even
+    integers below 2**54, so they too are exact, and no n x n matrix is built.
 
     Reads anneal together in chunks of at most BLOCK_FLOATS // max(spins, 512)
     consecutive (run, read) pairs, and draw their uniforms a slab of sweeps at

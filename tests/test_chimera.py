@@ -24,6 +24,7 @@ from postman.errors import (
     DoesNotFitError,
     FaultOutOfRangeError,
     InvalidEmbeddingError,
+    TooLargeError,
 )
 from postman.graphs import hops
 from postman.numbers import normalize
@@ -63,11 +64,17 @@ class TestTopology:
     def test_c1_cell(self):
         topo = chimera_graph(1)
         assert topo.node_count == 8
-        assert len(topo.couplers()) == 16
+        assert len(topo.coupler_array()) == 16
 
     def test_faults_subtract(self):
         topo = chimera_graph(12, faulty=range(54))
         assert topo.node_count == 1098
+
+    def test_grid_guard(self):
+        # the guard is checked before any coupler array is built
+        assert chimera_graph(256).node_count == 8 * 256**2
+        with pytest.raises(TooLargeError, match="grid size 257 exceeds"):
+            chimera_graph(257)
 
     def test_fault_out_of_range(self):
         with pytest.raises(FaultOutOfRangeError):
@@ -82,8 +89,8 @@ class TestTopology:
 
     def test_faulty_couplers_removed(self):
         topo = chimera_graph(1, faulty=[0])
-        assert all(0 not in c for c in topo.couplers())
-        assert len(topo.couplers()) == 12
+        couplers = topo.coupler_array()
+        assert 0 not in couplers and len(couplers) == 12
 
 
 class TestCliqueEmbedding:
@@ -213,7 +220,7 @@ class TestChainIndex:
         assert index.qubit_order == tuple(sorted(q for chain in chains for q in chain))
         pos = {q: i for i, q in enumerate(index.qubit_order)}
         assert index.positions == tuple(tuple(pos[q] for q in chain) for chain in chains)
-        couplers = set(topo.couplers())
+        couplers = set(map(tuple, topo.coupler_array().tolist()))
 
         def probe(one, other):
             pairs = {(min(a, b), max(a, b)) for a in one for b in other}

@@ -420,6 +420,9 @@ class TestExitCodes:
             ["exact", "NEGATIVE"],
             ["gen", "--n", "6", "--edge-prob", "1.5"],
             ["embed", "--n-logical", "0"],
+            ["embed", "--n-logical", "12", "--m", str(chimera.MAX_GRID + 1)],
+            ["simulate", "DEMO", "--m", str(chimera.MAX_GRID + 1)],
+            ["jf-sweep", "DEMO", "--m", str(chimera.MAX_GRID + 1)],
             ["defects", "DEMO", "--deltas", "-1"],
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "abc"],
             ["simulate", "DEMO", "--m", "3", "--jf", "nan"],

@@ -552,8 +552,6 @@ def dense_level_plan(form):
     ends = np.cumsum(np.bincount(level)).tolist()
     for a, e in zip([0] + ends, ends):
         targets = np.flatnonzero(Jm[a:e].any(axis=0))
-        if len(targets) and 2 * len(targets) >= targets[-1] + 1 - targets[0]:
-            targets = slice(int(targets[0]), int(targets[-1]) + 1)
         plan.append((slice(a, e), targets, -2.0 * Jm[targets, a:e]))
     return order, h[order, None], plan
 
@@ -570,10 +568,7 @@ class TestLevelPlan:
         assert h.shape == want_h.shape and h.tolist() == want_h.tolist()
         assert [lv for lv, _, _ in plan] == [lv for lv, _, _ in want_plan]
         for (_, targets, block), (_, want_targets, want_block) in zip(plan, want_plan):
-            if isinstance(want_targets, slice):
-                assert targets == want_targets
-            else:
-                assert not isinstance(targets, slice) and targets.tolist() == want_targets.tolist()
+            assert targets.dtype == np.intp and targets.tolist() == want_targets.tolist()
             assert block.shape == want_block.shape and block.tolist() == want_block.tolist()
 
     @settings(max_examples=100, deadline=None)
@@ -588,7 +583,7 @@ class TestLevelPlan:
             IsingModel(n=5, h=(1, 0, -1, 2, 3), couplings={(0, 1): 0, (1, 3): Fraction(2, 7), (2, 4): 0}),
             IsingModel(n=3, h=(1, 2, 3), couplings={(0, 2): 0}),
             IsingModel(n=4, h=(0, 1, 0, 1), couplings={}),  # uncoupled: one level, no targets
-            IsingModel(n=6, h=(1,) * 6, couplings={(0, 5): 1, (4, 5): -1}),  # level 1's targets 0 and 4 stay a list
+            IsingModel(n=6, h=(1,) * 6, couplings={(0, 5): 1, (4, 5): -1}),
             IsingModel(n=1, h=(Fraction(1, 3),), couplings={}),
             IsingModel(n=0, h=(), couplings={}),
         ],
