@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 from .errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
 from .exact import OddPairDistances, m_min, minimum_matching
-from .graphs import Graph, _dijkstra, graph_features, is_connected, odd_nodes
+from .graphs import Graph, _pair_distances, graph_features, is_connected, odd_nodes
 from .numbers import Number, as_exact, format_number, normalize
 
 DEFAULT_DELTAS = (1, 2, 3, 10, 15, 27, 34, 50)
@@ -54,8 +54,8 @@ def defect_map(
 
     A bump changes edge weights only, never the connectivity, the degrees or
     the odd nodes, so those are found once. Each cell patches the bumped
-    weights into one copy of the adjacency, re-runs Dijkstra from the odd
-    nodes and re-matches them, then restores the weights.
+    weights into one copy of the adjacency, searches the odd-pair distances
+    on it, re-matches the odd nodes and restores the weights.
     """
     if k not in (1, 2, 3):
         raise InvalidArgumentError("defects per configuration must be 1, 2, or 3")
@@ -83,8 +83,7 @@ def defect_map(
         for combo in combos:
             for u, v in combo:
                 adj[u][v] = adj[v][u] = normalize(g.adjacency[u][v] + delta)
-            dist, _ = _dijkstra(adj, odd)
-            table = OddPairDistances(nodes=odd, dist=tuple(tuple(dist[a][b] for b in odd) for a in odd))
+            table = OddPairDistances(nodes=odd, dist=_pair_distances(adj, odd))
             results[delta][combo] = minimum_matching(table).weight
             for u, v in combo:
                 adj[u][v] = adj[v][u] = g.adjacency[u][v]

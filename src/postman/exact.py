@@ -15,11 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import NotEulerianError, TooLargeError
+from .errors import DisconnectedGraphError, NotEulerianError, TooLargeError
 from .graphs import (
     Graph,
     MultiGraph,
     Number,
+    _pair_distances,
+    is_connected,
     odd_nodes,
     reconstruct_path,
     shortest_paths,
@@ -61,10 +63,10 @@ class OddPairDistances:
 
 def odd_pair_distances(g: Graph) -> OddPairDistances:
     """Exact all-pairs distances between the odd-degree nodes of g."""
-    odd = odd_nodes(g)
-    dist_all, _ = shortest_paths(g, odd)
-    table = tuple(tuple(dist_all[a][b] for b in odd) for a in odd)
-    return OddPairDistances(nodes=tuple(odd), dist=table)
+    if not is_connected(g):
+        raise DisconnectedGraphError("shortest paths require a connected graph")
+    odd = tuple(odd_nodes(g))
+    return OddPairDistances(nodes=odd, dist=_pair_distances(g.adjacency, odd))
 
 
 def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:

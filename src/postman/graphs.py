@@ -20,10 +20,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DisconnectedGraphError, InfeasibleSpecError, InvalidArgumentError, ParseError
+from .errors import DisconnectedGraphError, InfeasibleSpecError, InvalidArgumentError, ParseError, TooLargeError
 from .numbers import Number, as_exact, format_number, json_int, parse_number
 
 Edge = tuple[int, int, Number]
+
+# A graph's node count alone sizes its views (a dict and a degree per node):
+# `postman exact` on an edge list with no edges peaked at 111 MB RSS at
+# n = 2**20 and 351 MB at n = 2**22.
+MAX_NODES = 1 << 20
 
 
 def _canonical_edges(n: int, edges: Iterable[Sequence]) -> tuple[Edge, ...]:
@@ -56,6 +61,8 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Sequence]):
         if n < 1:
             raise InvalidArgumentError("graph needs at least one node")
+        if n > MAX_NODES:
+            raise TooLargeError(f"graph of {n} nodes exceeds node guard {MAX_NODES}")
         object.__setattr__(self, "n", operator.index(n))
         object.__setattr__(self, "edges", _canonical_edges(n, edges))
 
@@ -129,13 +136,7 @@ def shortest_paths(g: Graph, sources: Iterable[int]):
     """
     if not is_connected(g):
         raise DisconnectedGraphError("shortest paths require a connected graph")
-    return _dijkstra(g.adjacency, sources)
-
-
-def _dijkstra(adj: Sequence[dict[int, Number]], sources: Iterable[int]):
-    """The core of `shortest_paths` over per-node neighbor -> weight dicts,
-    with no connectivity check; a defect scan runs it on a patched copy of
-    a Graph's adjacency."""
+    adj = g.adjacency
     dist_all: dict[int, dict[int, Number]] = {}
     pred_all: dict[int, dict[int, int | None]] = {}
     for s in sources:
@@ -159,6 +160,42 @@ def _dijkstra(adj: Sequence[dict[int, Number]], sources: Iterable[int]):
         dist_all[s] = dist
         pred_all[s] = pred
     return dist_all, pred_all
+
+
+def _pair_distances(
+    adj: Sequence[dict[int, Number]], nodes: Sequence[int]
+) -> tuple[tuple[Number, ...], ...]:
+    """Exact distances among `nodes` as a symmetric tuple-of-tuples table.
+
+    `adj` holds per-node neighbor -> weight dicts: a Graph's adjacency, or a
+    defect scan's patched copy of it. The search from nodes[i] stops once
+    nodes[i+1:] are settled, so the last node runs none, and no predecessors
+    are kept. Weights are positive, so a distance is final when its node
+    leaves the heap. The nodes must be distinct and reachable from each
+    other; callers check connectivity.
+    """
+    d = len(nodes)
+    table = [[0] * d for _ in range(d)]
+    for i in range(d - 1):
+        s = nodes[i]
+        wanted = {v: j for j, v in enumerate(nodes[i + 1:], start=i + 1)}
+        best: dict[int, Number] = {s: 0}
+        heap: list[tuple[Number, int]] = [(0, s)]
+        while True:
+            du, u = heapq.heappop(heap)
+            if du != best[u]:
+                continue  # a stale entry: u was reached more cheaply since
+            j = wanted.pop(u, None)
+            if j is not None:
+                table[i][j] = table[j][i] = du
+                if not wanted:
+                    break
+            for v, w in adj[u].items():
+                nd = du + w
+                if v not in best or nd < best[v]:
+                    best[v] = nd
+                    heapq.heappush(heap, (nd, v))
+    return tuple(map(tuple, table))
 
 
 def reconstruct_path(pred: dict[int, int | None], source: int, target: int) -> list[int]:

@@ -18,6 +18,8 @@ Number = int | Fraction
 
 def as_exact(value) -> Number:
     """Coerce to an exact number; floats go through their decimal repr."""
+    if type(value) is int:  # the common case, ahead of the ABC checks
+        return value
     if isinstance(value, bool):
         raise TypeError("booleans are not weights")
     if isinstance(value, _abc.Integral):  # includes numpy integer scalars
@@ -60,6 +62,8 @@ def parse_number(text: str, line: int | None = None) -> Number:
 
 
 def format_number(value: Number) -> str:
+    if type(value) is int:
+        return str(value)
     value = normalize(as_exact(value))
     if isinstance(value, int):
         return str(value)

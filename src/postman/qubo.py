@@ -38,9 +38,14 @@ from .errors import (
     OddCountNotEvenError,
     ParseError,
     PenaltyTooSmallError,
+    TooLargeError,
 )
 from .exact import OddPairDistances
 from .numbers import Number, as_exact, format_number, json_int, normalize, parse_number, to_jsonable
+
+# The header's dim alone sizes the model before any entry is read: `postman
+# sample` on a header-only file peaked at 126 MB RSS at dim 2**20 and 415 MB at 2**22.
+MAX_DIM = 1 << 20
 
 
 def variable_pairs(d: int) -> tuple[tuple[int, int], ...]:
@@ -356,6 +361,10 @@ def read_qubo(text: str) -> QuboModel:
                 dim, n_diag, n_elem = int(parts[3]), int(parts[4]), int(parts[5])
             except ValueError:
                 raise ParseError("problem header fields must be integers", lineno) from None
+            if dim < 0:
+                raise ParseError("problem header dim must be nonnegative", lineno)
+            if dim > MAX_DIM:
+                raise TooLargeError(f"dim {dim} exceeds QUBO dimension guard {MAX_DIM}")
             linear = [0] * dim
             continue
         if dim is None:

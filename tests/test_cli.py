@@ -1,13 +1,15 @@
 import io
 import json
 import re
+import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from postman import chimera, qubo
+from postman import chimera, graphs, qubo
 from postman.cli import main
 from postman.graphs import Graph, write_edge_list
 
@@ -379,6 +381,7 @@ class TestExitCodes:
         [
             ("bad.qubo", "p qubo 0 x 1 0\n"),
             ("bad.qubo", "p qubo 0 2 1 0\n0 zero 1\n"),
+            ("bad.qubo", "p qubo 0 -5 0 0\n"),
             ("samples.json", '{"metadata": {}}'),
             ("samples.json", '{"records": [{"config": "ab", "energy": 1, "multiplicity": 1}]}'),
             ("qubo.json", '{"dim": 2}'),
@@ -491,6 +494,43 @@ class TestExitCodes:
             capsys, "simulate", demo_file, "--embedding", str(path), "--reads", "4", "--sweeps", "4"
         )
         assert_domain_error(code, err)
+
+
+class TestHeaderGuards:
+    """A header's size is refused before the reader sizes anything from it."""
+
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            (
+                "big.qubo", f"p qubo 0 {10**10} 0 0\n", ["sample", "FILE", "--sampler", "brute"],
+                f"dim {10**10} exceeds QUBO dimension guard {qubo.MAX_DIM}",
+            ),
+            (
+                "big.edgelist", f"{10**11} 0\n", ["exact", "FILE"],
+                f"graph of {10**11} nodes exceeds node guard {graphs.MAX_NODES}",
+            ),
+            (
+                "big.json", json.dumps({"n": 10**11, "edges": []}), ["exact", "FILE"],
+                f"graph of {10**11} nodes exceeds node guard {graphs.MAX_NODES}",
+            ),
+        ],
+    )
+    def test_oversized_header_is_domain(self, capsys, tmp_path, name, text, argv, message):
+        path = tmp_path / name
+        path.write_text(text)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_domain_error(code, err)
+        assert err == f"error: {message}\n"
+        assert elapsed < 0.5
+        assert peak < 2**20
 
 
 class TestCertifiedReference:

@@ -4,10 +4,12 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postman.errors import DisconnectedGraphError, InfeasibleSpecError, ParseError
+from postman.errors import DisconnectedGraphError, InfeasibleSpecError, ParseError, TooLargeError
 from postman.graphs import (
+    MAX_NODES,
     EnsembleSpec,
     Graph,
+    _pair_distances,
     graph_features,
     graph_from_json,
     hops,
@@ -56,6 +58,12 @@ class TestBasics:
             Graph(3, [(0, 1, 0)])
         with pytest.raises(ValueError):
             Graph(2, [(0, 3, 1)])
+
+    def test_node_guard(self):
+        # the views are built on first use, so the largest graph allowed costs nothing here
+        assert Graph(MAX_NODES, []).n == MAX_NODES
+        with pytest.raises(TooLargeError, match=f"exceeds node guard {MAX_NODES}$"):
+            Graph(MAX_NODES + 1, [])
 
     def test_odd_nodes_demo(self, demo):
         assert odd_nodes(demo) == [0, 1, 2, 3]
@@ -125,6 +133,51 @@ class TestShortestPaths:
         g = Graph(4, [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)])
         _, pred = shortest_paths(g, [0])
         assert pred[0][3] == 1
+
+
+class TestPairDistances:
+    """`_pair_distances` equals `shortest_paths` restricted to the nodes."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**30),
+        w_hi=st.sampled_from([1, 9]),
+        halve=st.booleans(),
+        delta=st.sampled_from([0, Fraction(7, 2), 50]),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_shortest_paths(self, seed, w_hi, halve, delta, data):
+        # w_hi = 1 gives unit weights, where ties are everywhere
+        g = next(graph_stream(seed=seed, n=8, p=0.4, w_hi=w_hi))
+        if halve:
+            g = Graph(g.n, [(u, v, Fraction(w, 2)) for u, v, w in g.edges])
+        bumped = data.draw(st.lists(st.sampled_from([(u, v) for u, v, _ in g.edges]), max_size=3, unique=True))
+        adj = [dict(nbrs) for nbrs in g.adjacency]
+        for u, v in bumped:
+            adj[u][v] = adj[v][u] = g.adjacency[u][v] + delta
+        patched = Graph(g.n, [(u, v, adj[u][v]) for u, v, _ in g.edges])
+        nodes = data.draw(
+            st.just(odd_nodes(g)) | st.lists(st.integers(min_value=0, max_value=g.n - 1), unique=True)
+        )
+        dist, _ = shortest_paths(patched, nodes)
+        assert _pair_distances(adj, nodes) == tuple(tuple(dist[a][b] for b in nodes) for a in nodes)
+
+    def test_no_nodes_and_one_pair(self, demo):
+        assert _pair_distances(demo.adjacency, ()) == ()
+        assert _pair_distances(demo.adjacency, (0, 3)) == ((0, 7), (7, 0))
+
+    def test_search_stops_at_the_last_node(self):
+        # on the path 0-1-2-3 the one search, from 0, ends when node 1 settles
+        g = Graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        read = []
+
+        class Recording(tuple):
+            def __getitem__(self, u):
+                read.append(u)
+                return super().__getitem__(u)
+
+        assert _pair_distances(Recording(g.adjacency), (0, 1)) == ((0, 1), (1, 0))
+        assert read == [0]
 
 
 class TestViews:

@@ -12,7 +12,7 @@ class TestAsExact:
         assert as_exact(7) == 7 and isinstance(as_exact(7), int)
 
     def test_numpy_scalars(self):
-        assert as_exact(np.int64(5)) == 5
+        assert as_exact(np.int64(5)) == 5 and type(as_exact(np.int64(5))) is int
         assert as_exact(np.float64(0.2)) == Fraction(1, 5)
 
     def test_float_decimal_reading(self):
@@ -29,6 +29,8 @@ class TestAsExact:
     def test_bool_rejected(self):
         with pytest.raises(TypeError):
             as_exact(True)
+        with pytest.raises(TypeError):
+            format_number(False)
 
 
 class TestFormats:
@@ -36,6 +38,10 @@ class TestFormats:
     def test_round_trip(self, value, text):
         assert format_number(value) == text
         assert parse_number(text) == value
+
+    def test_non_int_integers(self):
+        assert format_number(np.int64(-4)) == "-4"
+        assert format_number(Fraction(8, 4)) == "2"
 
     def test_decimal_string(self):
         assert parse_number("1.25") == Fraction(5, 4)

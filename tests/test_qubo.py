@@ -16,6 +16,7 @@ from postman.errors import (
 from postman.exact import m_min, odd_pair_distances
 from postman.numbers import normalize
 from postman.qubo import (
+    MAX_DIM,
     IsingModel,
     QuboModel,
     _IntForm,
@@ -368,6 +369,12 @@ class TestFiles:
             read_qubo("c offset 0\np qubo 0 x 1 0\n")
         with pytest.raises(ParseError, match="line 2"):
             read_qubo("p qubo 0 2 1 0\na 0 1\n")
+
+    def test_header_dim_is_checked_before_it_sizes_anything(self):
+        with pytest.raises(TooLargeError, match=f"^dim {MAX_DIM + 1} exceeds QUBO dimension guard {MAX_DIM}$"):
+            read_qubo(f"p qubo 0 {MAX_DIM + 1} 0 0\n")
+        with pytest.raises(ParseError, match="line 1: problem header dim must be nonnegative"):
+            read_qubo("p qubo 0 -5 0 0\n")
 
     def test_json_round_trips(self, demo):
         model = build_qubo(demo_table(demo), 8)
