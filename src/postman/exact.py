@@ -1,19 +1,19 @@
 """Exact route-inspection solver.
 
 Pipeline: collect odd-degree nodes, build the pairwise shortest-distance
-table over them, minimize total matching weight over all (d-1)!! perfect
-pairings, duplicate the matched shortest paths, and extract a closed circuit
-from the augmented multigraph. The table and the matching carry distances
-only; `augment` rebuilds one canonical shortest path per matched pair, d/2
-in all, when a route is asked for. Everything is exact arithmetic and
-deterministic: pairings are enumerated in canonical order, predecessor ties
-go to the smaller node, and the circuit walks lowest-index neighbors first.
+table over them, find the minimum-weight perfect pairing by a depth-first
+search over the (d-1)!! pairings, duplicate the matched shortest paths, and
+extract a closed circuit from the augmented multigraph. The table and the
+matching carry distances only; `augment` rebuilds one canonical shortest
+path per matched pair, d/2 in all, when a route is asked for. Everything is
+exact arithmetic and deterministic: the search visits pairings in canonical
+order and keeps the first optimum, predecessor ties go to the smaller node,
+and the circuit walks lowest-index neighbors first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import DisconnectedGraphError, NotEulerianError, TooLargeError
 from .graphs import (
@@ -29,14 +29,14 @@ from .graphs import (
 )
 from .numbers import to_jsonable
 
-# (13)!! = 135135 pairings. The mmin_ensemble benchmark solves d = 12 and d = 14
-# graphs every round, and this enumeration takes nearly all of its time.
+# (13)!! = 135135 pairings. An all-equal d = 14 table, where the search prunes
+# only each pairing's last pair, takes 0.13 s (2-core x86_64 VM).
 MATCHING_GUARD = 14
 
 
 @dataclass(frozen=True)
 class OddPairDistances:
-    """Symmetric table of exact shortest distances between odd nodes.
+    """Symmetric, nonnegative table of exact shortest distances between odd nodes.
 
     dist[i][j] is the distance between the i-th and j-th odd node in the
     full graph. No paths are kept: `augment` rebuilds the matched ones.
@@ -47,14 +47,19 @@ class OddPairDistances:
 
     def __post_init__(self):
         d = len(self.nodes)
-        if len(self.dist) != d or any(len(row) != d for row in self.dist):
+        dist = self.dist
+        if len(dist) != d or any(len(row) != d for row in dist):
             raise ValueError("distance table must be d x d")
-        for i in range(d):
-            if self.dist[i][i] != 0:
+        # entries must be >= 0: `minimum_matching` prunes on partial sums
+        for i, row in enumerate(dist):
+            if row[i] != 0:
                 raise ValueError("diagonal distances must be zero")
-            for j in range(d):
-                if self.dist[i][j] != self.dist[j][i]:
-                    raise ValueError("distance table must be symmetric")
+            for j in range(i + 1, d):
+                w = row[j]
+                if w < 0 or w != dist[j][i]:
+                    raise ValueError(
+                        "distances must be nonnegative" if w < 0 else "distance table must be symmetric"
+                    )
 
     @property
     def d(self) -> int:
@@ -67,31 +72,6 @@ def odd_pair_distances(g: Graph) -> OddPairDistances:
         raise DisconnectedGraphError("shortest paths require a connected graph")
     odd = tuple(odd_nodes(g))
     return OddPairDistances(nodes=odd, dist=_pair_distances(g.adjacency, odd))
-
-
-def enumerate_matchings(d: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """All (d-1)!! perfect pairings of indices 0..d-1, canonical order.
-
-    The first unmatched index is paired with each larger remaining index in
-    ascending order, then the rest recursively; d=0 yields one empty pairing.
-    """
-    if d < 0 or d % 2 == 1:
-        raise ValueError("d must be a nonnegative even count")
-    if d > MATCHING_GUARD:
-        raise TooLargeError(f"refusing to enumerate pairings for d={d} > {MATCHING_GUARD}")
-
-    def rec(remaining: tuple[int, ...]):
-        if not remaining:
-            yield ()
-            return
-        first = remaining[0]
-        for k in range(1, len(remaining)):
-            partner = remaining[k]
-            rest = remaining[1:k] + remaining[k + 1:]
-            for tail in rec(rest):
-                yield ((first, partner),) + tail
-
-    return rec(tuple(range(d)))
 
 
 @dataclass(frozen=True)
@@ -121,19 +101,38 @@ class CppSolution:
 
 
 def minimum_matching(table: OddPairDistances) -> Matching:
-    """Minimum-weight perfect pairing by explicit enumeration.
+    """Minimum-weight perfect pairing by a pruned depth-first search.
 
-    Ties are broken by enumeration order, so the result is deterministic.
+    Pairings are visited in canonical order (the lowest free index pairs with
+    each later one, ascending) and summed pair by pair from 0. A branch is
+    abandoned once its partial weight reaches the best total; entries are
+    >= 0, so none of its completions is lower. Ties go to the first optimum.
     """
     d = table.d
-    best_pairing: tuple[tuple[int, int], ...] | None = None
+    if d % 2 == 1:
+        raise ValueError(f"d must be even, got {d}")
+    if d > MATCHING_GUARD:
+        raise TooLargeError(f"refusing to enumerate pairings for d={d} > {MATCHING_GUARD}")
+    dist = table.dist
+    chosen: list[tuple[int, int]] = []
+    best_pairing: tuple[tuple[int, int], ...] = ()
     best_weight: Number | None = None
-    for pairing in enumerate_matchings(d):
-        w = sum((table.dist[i][j] for i, j in pairing), start=0)
-        if best_weight is None or w < best_weight:
-            best_weight = w
-            best_pairing = pairing
-    assert best_pairing is not None and best_weight is not None
+
+    def search(free: tuple[int, ...], weight: Number) -> None:
+        nonlocal best_pairing, best_weight
+        if not free:
+            best_pairing, best_weight = tuple(chosen), weight
+            return
+        first, rest = free[0], free[1:]
+        row = dist[first]
+        for k, partner in enumerate(rest):
+            w = weight + row[partner]
+            if best_weight is None or w < best_weight:
+                chosen.append((first, partner))
+                search(rest[:k] + rest[k + 1:], w)
+                chosen.pop()
+
+    search(tuple(range(d)), 0)
     node_pairs = tuple(
         tuple(sorted((table.nodes[i], table.nodes[j]))) for i, j in best_pairing
     )

@@ -30,6 +30,11 @@ Edge = tuple[int, int, Number]
 # n = 2**20 and 351 MB at n = 2**22.
 MAX_NODES = 1 << 20
 
+# An ensemble draw lists all n(n-1)/2 candidate pairs before `Graph` sees n,
+# about 270 bytes and 2 us each at edge probability 0.5 (`postman gen --n 2000`
+# peaked at 565 MB RSS in 4.0 s). 2**20 pairs is n = 1448.
+MAX_PAIRS = 1 << 20
+
 
 def _canonical_edges(n: int, edges: Iterable[Sequence]) -> tuple[Edge, ...]:
     seen = set()
@@ -281,6 +286,11 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.n < 3:
             raise InvalidArgumentError("ensemble graphs need n >= 3")
+        pairs = self.n * (self.n - 1) // 2
+        if pairs > MAX_PAIRS:
+            raise TooLargeError(
+                f"ensemble of {self.n} nodes has {pairs} candidate pairs, over the pair guard {MAX_PAIRS}"
+            )
         if not (0.0 < self.edge_prob < 1.0):
             raise InvalidArgumentError("edge probability must be in (0,1)")
         if not (1 <= self.w_lo <= self.w_hi):

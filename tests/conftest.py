@@ -6,7 +6,7 @@ import pytest
 
 from postman.chimera import DecodePolicy, EmbeddedIsing, Embedding, chimera_graph, validate_embedding
 from postman.errors import InvalidEmbeddingError
-from postman.exact import m_min
+from postman.exact import Matching, OddPairDistances, m_min
 from postman.graphs import EnsembleSpec, Graph, random_graph
 from postman.numbers import Number, as_exact, normalize, to_jsonable
 from postman.qubo import IsingModel, QuboModel
@@ -72,6 +72,39 @@ def ensemble(spec: EnsembleSpec) -> list[Graph]:
 def walk_length(mg, walk) -> Number:
     """Total weight of a walk's multigraph edges."""
     return sum((mg.edges[eid][2] for _, _, eid in walk), start=0)
+
+
+def enumerate_matchings(d: int):
+    """All (d-1)!! perfect pairings of indices 0..d-1, canonical order.
+
+    The first unmatched index is paired with each larger remaining index in
+    ascending order, then the rest recursively; d=0 yields one empty pairing.
+    """
+
+    def rec(remaining: tuple[int, ...]):
+        if not remaining:
+            yield ()
+            return
+        first = remaining[0]
+        for k in range(1, len(remaining)):
+            partner = remaining[k]
+            rest = remaining[1:k] + remaining[k + 1:]
+            for tail in rec(rest):
+                yield ((first, partner),) + tail
+
+    return rec(tuple(range(d)))
+
+
+def reference_minimum_matching(table: OddPairDistances) -> Matching:
+    """The enumeration that `exact.minimum_matching` ran before it pruned:
+    every pairing summed from 0, the first strictly lowest kept."""
+    best_pairing, best_weight = None, None
+    for pairing in enumerate_matchings(table.d):
+        w = sum((table.dist[i][j] for i, j in pairing), start=0)
+        if best_weight is None or w < best_weight:
+            best_weight, best_pairing = w, pairing
+    pairs = tuple(tuple(sorted((table.nodes[i], table.nodes[j]))) for i, j in best_pairing)
+    return Matching(pairs=pairs, weight=best_weight)
 
 
 def num_quadratic(model: QuboModel) -> int:

@@ -20,7 +20,7 @@ from postman.chimera import (
     validate_embedding,
 )
 from postman.defects import defect_map
-from postman.exact import enumerate_matchings, m_min, odd_pair_distances
+from postman.exact import m_min, odd_pair_distances
 from postman.graphs import EnsembleSpec, Graph, graph_features, odd_nodes, random_graph
 from postman.metrics import bootstrap, decode_sampleset, p_gs, t_99
 from postman.qubo import IsingModel, build_qubo, decode, is_legal, penalties, to_ising, variable_pairs
@@ -34,7 +34,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import DEMO_EDGES, apply_gauge, exhaustive, graph_stream, num_quadratic
+from conftest import DEMO_EDGES, apply_gauge, enumerate_matchings, exhaustive, graph_stream, num_quadratic
 
 
 def report(line: str):

@@ -497,7 +497,8 @@ class TestExitCodes:
 
 
 class TestHeaderGuards:
-    """A header's size is refused before the reader sizes anything from it."""
+    """A header's size, or `gen`'s node count, is refused before anything is
+    sized from it."""
 
     @pytest.mark.parametrize(
         "name, text, argv, message",
@@ -514,15 +515,21 @@ class TestHeaderGuards:
                 "big.json", json.dumps({"n": 10**11, "edges": []}), ["exact", "FILE"],
                 f"graph of {10**11} nodes exceeds node guard {graphs.MAX_NODES}",
             ),
+            (
+                None, None, ["gen", "--n", str(10**5)],
+                f"ensemble of {10**5} nodes has 4999950000 candidate pairs, over the pair guard {graphs.MAX_PAIRS}",
+            ),
         ],
     )
     def test_oversized_header_is_domain(self, capsys, tmp_path, name, text, argv, message):
-        path = tmp_path / name
-        path.write_text(text)
+        if name:
+            path = tmp_path / name
+            path.write_text(text)
+            argv = [str(path) if a == "FILE" else a for a in argv]
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            code, _, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+            code, _, err = run(capsys, *argv)
             elapsed = time.perf_counter() - start
             _, peak = tracemalloc.get_traced_memory()
         finally:

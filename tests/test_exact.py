@@ -1,8 +1,12 @@
+import time
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from postman import defects, exact, graphs
 from postman.errors import NotEulerianError, TooLargeError
@@ -11,7 +15,6 @@ from postman.exact import (
     OddPairDistances,
     augment,
     cpp_length,
-    enumerate_matchings,
     euler_circuit,
     m_min,
     minimum_matching,
@@ -21,7 +24,10 @@ from postman.exact import (
 )
 from postman.graphs import Graph, MultiGraph, odd_nodes, total_weight
 
-from conftest import graph_stream, walk_length
+from conftest import enumerate_matchings, graph_stream, reference_minimum_matching, walk_length
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def double_factorial(d):
@@ -78,6 +84,80 @@ class TestOddPairDistances:
                 for j, b in enumerate(table.nodes):
                     assert table.dist[i][j] == brute_force_distance(g, a, b)
 
+    @pytest.mark.parametrize(
+        "dist, message",
+        [
+            (((0, -1), (-1, 0)), "distances must be nonnegative"),
+            (((0, 1), (2, 0)), "distance table must be symmetric"),
+            (((1, 1), (1, 0)), "diagonal distances must be zero"),
+            (((0, 1),), "distance table must be d x d"),
+        ],
+    )
+    def test_hand_built_table_refused(self, dist, message):
+        with pytest.raises(ValueError, match=message):
+            OddPairDistances((0, 1), dist)
+
+
+def table_of(d, entry):
+    """A d x d table with zero diagonal and entry(i, j) above it."""
+    dist = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i + 1, d):
+            dist[i][j] = dist[j][i] = entry(i, j)
+    return OddPairDistances(tuple(range(d)), tuple(map(tuple, dist)))
+
+
+HALVES = [Fraction(k, 2) for k in range(1, 7)]
+
+
+@st.composite
+def tie_heavy_tables(draw):
+    """Even d = 0..12, entries from {1, 2, 3}, from halves as Fraction
+    (integral ones included), or from both."""
+    d = draw(st.sampled_from(range(0, 13, 2)))
+    values = draw(st.sampled_from([[1, 2, 3], HALVES, [1, 2, 3, *HALVES]]))
+    entries = draw(st.lists(st.sampled_from(values), min_size=d * (d - 1) // 2, max_size=d * (d - 1) // 2))
+    above = iter(entries)
+    return table_of(d, lambda i, j: next(above))
+
+
+class TestMinimumMatching:
+    """The pruned search against the enumeration it replaced."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.pairs == want.pairs
+        assert got.weight == want.weight
+        assert type(got.weight) is type(want.weight)
+
+    @settings(max_examples=80, deadline=None)
+    @given(tie_heavy_tables())
+    def test_first_optimum_of_enumeration(self, table):
+        self.assert_same(minimum_matching(table), reference_minimum_matching(table))
+
+    def test_d14_tables_against_enumeration(self):
+        # the all-equal table prunes only each pairing's last pair; the
+        # golden d = 14 graph (unit weights) prunes deepest
+        graph = graphs.read_edge_list((GOLDEN / "d14.edgelist").read_text())
+        for table in (table_of(14, lambda i, j: 3), odd_pair_distances(graph)):
+            start = time.perf_counter()
+            want = reference_minimum_matching(table)
+            enumeration = time.perf_counter() - start
+            start = time.perf_counter()
+            got = minimum_matching(table)
+            search = time.perf_counter() - start
+            self.assert_same(got, want)
+            assert search < enumeration
+
+    def test_guard(self):
+        table = table_of(MATCHING_GUARD + 2, lambda i, j: 1)
+        with pytest.raises(TooLargeError, match=f"refusing to enumerate pairings for d=16 > {MATCHING_GUARD}"):
+            minimum_matching(table)
+
+    def test_odd_d_rejected(self):
+        with pytest.raises(ValueError, match="d must be even, got 3"):
+            minimum_matching(table_of(3, lambda i, j: 1))
+
 
 class TestEnumerateMatchings:
     @pytest.mark.parametrize("d,count", [(0, 1), (2, 1), (4, 3), (6, 15), (8, 105), (10, 945)])
@@ -90,14 +170,6 @@ class TestEnumerateMatchings:
         for pairing in enumerate_matchings(6):
             covered = [i for pair in pairing for i in pair]
             assert sorted(covered) == list(range(6))
-
-    def test_guard(self):
-        with pytest.raises(TooLargeError):
-            enumerate_matchings(MATCHING_GUARD + 2)
-
-    def test_odd_d_rejected(self):
-        with pytest.raises(ValueError):
-            enumerate_matchings(3)
 
     def test_canonical_order_d4(self):
         assert list(enumerate_matchings(4)) == [

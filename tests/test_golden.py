@@ -25,7 +25,7 @@ from postman import chimera, exact, graphs, metrics, qubo, samplers
 from postman.cli import main
 from postman.numbers import to_jsonable
 
-from conftest import ising_to_json
+from conftest import enumerate_matchings, ising_to_json
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -33,11 +33,13 @@ DEMO = str(GOLDEN / "demo.edgelist")
 DEMO_QUBO = str(GOLDEN / "demo.qubo")
 D6 = str(GOLDEN / "d6.edgelist")
 D8 = str(GOLDEN / "d8.edgelist")  # the bench's d = 8 instance: 56 variables, 840 spins on C14
+D14 = str(GOLDEN / "d14.edgelist")  # graph 27 of `postman gen --n 20 --edge-prob 0.5 --seed 1`, the first with d = 14
 SAMPLES = str(GOLDEN / "samples.json")
 
 # case name -> CLI arguments; the expected stdout is tests/golden/<name>.out
 CASES = {
     "exact_circuit": ["exact", DEMO, "--circuit"],
+    "exact_d14": ["exact", D14, "--circuit"],
     "qubo": ["qubo", DEMO, "--p", "8"],
     "sample_sa": ["sample", DEMO_QUBO, "--sampler", "sa", "--reads", "40", "--sweeps", "100", "--seed", "6"],
     "sample_tabu": ["sample", DEMO_QUBO, "--sampler", "tabu", "--restarts", "5", "--seed", "3"],
@@ -190,7 +192,7 @@ def test_penalty_sweep_d8_levels():
     # e0 is M_min at every p, and e0 + gap is the next level: at most the
     # second-lowest pairing weight, since every pairing is a legal state
     table = exact.odd_pair_distances(graphs.read_edge_list(Path(D8).read_text()))
-    weights = sorted({sum(table.dist[i][j] for i, j in m) for m in exact.enumerate_matchings(table.d)})
+    weights = sorted({sum(table.dist[i][j] for i, j in m) for m in enumerate_matchings(table.d)})
     rows = json.loads((GOLDEN / "penalty_sweep_d8.out").read_text())["rows"]
     assert [r["p"] for r in rows] == [8, 16, 32]
     for r in rows:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from postman.errors import DisconnectedGraphError, InfeasibleSpecError, ParseError, TooLargeError
 from postman.graphs import (
     MAX_NODES,
+    MAX_PAIRS,
     EnsembleSpec,
     Graph,
     _pair_distances,
@@ -246,6 +247,13 @@ class TestEnsemble:
         spec = EnsembleSpec(n=8, edge_prob=0.4, count=5, seed=1, w_lo=2, w_hi=6)
         for g in ensemble(spec):
             assert all(2 <= w <= 6 for _, _, w in g.edges)
+
+    def test_pair_guard(self):
+        # 1448 nodes give 1,047,628 candidate pairs, 1449 give 1,049,076
+        assert 1448 * 1447 // 2 <= MAX_PAIRS < 1449 * 1448 // 2
+        assert EnsembleSpec(n=1448, edge_prob=0.5, count=0, seed=0).n == 1448
+        with pytest.raises(TooLargeError, match=f"has 1049076 candidate pairs, over the pair guard {MAX_PAIRS}$"):
+            EnsembleSpec(n=1449, edge_prob=0.5, count=0, seed=0)
 
     def test_infeasible_spec(self):
         # a triangle-only space cannot fail, so force failure via attempt cap 0

@@ -39,7 +39,7 @@ from postman.samplers import (
     tabu_search,
 )
 
-from conftest import NEAR_GUARD_QUBO, apply_gauge, exhaustive, levels, reference_tabu
+from conftest import NEAR_GUARD_QUBO, apply_gauge, enumerate_matchings, exhaustive, levels, reference_tabu
 from test_metrics import fractional_embedded
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -174,8 +174,6 @@ class TestSpectralGap:
 
     def test_large_variant_past_guard(self):
         # 30-variable pairing model: levels are the matching weights
-        from postman.exact import enumerate_matchings
-
         model, dist = d6_pair_qubo(4 * 6)  # big penalty keeps low levels legal
         weights = sorted(
             {sum(dist[i][j] for i, j in m) for m in enumerate_matchings(6)}
