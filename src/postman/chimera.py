@@ -152,7 +152,7 @@ class Embedding:
             if not positions:
                 violations.append(Violation("connectivity", f"chain {i} is empty"))
                 continue
-            adj = _adjacency(positions, index.within[i])
+            adj = _adjacency(positions, index.pairs[index.spans.get((i, i), slice(0, 0))].tolist())
             if len(hops(adj, positions[0])) != len(adj):
                 violations.append(Violation("connectivity", f"chain {i} is not connected"))
         return tuple(violations)
@@ -200,20 +200,6 @@ class ChainIndex:
         """i * len(positions) + j for each chain pair (i, j) of `spans`, sorted."""
         keys = np.array(list(self.spans), dtype=np.int64).reshape(-1, 2)
         return keys[:, 0] * len(self.positions) + keys[:, 1]
-
-    @cached_property
-    def within(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The sorted couplers inside each chain."""
-        return tuple(self._group((i, i)) for i in range(len(self.positions)))
-
-    @cached_property
-    def between(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """The sorted couplers joining chains i < j, for every pair that has one."""
-        return {key: self._group(key) for key in self.spans if key[0] != key[1]}
-
-    def _group(self, key: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-        rows = self.pairs[self.spans.get(key, slice(0, 0))]
-        return tuple(zip(rows[:, 0].tolist(), rows[:, 1].tolist()))
 
 
 def clique_embedding(n_logical: int, topo: ChimeraTopology) -> Embedding:
@@ -320,7 +306,7 @@ def eccentricity_stats(emb: Embedding) -> EccentricityStats:
     """
     index = emb.chain_index
     nodes = sorted({p for positions in index.positions for p in positions})
-    adj = _adjacency(nodes, itertools.chain(*index.within, *index.between.values()))
+    adj = _adjacency(nodes, index.pairs.tolist())
     ecc = []
     for start in nodes:
         dist = hops(adj, start)

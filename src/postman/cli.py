@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
-from .errors import ParseError, PenaltyTooSmallError, PostmanError
+from .errors import InvalidArgumentError, ParseError, PenaltyTooSmallError, PostmanError
 from .numbers import finite_or_str, format_number, parse_number, to_jsonable
 
 
@@ -169,13 +169,18 @@ def _penalty(args: argparse.Namespace):
     return None if args.penalty is None else parse_number(args.penalty)
 
 
-def _jf_grid(text: str) -> list[float]:
+def _grid(flag: str, text: str, parse=parse_number) -> list:
+    """The values of a comma list, each read by `parse`; a value equal to an
+    earlier one once parsed (`1,1.0`, `8,16/2`) is refused."""
     try:
-        grid = [float(x) for x in text.split(",") if x]
+        grid = [parse(x) for x in text.split(",") if x]
     except ValueError:
         grid = []
     if not grid:
-        raise ParseError(f"--jf-grid needs a comma list of numbers, got {text!r}")
+        raise ParseError(f"{flag} needs a comma list of numbers, got {text!r}")
+    for i, x in enumerate(grid):
+        if x in grid[:i]:
+            raise InvalidArgumentError(f"{flag} value {x} is repeated")
     return grid
 
 
@@ -349,7 +354,7 @@ def cmd_jf_sweep(args: argparse.Namespace) -> int:
     points = metrics.jf_sweep(
         logical,
         emb,
-        _jf_grid(args.jf_grid),
+        _grid("--jf-grid", args.jf_grid, float),
         reference,
         schedule=_schedule(args),
         reads=args.reads,
@@ -381,12 +386,7 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     table = exact.odd_pair_distances(g)
     d = table.d
-    if args.p_grid:
-        grid = [parse_number(x) for x in args.p_grid.split(",") if x]
-        if not grid:
-            raise ParseError(f"--p-grid needs a comma list of numbers, got {args.p_grid!r}")
-    else:
-        grid = [d, 2 * d, 4 * d, 8 * d]
+    grid = _grid("--p-grid", args.p_grid) if args.p_grid else [d, 2 * d, 4 * d, 8 * d]
     schedule = _schedule(args)
     rows = []
     for p in grid:
@@ -423,8 +423,7 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
 
 def cmd_defects(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    deltas = [parse_number(x) for x in args.deltas.split(",") if x]
-    scan = defects.defect_map(g, deltas, k=args.k)
+    scan = defects.defect_map(g, _grid("--deltas", args.deltas), k=args.k)
     if args.k == 1 and args.out and not args.out.endswith(".csv"):
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -457,15 +456,16 @@ def cmd_metrics(args: argparse.Namespace) -> int:
         if type(n_sweeps) is not int:
             raise ParseError(f"sample-set n_sweeps is not an integer: {n_sweeps!r}")
         tts = metrics.tts_sa(prob, n_vars, n_sweeps, args.tau_s)
-    report = metrics.MetricsReport(
-        p_gs=prob,
-        t_99=metrics.t_99(prob, args.anneal_time),
-        tts=tts,
-        bootstrap_mean=mean,
-        bootstrap_two_sigma=two_sigma,
-        metadata={"seed": args.seed, "reference": to_jsonable(reference), "reads": samples.total_reads},
-    )
-    _emit(_json_dump(report.to_json()), args.out)
+    report = {
+        "p_gs": to_jsonable(prob),
+        "p_gs_float": float(prob),
+        "t_99": finite_or_str(metrics.t_99(prob, args.anneal_time)),
+        "tts": finite_or_str(tts),
+        "bootstrap_mean": mean,
+        "bootstrap_two_sigma": two_sigma,
+        "metadata": {"seed": args.seed, "reference": to_jsonable(reference), "reads": samples.total_reads},
+    }
+    _emit(_json_dump(report), args.out)
     return 0
 
 

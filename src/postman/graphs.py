@@ -229,21 +229,6 @@ class MultiGraph:
         self.edges.append((a, b, as_exact(w)))
         return len(self.edges) - 1
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def is_connected_on_edges(self) -> bool:
-        """Connectivity over nodes that carry at least one edge."""
-        adj: dict[int, list[int]] = {}
-        for u, v, _ in self.edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        return not adj or len(hops(adj, next(iter(adj)))) == len(adj)
-
 
 @dataclass(frozen=True)
 class GraphFeatures:

@@ -24,7 +24,7 @@ from .chimera import (
     spin_reversal,
 )
 from .errors import EmptySampleSetError, InvalidArgumentError
-from .numbers import Number, finite_or_str, normalize, to_jsonable
+from .numbers import Number, normalize
 from .qubo import IsingModel
 from .samplers import SampleSet, Schedule, _anneal, _row_blocks, _sa_metadata
 
@@ -57,8 +57,8 @@ def t_99(p: Number | float, anneal_time: float = DEFAULT_ANNEAL_TIME) -> float:
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError("success probability must be in [0,1]")
-    if not anneal_time > 0:  # NaN too
-        raise InvalidArgumentError("anneal time must be positive")
+    if not 0 < anneal_time < math.inf:  # NaN too
+        raise InvalidArgumentError("anneal time must be positive and finite")
     if p == 0.0:
         return math.inf
     if p == 1.0:
@@ -80,8 +80,8 @@ def tts_sa(
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError("success probability must be in [0,1]")
-    if n_variables < 1 or n_sweeps < 1 or not tau_s > 0:
-        raise InvalidArgumentError("need N >= 1, n_sweeps >= 1, tau_s > 0")
+    if n_variables < 1 or n_sweeps < 1 or not 0 < tau_s < math.inf:
+        raise InvalidArgumentError("need N >= 1, n_sweeps >= 1, finite tau_s > 0")
     base = n_variables**2 * tau_s * n_sweeps
     if p == 0.0:
         return math.inf
@@ -240,24 +240,3 @@ def curve_to_csv(points: Sequence[CurvePoint]) -> str:
             f"{float(pt.p_gs)},{pt.t_99},{pt.broken_fraction}"
         )
     return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    p_gs: Number
-    t_99: float
-    tts: float | None = None
-    bootstrap_mean: float | None = None
-    bootstrap_two_sigma: float | None = None
-    metadata: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "p_gs": to_jsonable(self.p_gs),
-            "p_gs_float": float(self.p_gs),
-            "t_99": finite_or_str(self.t_99),
-            "tts": finite_or_str(self.tts),
-            "bootstrap_mean": self.bootstrap_mean,
-            "bootstrap_two_sigma": self.bootstrap_two_sigma,
-            "metadata": self.metadata or {},
-        }

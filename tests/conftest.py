@@ -190,17 +190,18 @@ def reference_embed(logical: IsingModel, emb, jf) -> EmbeddedIsing:
         for p in positions:
             h[p] += share
     for (i, j), value in logical.couplings.items():
-        targets = index.between[(i, j)]
+        targets = index.pairs[index.spans[(i, j)]].tolist()
         share = Fraction(as_exact(value), len(targets))
-        for key in targets:
+        for key in map(tuple, targets):
             couplings[key] = couplings.get(key, Fraction(0)) + share
     magnitudes = [abs(v) for v in h] + [abs(v) for v in couplings.values()]
     scale = max(magnitudes) if magnitudes else Fraction(0)
     jf_exact = as_exact(jf)
     chain_value = normalize(-Fraction(jf_exact) * scale)
     chain_offsets = []
-    for intra in index.within:
-        for key in intra:
+    for i in range(emb.n_logical):
+        intra = index.pairs[index.spans.get((i, i), slice(0, 0))].tolist()
+        for key in map(tuple, intra):
             couplings[key] = couplings.get(key, Fraction(0)) + chain_value
         chain_offsets.append(normalize(chain_value * len(intra)))
     model = IsingModel(

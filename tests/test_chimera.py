@@ -205,6 +205,20 @@ class TestValidate:
         assert validate_embedding(emb, iter(couplers)) == want
 
 
+def probed_groups(emb):
+    """{(i, j): sorted position pairs} for every chain pair i <= j, found by
+    probing every qubit pair of the two chains against the topology's couplers.
+    A qubit listed more than once is named by its last position."""
+    pos = {q: i for i, q in enumerate(sorted(q for chain in emb.chains for q in chain))}
+    couplers = set(map(tuple, emb.topology.coupler_array().tolist()))
+    groups = {}
+    for i, one in enumerate(emb.chains):
+        for j in range(i, len(emb.chains)):
+            pairs = {(min(a, b), max(a, b)) for a in one for b in emb.chains[j]}
+            groups[(i, j)] = tuple(sorted((pos[a], pos[b]) for a, b in pairs if (a, b) in couplers))
+    return groups
+
+
 class TestChainIndex:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_pairwise_probe(self, seed):
@@ -216,20 +230,15 @@ class TestChainIndex:
             tuple(int(q) for q in rng.choice(32, size=int(rng.integers(1, 6)), replace=False))
             for _ in range(5)
         )
-        index = Embedding(chains=chains, topology=topo).chain_index
+        emb = Embedding(chains=chains, topology=topo)
+        index = emb.chain_index
         assert index.qubit_order == tuple(sorted(q for chain in chains for q in chain))
         pos = {q: i for i, q in enumerate(index.qubit_order)}
         assert index.positions == tuple(tuple(pos[q] for q in chain) for chain in chains)
-        couplers = set(map(tuple, topo.coupler_array().tolist()))
-
-        def probe(one, other):
-            pairs = {(min(a, b), max(a, b)) for a in one for b in other}
-            return tuple(sorted((pos[a], pos[b]) for a, b in pairs if (a, b) in couplers))
-
-        for i, chain in enumerate(chains):
-            assert index.within[i] == probe(chain, chain)
-            for j in range(i + 1, len(chains)):
-                assert index.between.get((i, j), ()) == probe(chain, chains[j])
+        groups = probed_groups(emb)
+        assert set(index.spans) == {key for key, group in groups.items() if group}
+        for key, group in groups.items():
+            assert tuple(map(tuple, index.pairs[index.spans.get(key, slice(0, 0))].tolist())) == group
 
 
 class TestStats:
@@ -257,6 +266,21 @@ class TestStats:
         emb = Embedding(chains=((0, 4),), topology=topo)
         stats = eccentricity_stats(emb)
         assert (stats.variance, stats.skewness, stats.kurtosis) == (0.0, 0.0, 0.0)
+
+    def test_d8_clique_matches_probed_adjacency(self):
+        # the d = 8 instance's 56 chains on C14, 840 qubits
+        emb = clique_embedding(56, chimera_graph(14))
+        adj = {p: [] for p in range(len(emb.chain_index.qubit_order))}
+        for group in probed_groups(emb).values():
+            for a, b in group:
+                adj[a].append(b)
+                adj[b].append(a)
+        e = np.array([max(hops(adj, start).values()) for start in adj], dtype=float)
+        mean = float(e.mean())
+        m2, m3, m4 = (float(((e - mean) ** k).mean()) for k in (2, 3, 4))
+        assert eccentricity_stats(emb) == chimera.EccentricityStats(
+            mean=mean, variance=m2, skewness=m3 / m2**1.5, kurtosis=m4 / m2**2 - 3.0
+        )
 
     def test_embedding_json_round_trip(self):
         emb = clique_embedding(5, chimera_graph(3))

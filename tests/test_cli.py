@@ -431,6 +431,10 @@ class TestExitCodes:
             ["simulate", "DEMO", "--m", "3", "--jf", "nan"],
             ["simulate", "DEMO", "--m", "3", "--reads", "2", "--sweeps", "2", "--anneal-time", "nan"],
             ["metrics", "SAMPLES", "--reference", "5", "--tau-s", "nan"],
+            ["metrics", "SAMPLES", "--reference", "5", "--tau-s", "inf"],
+            ["metrics", "SAMPLES", "--reference", "5", "--anneal-time", "inf"],
+            ["simulate", "DEMO", "--m", "3", "--reads", "2", "--sweeps", "2", "--anneal-time", "inf"],
+            ["jf-sweep", "DEMO", "--m", "3", "--reads", "2", "--sweeps", "2", "--jf-grid", "1", "--anneal-time", "inf"],
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ","],
             ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", ""],
             ["penalty-sweep", "DEMO", "--p-grid", ","],
@@ -453,6 +457,18 @@ class TestExitCodes:
             "DIR": str(tmp_path / "maps"),
         }
         assert_domain_error(*run(capsys, *[files.get(a, a) for a in argv])[::2])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "0.5,1,1.0"], "--jf-grid value 1.0 is repeated"),
+            (["penalty-sweep", "DEMO", "--p-grid", "8,16/2"], "--p-grid value 8 is repeated"),
+            (["defects", "DEMO", "--deltas", "1/2,3,2/4"], "--deltas value 1/2 is repeated"),
+        ],
+    )
+    def test_repeated_grid_value(self, capsys, demo_file, argv, message):
+        code, out, err = run(capsys, *[demo_file if a == "DEMO" else a for a in argv])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

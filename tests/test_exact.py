@@ -263,8 +263,40 @@ class TestCircuit:
         mg = MultiGraph(4)
         for u, v in [(0, 1), (1, 0), (2, 3), (3, 2)]:
             mg.add_edge(u, v, 1)
-        with pytest.raises(NotEulerianError):
+        with pytest.raises(NotEulerianError, match="^edges are not connected$"):
             euler_circuit(mg)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # the walk starts at node 1, in the triangle; the doubled edge (5, 6) is left
+            [(5, 6), (1, 2), (2, 3), (1, 3), (6, 5)],
+            # the walk starts at node 1, on the doubled edge; the triangle is left
+            [(2, 3), (1, 6), (3, 4), (2, 4), (6, 1)],
+        ],
+    )
+    def test_walk_short_of_every_edge_raises(self, edges):
+        mg = MultiGraph(8)
+        for u, v in edges:
+            mg.add_edge(u, v, 1)
+        with pytest.raises(NotEulerianError, match="^edges are not connected$"):
+            euler_circuit(mg)
+
+    def test_odd_degree_reported_before_disconnection(self):
+        mg = MultiGraph(4)
+        for u, v in [(0, 1), (2, 3), (3, 2)]:
+            mg.add_edge(u, v, 1)
+        with pytest.raises(NotEulerianError, match="^odd degree node present$"):
+            euler_circuit(mg)
+
+    def test_isolated_nodes_around_one_component(self):
+        mg = MultiGraph(7)
+        for u, v in [(2, 4), (4, 5), (5, 2)]:
+            mg.add_edge(u, v, 2)
+        walk = euler_circuit(mg)
+        assert walk_nodes(walk) == [2, 4, 5, 2]
+        assert walk_length(mg, walk) == 6
+        assert euler_circuit(MultiGraph(3)) == ()
 
 
 class TestPathsOnlyForMatchedPairs:

@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from postman import chimera, metrics, samplers
 from postman.chimera import DecodePolicy, chimera_graph, clique_embedding, spin_reversal
-from postman.errors import EmptySampleSetError
+from postman.errors import EmptySampleSetError, InvalidArgumentError
 from postman.metrics import (
-    MetricsReport,
     _derived_seed,
     bootstrap,
     curve_to_csv,
@@ -83,6 +82,11 @@ class TestT99:
         values = [t_99(p) for p in grid]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("anneal_time", [math.inf, -math.inf, math.nan, 0.0, -1e-6])
+    def test_anneal_time_positive_and_finite(self, anneal_time):
+        with pytest.raises(InvalidArgumentError, match="^anneal time must be positive and finite$"):
+            t_99(0.52, anneal_time)
+
 
 class TestTts:
     def test_printed_formula_value(self):
@@ -99,6 +103,11 @@ class TestTts:
         assert tts_sa(0.6, 5, 100) < tts_sa(0.4, 5, 100)
         assert tts_sa(0.5, 5, 200) > tts_sa(0.5, 5, 100)
         assert tts_sa(0.5, 5, 100, 2e-9) > tts_sa(0.5, 5, 100, 1e-9)
+
+    @pytest.mark.parametrize("tau_s", [math.inf, -math.inf, math.nan, 0.0, -1e-9])
+    def test_tau_s_positive_and_finite(self, tau_s):
+        with pytest.raises(InvalidArgumentError, match="finite tau_s > 0"):
+            tts_sa(0.52, 5, 100, tau_s)
 
 
 class TestBootstrap:
@@ -435,9 +444,3 @@ class TestIndicatorsAndReport:
             SampleRecord(config=(-1,), energy=7, multiplicity=1),
         ])
         assert success_indicators(ss, 2) == [1, 1, 0, 0]
-
-    def test_report_json(self):
-        report = MetricsReport(p_gs=Fraction(1, 4), t_99=1.5, metadata={"seed": 0})
-        out = report.to_json()
-        assert out["p_gs"] == "1/4"
-        assert out["p_gs_float"] == 0.25
