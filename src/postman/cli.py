@@ -323,9 +323,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if args.autoscale:
         scaled, factor = chimera.autoscale(embedded.model)
         embedded = dataclasses.replace(embedded, model=scaled)
-    physical = metrics.sample_embedded(
-        embedded, _schedule(args), args.reads, args.gauges, seed=args.seed
-    )
+    schedule = _schedule(args)
+    metrics._check_anneal_time(args.anneal_time)
+    physical = metrics.sample_embedded(embedded, schedule, args.reads, args.gauges, seed=args.seed)
     report = {
         "seed": args.seed,
         "jf": args.jf,
@@ -388,27 +388,38 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
     d = table.d
     grid = _grid("--p-grid", args.p_grid) if args.p_grid else [d, 2 * d, 4 * d, 8 * d]
     schedule = _schedule(args)
-    rows = []
+    if args.reads < 1:
+        raise InvalidArgumentError("need at least one read")
+    if args.restarts < 1:
+        raise InvalidArgumentError("need at least one restart")
+    # every model and its exact gap (whose e0 the success rates need) in grid
+    # order here; the sampler runs of each p are one unit over the cores
+    models, gaps = [], []
     for p in grid:
-        model = qubo.build_qubo(table, p)
-        e0, e1, gap = samplers.spectral_gap_large(model)
-        ising = qubo.to_ising(model)
+        models.append(qubo.build_qubo(table, p))
+        gaps.append(samplers.spectral_gap_large(models[-1]))
+
+    def successes(k: int) -> tuple[float, float]:
+        model, e0 = models[k], gaps[k][0]
         sa = samplers.simulated_annealing(
-            ising, schedule=schedule, reads=args.reads, seed=args.seed
+            qubo.to_ising(model), schedule=schedule, reads=args.reads, seed=args.seed
         )
-        tabu = samplers.tabu_search(
-            model, max_restarts=args.restarts, seed=args.seed
+        tabu = samplers.tabu_search(model, max_restarts=args.restarts, seed=args.seed)
+        return float(metrics.p_gs(sa, e0)), float(metrics.p_gs(tabu, e0))
+
+    rows = [
+        {
+            "p": to_jsonable(p),
+            "p_over_n": float(p) / g.n,
+            "gap": float(gap),
+            "e0": to_jsonable(e0),
+            "p_gs_sa": p_gs_sa,
+            "p_gs_tabu": p_gs_tabu,
+        }
+        for p, (e0, _e1, gap), (p_gs_sa, p_gs_tabu) in zip(
+            grid, gaps, samplers._fan_out(successes, range(len(grid)))
         )
-        rows.append(
-            {
-                "p": to_jsonable(p),
-                "p_over_n": float(p) / g.n,
-                "gap": float(gap),
-                "e0": to_jsonable(e0),
-                "p_gs_sa": float(metrics.p_gs(sa, e0)),
-                "p_gs_tabu": float(metrics.p_gs(tabu, e0)),
-            }
-        )
+    ]
     if args.fmt == "json":
         _emit(_json_dump({"seed": args.seed, "rows": rows}), args.out)
     else:

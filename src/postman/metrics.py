@@ -26,7 +26,7 @@ from .chimera import (
 from .errors import EmptySampleSetError, InvalidArgumentError
 from .numbers import Number, normalize
 from .qubo import IsingModel
-from .samplers import SampleSet, Schedule, _anneal, _row_blocks, _sa_metadata
+from .samplers import SampleSet, Schedule, _anneal, _fan_out, _row_blocks, _sa_metadata
 
 DEFAULT_ANNEAL_TIME = 20e-6     # seconds per annealing cycle
 DEFAULT_TAU_S = 0.5e-9          # seconds per sweep-spin update (2 updates/ns)
@@ -49,6 +49,11 @@ def p_gs(samples: SampleSet, reference_energy: Number) -> Number:
     return normalize(Fraction(hits, total))
 
 
+def _check_anneal_time(anneal_time: float) -> None:
+    if not 0 < anneal_time < math.inf:  # NaN too
+        raise InvalidArgumentError("anneal time must be positive and finite")
+
+
 def t_99(p: Number | float, anneal_time: float = DEFAULT_ANNEAL_TIME) -> float:
     """Repeat-until-confident time: ln(1-0.99)/ln(1-p) * T.
 
@@ -57,8 +62,7 @@ def t_99(p: Number | float, anneal_time: float = DEFAULT_ANNEAL_TIME) -> float:
     p = float(p)
     if not (0.0 <= p <= 1.0):
         raise InvalidArgumentError("success probability must be in [0,1]")
-    if not 0 < anneal_time < math.inf:  # NaN too
-        raise InvalidArgumentError("anneal time must be positive and finite")
+    _check_anneal_time(anneal_time)
     if p == 0.0:
         return math.inf
     if p == 1.0:
@@ -216,20 +220,29 @@ def jf_sweep(
     """Success-probability curve over the intra-chain coupling grid.
 
     Per grid point: embed at jf, gauge, anneal, then decode the same raw
-    samples once per policy. Deterministic for a fixed master seed.
+    samples once per policy. Point i is seeded by (seed, i) alone, so the
+    points run as independent units over the cores (`_fan_out`), and the
+    curve is the same for a fixed master seed however they are split.
     """
     schedule = schedule or Schedule()
-    points = []
-    for index, jf in enumerate(jf_grid):
+    _check_anneal_time(anneal_time)
+    # built once, before the split, so that every worker inherits them
+    logical.int_form
+    if logical.n == emb.n_logical:  # else embed_ising refuses the embedding before reading it
+        emb.chain_violations  # and with them emb.chain_index
+
+    def point(item: tuple[int, float]) -> list[CurvePoint]:
+        index, jf = item
         embedded = embed_ising(logical, emb, jf)
         physical = sample_embedded(embedded, schedule, reads, gauges, seed=_derived_seed(seed, index))
-        points.extend(
+        return [
             CurvePoint(float(jf), policy.value, gauges, reads, prob, t99, broken)
             for policy, prob, t99, broken in _policy_outcomes(
                 physical, emb, logical, reference_energy, policies, anneal_time
             )
-        )
-    return points
+        ]
+
+    return [pt for points in _fan_out(point, enumerate(jf_grid)) for pt in points]
 
 
 def curve_to_csv(points: Sequence[CurvePoint]) -> str:

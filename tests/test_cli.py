@@ -1,6 +1,10 @@
 import io
 import json
+import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,8 +13,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from postman import chimera, graphs, qubo
+from postman import chimera, graphs, metrics, qubo, samplers
 from postman.cli import main
+from postman.errors import InvalidArgumentError
 from postman.graphs import Graph, write_edge_list
 
 from conftest import DEMO_EDGES, NEAR_GUARD_QUBO, graph_to_json
@@ -510,6 +515,102 @@ class TestExitCodes:
             capsys, "simulate", demo_file, "--embedding", str(path), "--reads", "4", "--sweeps", "4"
         )
         assert_domain_error(code, err)
+
+
+class TestSplitSweeps:
+    """jf-sweep points and penalty-sweep sampler runs at worker counts forced
+    through `samplers._cores`: the output and the errors of the plain loop."""
+
+    SWEEPS = {
+        "jf-sweep": ["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "0.5,1.0,1.5", "--gauges", "2",
+                     "--reads", "12", "--sweeps", "30", "--seed", "3"],
+        "penalty-sweep": ["penalty-sweep", "DEMO", "--p-grid", "4,8,16", "--reads", "20", "--sweeps", "40",
+                          "--restarts", "2", "--seed", "3"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def at_each_worker_count(self, capsys, monkeypatch, argv):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(samplers, "_cores", lambda: workers)
+            results.append(run(capsys, *argv))
+        assert results[0] == results[1] == results[2]
+        return results[0]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_same_output_at_every_worker_count(self, capsys, monkeypatch, demo_file, command, fmt):
+        argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS[command]]
+        code, out, err = self.at_each_worker_count(capsys, monkeypatch, [*argv, "--format", fmt])
+        assert (code, err) == (0, "")
+        rows = json.loads(out)["points" if command == "jf-sweep" else "rows"] if fmt == "json" else out.splitlines()[1:]
+        assert len(rows) == (3 * 2 if command == "jf-sweep" else 3)
+
+    @pytest.mark.parametrize("command", SWEEPS)
+    def test_worker_error_is_the_serial_one(self, capsys, monkeypatch, demo_file, command):
+        # points 1 and 2 fail: with two workers point 2 fails here and point 1, the one
+        # the plain loop reaches first, in the worker
+        if command == "jf-sweep":
+            sample = metrics.sample_embedded
+
+            def refusing(embedded, *args, **kwargs):
+                if embedded.jf >= 1:
+                    raise InvalidArgumentError(f"refused at jf {embedded.jf}")
+                return sample(embedded, *args, **kwargs)
+
+            monkeypatch.setattr(metrics, "sample_embedded", refusing)
+            message = "error: refused at jf 1\n"
+        else:
+            tabu = samplers.tabu_search
+
+            def refusing(model, *args, **kwargs):
+                if model.penalty >= 8:
+                    raise InvalidArgumentError(f"refused at p {model.penalty}")
+                return tabu(model, *args, **kwargs)
+
+            monkeypatch.setattr(samplers, "tabu_search", refusing)
+            message = "error: refused at p 8\n"
+        argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS[command]]
+        assert self.at_each_worker_count(capsys, monkeypatch, argv) == (3, "", message)
+
+    def test_piped_stdout_prints_each_line_once(self, capsys, monkeypatch, demo_file):
+        argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS["penalty-sweep"]]
+        path = os.pathsep.join([str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        # one BLAS thread, so the sweep splits over this host's cores (`samplers._cores`)
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-m", "postman", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        monkeypatch.setattr(samplers, "_cores", lambda: 1)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+        assert len(proc.stdout.splitlines()) == 4
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "DEMO", "--m", "3", "--reads", "4", "--sweeps", "4", "--anneal-time", "inf"],
+             "anneal time must be positive and finite"),
+            (["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "0.5,1.0", "--reads", "4", "--sweeps", "4",
+              "--anneal-time", "inf"], "anneal time must be positive and finite"),
+            (["jf-sweep", "DEMO", "--m", "3", "--jf-grid", "0.5,1.0", "--anneal-time", "0"],
+             "anneal time must be positive and finite"),
+            (["penalty-sweep", "DEMO", "--p-grid", "4,8", "--reads", "0"], "need at least one read"),
+            (["penalty-sweep", "DEMO", "--p-grid", "4,8", "--sweeps", "0"], "need at least one sweep"),
+            (["penalty-sweep", "DEMO", "--p-grid", "4,8", "--restarts", "0"], "need at least one restart"),
+        ],
+    )
+    def test_run_wide_argument_refused_before_the_first_unit(self, capsys, monkeypatch, demo_file, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a unit ran before the arguments were checked")
+
+        for module, name in [(metrics, "_anneal"), (samplers, "spectral_gap_large"), (samplers, "_fan_out")]:
+            monkeypatch.setattr(module, name, refuse)
+        monkeypatch.setattr(metrics, "_fan_out", refuse)
+        code, out, err = run(capsys, *[demo_file if a == "DEMO" else a for a in argv])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 class TestHeaderGuards:

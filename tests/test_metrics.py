@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from postman import chimera, metrics, samplers
 from postman.chimera import DecodePolicy, chimera_graph, clique_embedding, spin_reversal
-from postman.errors import EmptySampleSetError, InvalidArgumentError
+from postman.errors import EmptySampleSetError, InvalidArgumentError, PostmanError
 from postman.metrics import (
     _derived_seed,
     bootstrap,
@@ -281,12 +284,18 @@ class TestSampleEmbedded:
             embedded.append(embed(*args, **kwargs))
             return embedded[-1]
 
-        embed = metrics.embed_ising
+        def split(fn, items):
+            # the logical form and the chain index are built before the points split, once
+            assert "int_form" in vars(logical) and "chain_index" in vars(emb)
+            return fan_out(fn, items)
+
+        embed, fan_out = metrics.embed_ising, metrics._fan_out
         monkeypatch.setattr(qubo._IntForm, "build", staticmethod(counting))
         monkeypatch.setattr(metrics, "embed_ising", recording)
-        logical = frustrated_k4()
-        jf_sweep(logical, clique_embedding(4, chimera_graph(1)), [0.5, 1.0, 1.5], 0,
-                 schedule=Schedule(n_sweeps=5), reads=6, seed=2)
+        monkeypatch.setattr(metrics, "_fan_out", split)
+        monkeypatch.setattr(samplers, "_cores", lambda: 1)  # every point in this process, where the spies see it
+        logical, emb = frustrated_k4(), clique_embedding(4, chimera_graph(1))
+        jf_sweep(logical, emb, [0.5, 1.0, 1.5], 0, schedule=Schedule(n_sweeps=5), reads=6, seed=2)
         assert built == [logical.n]  # the logical model only
         assert len(embedded) == 3
         for one in embedded:
@@ -434,6 +443,108 @@ class TestJfSweep:
         lines = text.strip().splitlines()
         assert lines[0] == "jf,policy,gauges,reads,p_gs,t_99,broken_fraction"
         assert len(lines) == 3
+
+
+class Stop(BaseException):
+    """Not an Exception, so it leaves a unit the way an interrupt would."""
+
+
+class TestFanOut:
+    """`samplers._fan_out` at a worker count forced through `samplers._cores`."""
+
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        yield
+        assert multiprocessing.active_children() == []
+        if allowed is not None:
+            assert os.sched_getaffinity(0) == allowed  # this thread's CPUs given back
+
+    @pytest.mark.parametrize(
+        "openblas, omp, split",
+        [
+            (None, None, False),   # OpenBLAS takes a thread per core
+            ("1", None, True),
+            (" 1 ", "4", True),
+            ("2", "1", False),
+            (None, "1", True),
+            ("0", "1", True),      # 0 reads as unset
+            ("x", "2", False),
+        ],
+    )
+    def test_cores_only_beside_one_blas_thread(self, monkeypatch, openblas, omp, split):
+        for name, value in [("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)]:
+            if value is None:
+                monkeypatch.delenv(name, raising=False)
+            else:
+                monkeypatch.setenv(name, value)
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert samplers._cores() == (cores if split else 1)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_input_order(self, monkeypatch, workers):
+        monkeypatch.setattr(samplers, "_cores", lambda: workers)
+        assert samplers._fan_out(lambda x: (x, x * x), range(7)) == [(x, x * x) for x in range(7)]
+        assert samplers._fan_out(lambda x: x, []) == []
+
+    def test_units_run_in_workers(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        pids = samplers._fan_out(lambda x: os.getpid(), range(4))
+        assert pids[0] == pids[2] == os.getpid() and pids[1] == pids[3] != os.getpid()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity calls")
+    def test_each_stride_keeps_to_its_own_cpu(self, monkeypatch):
+        cpus = sorted(os.sched_getaffinity(0))
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        seen = samplers._fan_out(lambda x: os.sched_getaffinity(0), range(2))
+        assert seen == [{cpus[0]}, {cpus[1 % len(cpus)]}]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_lowest_failing_index_raises(self, monkeypatch, workers):
+        # with 2 workers, index 2 fails in this process and index 1, the lower, in the worker
+        def unit(x):
+            if x in (1, 2):
+                raise InvalidArgumentError(f"unit {x} refused")
+            return x
+
+        monkeypatch.setattr(samplers, "_cores", lambda: workers)
+        with pytest.raises(InvalidArgumentError, match="^unit 1 refused$"):
+            samplers._fan_out(unit, range(5))
+
+    def test_worker_exit_without_results_raises(self, monkeypatch):
+        parent = os.getpid()
+
+        def unit(x):
+            if x == 1 and os.getpid() != parent:
+                os._exit(7)
+            return x
+
+        monkeypatch.setattr(samplers, "_cores", lambda: 2)
+        with pytest.raises(PostmanError, match="^a worker exited with code 7 before sending its results$"):
+            samplers._fan_out(unit, range(4))
+
+    def test_leaving_by_base_exception_ends_the_workers(self, monkeypatch):
+        def unit(x):
+            if x == 0:
+                raise Stop
+            time.sleep(60)  # the workers' units: ended, not waited for
+
+        monkeypatch.setattr(samplers, "_cores", lambda: 3)
+        start = time.perf_counter()
+        with pytest.raises(Stop):
+            samplers._fan_out(unit, range(3))
+        assert time.perf_counter() - start < 30
+
+    def test_jf_sweep_same_at_every_worker_count(self, monkeypatch):
+        logical = frustrated_k4()
+        emb = clique_embedding(4, chimera_graph(1))
+        curves = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(samplers, "_cores", lambda: workers)
+            curves.append(jf_sweep(logical, emb, [0.5, 1.0, 1.5], brute_force(logical).best().energy,
+                                   schedule=Schedule(n_sweeps=40), reads=30, gauges=2, seed=9))
+        assert curves[0] == curves[1] == curves[2]
+        assert len(curves[0]) == 6
 
 
 class TestIndicatorsAndReport:
