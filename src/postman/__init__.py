@@ -6,6 +6,15 @@ a Chimera embedding pipeline with chain decoding and gauges, defect-probe
 analytics, and a CLI tying the pieces together.
 """
 
+import os
+
+# OpenBLAS, the BLAS of numpy's wheels, starts a thread per core when numpy
+# loads unless told a count. Those threads buy this package nothing measurable,
+# and forked workers beside them (`samplers._fan_out`) are slow and unsafe, so
+# keep BLAS to one thread unless the caller chose otherwise. This must precede
+# the first numpy import to take effect.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .errors import PostmanError
 from .graphs import EnsembleSpec, Graph, MultiGraph, odd_nodes, is_connected, is_eulerian
 from .exact import CppSolution, Matching, OddPairDistances, cpp_length, m_min, solve

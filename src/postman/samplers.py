@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from types import FunctionType
 
 import numpy as np
 
@@ -763,26 +765,40 @@ def tabu_search(
 # --- independent units over the cores -----------------------------------------
 
 def _cores() -> int:
-    """How many processes `_fan_out` may run at once: the cores this process
-    may run on when BLAS keeps to one thread, else 1.
+    """How many processes `_fan_out` may run at once: the CPUs this process
+    may run on, or 1 where a split would be unsafe, slow or unseen.
 
-    OpenBLAS, the BLAS of numpy's wheels, starts a thread per core unless
-    OPENBLAS_NUM_THREADS (or, that unset, OMP_NUM_THREADS) sets a count, and
-    its idle threads spin. Forked workers beside those threads slowed a
-    two-point d = 8 sweep from 4.5 s to 71 s on a 2-core VM.
+    Unsafe or slow: this process already runs other threads, or they cannot be
+    counted. A forked child inherits locks those threads held, and BLAS
+    threads spin beside the workers (OpenBLAS's thread per core made a
+    two-point d = 8 sweep 15 times slower; the package keeps OpenBLAS to one
+    thread, unless the caller set a count or loaded numpy first).
+    Unseen: something in this process watches the package's calls, which
+    would miss the workers' (`_watched`).
     """
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:  # as OpenBLAS reads it: else unset
-            if int(value) > 1:
-                return 1
-            break
-    else:
-        return 1
     try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        threads = len(os.listdir("/proc/self/task"))
+        cpus = len(os.sched_getaffinity(0))
+    except (OSError, AttributeError):  # no /proc or no affinity calls on this platform
+        return 1
+    return cpus if threads == 1 and not _watched() else 1
+
+
+def _watched() -> bool:
+    """Whether something in this process watches the package's calls: a trace
+    or profile hook (a debugger, coverage, cProfile), or a module-level package
+    function wrapped from outside the package (a call tracer)."""
+    if sys.gettrace() is not None or sys.getprofile() is not None:
+        return True
+    modules = [m for name, m in list(sys.modules.items()) if name.partition(".")[0] == "postman"]
+    files = {getattr(m, "__file__", None) for m in modules}
+    for module in modules:
+        for value in list(vars(module).values()):
+            inner = getattr(value, "__wrapped__", None) if isinstance(value, FunctionType) else None
+            if (isinstance(inner, FunctionType) and inner.__code__.co_filename in files
+                    and value.__code__.co_filename not in files):
+                return True
+    return False
 
 
 def _fan_out(fn, items) -> list:
@@ -799,9 +815,9 @@ def _fan_out(fn, items) -> list:
     No worker outlives the call.
 
     A forked process starts on its parent's CPU, and Linux may leave it there
-    for longer than a unit takes, the two sharing one CPU. So, where the
-    platform has affinity calls, stride k keeps to the k-th CPU this thread
-    may use, and this thread gets its own CPUs back when the call ends.
+    for longer than a unit takes, the two sharing one CPU. So stride k keeps
+    to the k-th CPU this thread may use, and this thread gets its own CPUs
+    back when the call ends.
     """
     items = list(items)
     workers = min(len(items), _cores())
@@ -812,12 +828,11 @@ def _fan_out(fn, items) -> list:
     if "fork" not in multiprocessing.get_all_start_methods():
         return [fn(x) for x in items]
     context = multiprocessing.get_context("fork")
-    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    allowed = os.sched_getaffinity(0)  # `_cores` is 1 without the affinity calls
     cpus = sorted(allowed)
 
     def place(share: int) -> None:
-        if cpus:
-            os.sched_setaffinity(0, {cpus[share % len(cpus)]})
+        os.sched_setaffinity(0, {cpus[share % len(cpus)]})
 
     def run(share: int) -> list:
         outcomes = []
@@ -842,9 +857,11 @@ def _fan_out(fn, items) -> list:
         for share in range(1, workers):
             reader, writer = context.Pipe(duplex=False)
             proc = context.Process(target=work, args=(share, writer))
-            proc.start()
             started.append((proc, reader))
-            writer.close()  # the worker's end: the reader sees end-of-file once the worker is gone
+            try:
+                proc.start()
+            finally:
+                writer.close()  # the worker's end: the reader sees end-of-file once the worker is gone
         shares.append(run(0))
         for proc, reader in started:
             try:
@@ -854,12 +871,12 @@ def _fan_out(fn, items) -> list:
                 shares.append([(False, PostmanError(
                     f"a worker exited with code {proc.exitcode} before sending its results"))])
     finally:
-        if cpus:
-            os.sched_setaffinity(0, allowed)
+        os.sched_setaffinity(0, allowed)
         for k, (proc, reader) in enumerate(started):
-            if k >= len(shares) - 1:  # not collected: this call is being left by an exception
-                proc.terminate()
-            proc.join()
+            if proc.pid is not None:  # else its start failed
+                if k >= len(shares) - 1:  # not collected: this call is being left by an exception
+                    proc.terminate()
+                proc.join()
             reader.close()
     outcomes = [None] * len(items)
     for share, results in enumerate(shares):

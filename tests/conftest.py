@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import postman  # before numpy: the package keeps OpenBLAS to one thread, so tests may fork
 import numpy as np
 import pytest
 

@@ -530,6 +530,7 @@ class TestSplitSweeps:
 
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
+        assert len(os.listdir("/proc/self/task")) == 1  # forks beside no other thread, as `_cores` allows
         yield
         assert multiprocessing.active_children() == []
 
@@ -580,8 +581,8 @@ class TestSplitSweeps:
     def test_piped_stdout_prints_each_line_once(self, capsys, monkeypatch, demo_file):
         argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS["penalty-sweep"]]
         path = os.pathsep.join([str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")])
-        # one BLAS thread, so the sweep splits over this host's cores (`samplers._cores`)
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+        # the sweep splits over this host's cores (`samplers._cores`)
+        env = {**os.environ, "PYTHONPATH": path}
         proc = subprocess.run([sys.executable, "-m", "postman", *argv], capture_output=True, text=True,
                               env=env, timeout=120)
         monkeypatch.setattr(samplers, "_cores", lambda: 1)

@@ -1,8 +1,13 @@
+import functools
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,32 +459,75 @@ class TestFanOut:
 
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
-        allowed = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+        # forks are made beside no other thread, as `_cores` allows them (conftest imports
+        # the package before numpy, so OpenBLAS keeps to one thread)
+        assert len(os.listdir("/proc/self/task")) == 1
+        allowed = os.sched_getaffinity(0)
         yield
         assert multiprocessing.active_children() == []
-        if allowed is not None:
-            assert os.sched_getaffinity(0) == allowed  # this thread's CPUs given back
+        assert os.sched_getaffinity(0) == allowed  # this thread's CPUs given back
 
-    @pytest.mark.parametrize(
-        "openblas, omp, split",
-        [
-            (None, None, False),   # OpenBLAS takes a thread per core
-            ("1", None, True),
-            (" 1 ", "4", True),
-            ("2", "1", False),
-            (None, "1", True),
-            ("0", "1", True),      # 0 reads as unset
-            ("x", "2", False),
-        ],
-    )
-    def test_cores_only_beside_one_blas_thread(self, monkeypatch, openblas, omp, split):
-        for name, value in [("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)]:
-            if value is None:
-                monkeypatch.delenv(name, raising=False)
-            else:
-                monkeypatch.setenv(name, value)
-        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert samplers._cores() == (cores if split else 1)
+    def test_cores_are_the_allowed_cpus(self):
+        assert samplers._cores() == len(os.sched_getaffinity(0))
+
+    def test_one_core_beside_another_thread(self):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert samplers._cores() == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        deadline = time.monotonic() + 10  # the kernel lists a joined thread until it has exited
+        while len(os.listdir("/proc/self/task")) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert samplers._cores() == len(os.sched_getaffinity(0))
+
+    def test_one_core_under_a_profile_hook(self):
+        sys.setprofile(lambda frame, event, arg: None)
+        try:
+            cores = samplers._cores()
+        finally:
+            sys.setprofile(None)
+        assert cores == 1
+
+    def test_wrapped_package_function_keeps_every_point_here(self, monkeypatch):
+        # a call tracer's wrapper sees every point's call, none lost in a worker
+        calls = []
+        embed = metrics.embed_ising
+
+        @functools.wraps(embed)
+        def traced(*args, **kwargs):
+            calls.append(os.getpid())
+            return embed(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "embed_ising", traced)
+        assert samplers._cores() == 1
+        logical = frustrated_k4()
+        jf_sweep(logical, clique_embedding(4, chimera_graph(1)), [0.5, 1.0, 1.5], 0,
+                 schedule=Schedule(n_sweeps=5), reads=6, seed=2)
+        assert calls == [os.getpid()] * 3
+
+    def test_pending_output_written_once(self):
+        # text printed into a pipe's buffer before the split is not written again by the workers
+        # (multiprocessing's fork start flushes sys.stdout and sys.stderr before each fork)
+        script = (
+            "from postman import samplers\n"
+            "from postman.chimera import chimera_graph, clique_embedding\n"
+            "from postman.metrics import jf_sweep\n"
+            "from postman.qubo import IsingModel\n"
+            "samplers._cores = lambda: 3\n"
+            "print('before the split')\n"
+            "logical = IsingModel(4, (0, 0, 0, 0), {(0, 1): 1, (0, 2): 1, (1, 2): 1, (2, 3): -1})\n"
+            "jf_sweep(logical, clique_embedding(4, chimera_graph(1)), [0.5, 1.0, 1.5], 0, reads=4)\n"
+            "print('after the split')\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "before the split\nafter the split\n", "")
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     def test_input_order(self, monkeypatch, workers):
@@ -492,7 +540,6 @@ class TestFanOut:
         pids = samplers._fan_out(lambda x: os.getpid(), range(4))
         assert pids[0] == pids[2] == os.getpid() and pids[1] == pids[3] != os.getpid()
 
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity calls")
     def test_each_stride_keeps_to_its_own_cpu(self, monkeypatch):
         cpus = sorted(os.sched_getaffinity(0))
         monkeypatch.setattr(samplers, "_cores", lambda: 2)
