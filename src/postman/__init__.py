@@ -24,7 +24,6 @@ from .samplers import (
     SampleSet,
     Schedule,
     brute_force,
-    ground_state,
     simulated_annealing,
     tabu_search,
 )

@@ -342,7 +342,7 @@ def read_qubo(text: str) -> QuboModel:
     n_diag = n_elem = 0
     linear: list[Number] = []
     quadratic: dict[tuple[int, int], Number] = {}
-    seen_diag = seen_elem = 0
+    seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -378,16 +378,19 @@ def read_qubo(text: str) -> QuboModel:
         value = parse_number(parts[2], lineno)
         if not (0 <= k < dim and 0 <= l < dim):
             raise ParseError(f"index out of range for dim {dim}", lineno)
+        if k > l:
+            raise ParseError("off-diagonal entries need k < l", lineno)
+        if (k, l) in seen:
+            raise ParseError(f"repeated entry {k} {l}", lineno)
+        seen.add((k, l))
         if k == l:
             linear[k] = value
-            seen_diag += 1
-        elif k < l:
-            quadratic[(k, l)] = value
-            seen_elem += 1
         else:
-            raise ParseError("off-diagonal entries need k < l", lineno)
+            quadratic[(k, l)] = value
     if dim is None:
         raise ParseError("missing problem header")
+    seen_elem = len(quadratic)
+    seen_diag = len(seen) - seen_elem
     if seen_diag != n_diag or seen_elem != n_elem:
         raise ParseError(
             f"header promised {n_diag} diagonals and {n_elem} elements, "
@@ -415,6 +418,16 @@ def qubo_to_json(q: QuboModel) -> dict:
     }
 
 
+def _quadratic_from_json(entries) -> dict[tuple[int, int], Number]:
+    quadratic = {}
+    for k, l, b in entries:
+        key = (json_int(k), json_int(l))
+        if key in quadratic:
+            raise ParseError(f"bad QUBO JSON: repeated quadratic entry {list(key)}")
+        quadratic[key] = as_exact(b)
+    return quadratic
+
+
 def qubo_from_json(obj) -> QuboModel:
     if isinstance(obj, str):
         obj = json.loads(obj)
@@ -422,7 +435,7 @@ def qubo_from_json(obj) -> QuboModel:
         return QuboModel(
             dim=json_int(obj["dim"]),
             linear=tuple(as_exact(a) for a in obj["linear"]),
-            quadratic={(json_int(k), json_int(l)): as_exact(b) for k, l, b in obj["quadratic"]},
+            quadratic=_quadratic_from_json(obj["quadratic"]),
             offset=as_exact(obj["offset"]),
             penalty=None if obj.get("penalty") is None else as_exact(obj["penalty"]),
             pairs=None if obj.get("pairs") is None else tuple(

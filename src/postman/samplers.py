@@ -1,10 +1,11 @@
 """Classical solvers over binary-quadratic models.
 
 Every model is read through one integer form: its coefficients as integers
-over a common denominator. Search loops run in float over that form
-(integer-valued, so argmins are sound), except the branch-and-bound gap
-search, which runs in Python integers; stored energies are exact integer
-products of the same arrays, divided by the denominator. Randomized
+over a common denominator. The exhaustive scan (`brute_force`), annealing
+and tabu search run in float over that form (integer-valued, so argmins are
+sound); the exact gap search (`spectral_gap_large`) runs in Python integers;
+stored energies are exact integer products of the same arrays, divided by
+the denominator. Randomized
 samplers derive one RNG stream per read (or restart) from the master seed, so
 results are deterministic regardless of execution order.
 """
@@ -29,10 +30,9 @@ from .numbers import Number, as_exact, finite_or_str, format_number, json_int, n
 from .qubo import IsingModel, QuboModel, _IntForm
 
 BRUTE_FORCE_GUARD = 26
-GROUND_STATE_GUARD = 32
 # variables of the branch-and-bound gap search; see `_branch_levels`
 BRANCH_GUARD = 90
-# float64 entries (2 MB) in one working block of the exact scans, of the
+# float64 entries (2 MB) in one working block of the exhaustive scan, of the
 # annealer's uniforms and of the products in `SampleSet.from_configs`. Every
 # value in those blocks is exact or is drawn in stream order, so no result
 # depends on it.
@@ -148,9 +148,13 @@ class SampleSet:
                 )
                 for r in obj["records"]
             )
-            return SampleSet(records=records, metadata=dict(obj.get("metadata", {})))
+            metadata = dict(obj.get("metadata", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed sample set: {type(exc).__name__}: {exc}") from None
+        for r in records:
+            if r.multiplicity < 1:
+                raise ParseError(f"malformed sample set: multiplicity {r.multiplicity} is below 1")
+        return SampleSet(records=records, metadata=metadata)
 
     def to_csv(self) -> str:
         """Energy histogram: one 'energy,multiplicity' row per level."""
@@ -251,13 +255,12 @@ def _energies(lin: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 class _HalfSplit:
-    """Meet-in-the-middle set-up shared by the exact searches.
+    """Meet-in-the-middle set-up of `brute_force`'s exhaustive scan.
 
     The x-basis variables split into halves A (the first n // 2) and B. EA and
-    EB are each half's energies with the other half at zero, offset excluded;
-    they are attained, so callers seed their incumbents from them. V holds
-    each A-assignment's cross fields on B and GB the B-assignments as columns.
-    A-rows whose cross-term lower bound exceeds a caller's cutoff are never
+    EB are each half's energies with the other half at zero, offset excluded.
+    V holds each A-assignment's cross fields on B and GB the B-assignments as
+    columns. A-rows whose cross-term lower bound exceeds a cutoff are never
     scanned. Beyond EA, EB, V and GB, the set-up and the scan hold about
     BLOCK_FLOATS floats at a time; every value is an integer-valued float64,
     so the sums are exact in any grouping.
@@ -266,9 +269,7 @@ class _HalfSplit:
     def __init__(self, model):
         self.form = _int_form(model)
         n = self.form.n
-        if n > GROUND_STATE_GUARD:
-            raise TooLargeError(f"dim {n} exceeds ground-state guard {GROUND_STATE_GUARD}")
-        self.x_form, lin, B = _x_floats(self.form)
+        _, lin, B = _x_floats(self.form)
         self.nA, self.nB = nA, nB = n // 2, n - n // 2
         self.EA = _energies(lin[:nA], B[:nA, :nA])
         self.EB = _energies(lin[nA:], B[nA:, nA:])
@@ -323,27 +324,6 @@ def brute_force(model, keep: int = 1) -> SampleSet:
         b.append(j)
     meta = {"sampler": "brute_force", "keep": keep, "levels": len(levels)}
     return SampleSet.from_configs(form, split.configs(np.concatenate(a), np.concatenate(b)), meta)
-
-
-def _split_levels(split: _HalfSplit) -> list[int]:
-    """The two lowest x-form levels, offset excluded (one if the spectrum has
-    one), by the split scan.
-
-    The energies of both half-spaces are attained outright (zero complement),
-    which seeds an upper bound for the second level; half-assignments whose
-    cross-term lower bound exceeds that seed cannot host either of the two
-    lowest levels and are skipped. Each block gives its two lowest levels in
-    place (its minimum is masked to +inf), so the scan holds one block of
-    about BLOCK_FLOATS floats at a time.
-    """
-    lows = list(np.unique(np.concatenate([split.EA, split.EB]))[:2])
-    cutoff = lows[1] if len(lows) > 1 else math.inf
-    for _, tot in split.blocks(split.candidates(cutoff)):
-        m0 = tot.min()
-        tot[tot == m0] = math.inf
-        m1 = tot.min()
-        lows += [m0] if m1 == math.inf else [m0, m1]
-    return [int(v) for v in np.unique(lows)[:2]]
 
 
 def _branch_levels(x_form: _IntForm) -> list[int]:
@@ -437,47 +417,20 @@ def _gap(x_form: _IntForm, levels: list[int]) -> tuple[Number, Number, Number]:
 
 
 def spectral_gap_large(model) -> tuple[Number, Number, Number]:
-    """(E0, E1, E1 - E0), E1 the next level above E0, exactly.
+    """(E0, E1, E1 - E0), E1 the next level above E0, as exact ints or Fractions.
 
-    A model whose couplings are all >= 0 in the bit basis (every `build_qubo`
-    model; an Ising model with every J >= 0) takes the branch and bound of
-    `_branch_levels`, up to BRANCH_GUARD variables. Any other model takes the
-    meet-in-the-middle scan of `_split_levels`, up to GROUND_STATE_GUARD
-    variables. Both return the same levels, as exact ints or Fractions.
+    The model's couplings must all be >= 0 in the bit basis (every
+    `build_qubo` model; an Ising model with every J >= 0): the branch and
+    bound of `_branch_levels` finds the levels, up to BRANCH_GUARD variables.
+    Any other model is refused before a search starts; `brute_force(model,
+    keep=2)` gives its two lowest levels.
     """
     form = _int_form(model)
     x_form = form.rebased() if form.kind == "ising" else form
-    if min(x_form.quad.tolist(), default=0) >= 0:
-        return _gap(x_form, _branch_levels(x_form))
-    split = _HalfSplit(form)
-    return _gap(split.x_form, _split_levels(split))
-
-
-def ground_state(model) -> SampleSet:
-    """Exact minimum via pruned meet-in-the-middle; one argmin configuration.
-
-    Splits variables into halves, bounds the cross term per half-assignment
-    by its attainable minimum, and scans only half-assignments whose bound
-    beats the best attained energy. Exact for any model whose scaled
-    coefficients fit integer float64; handles dims up to 32.
-    """
-    split = _HalfSplit(model)
-    EA, EB = split.EA, split.EB
-    # attained energies at xB = 0 / xA = 0 give the initial incumbent
-    if EA.min() <= EB.min():
-        best = EA.min()
-        arg = (int(np.argmin(EA)), 0)
-    else:
-        best = EB.min()
-        arg = (0, int(np.argmin(EB)))
-    cand = split.candidates(best)
-    for rows, tot in split.blocks(cand):
-        i, j = np.unravel_index(np.argmin(tot), tot.shape)
-        if tot[i, j] < best:
-            best = tot[i, j]
-            arg = (int(rows[i]), int(j))
-    meta = {"sampler": "ground_state", "candidates": int(len(cand))}
-    return SampleSet.from_configs(split.form, split.configs(np.array([arg[0]]), np.array([arg[1]])), meta)
+    if min(x_form.quad.tolist(), default=0) < 0:
+        raise InvalidArgumentError(
+            "the gap search needs every bit-basis coupling >= 0; use brute_force(model, keep=2) for this model")
+    return _gap(x_form, _branch_levels(x_form))
 
 
 # --- simulated annealing -----------------------------------------------------

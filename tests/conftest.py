@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import postman  # before numpy: the package keeps OpenBLAS to one thread, so tests may fork
@@ -11,7 +12,7 @@ from postman.exact import Matching, OddPairDistances, m_min
 from postman.graphs import EnsembleSpec, Graph, random_graph
 from postman.numbers import Number, as_exact, normalize, to_jsonable
 from postman.qubo import IsingModel, QuboModel
-from postman.samplers import SampleSet, _int_form, _native, _x_floats
+from postman.samplers import SampleSet, _HalfSplit, _int_form, _native, _x_floats
 
 # 6-node worked instance: odd nodes {0,1,2,3}, pair distances
 # W01=2 W02=5 W03=7 W12=7 W13=5 W23=3, minimum matching {(0,1),(2,3)} at 5.
@@ -140,6 +141,57 @@ def exhaustive(model) -> SampleSet:
 def levels(samples: SampleSet) -> list:
     """The distinct energies of a sample set, ascending."""
     return sorted({r.energy for r in samples.records})
+
+
+def split_levels(split: _HalfSplit) -> list[int]:
+    """The two lowest x-form levels, offset excluded (one if the spectrum has
+    one), by the split scan: the gap search that `spectral_gap_large` ran on
+    models with a negative bit-basis coupling, kept as a reference for its
+    branch and bound.
+
+    The energies of both half-spaces are attained outright (zero complement),
+    which seeds an upper bound for the second level; half-assignments whose
+    cross-term lower bound exceeds that seed cannot host either of the two
+    lowest levels and are skipped. Each block gives its two lowest levels in
+    place (its minimum is masked to +inf), so the scan holds one block of
+    about BLOCK_FLOATS floats at a time.
+    """
+    lows = list(np.unique(np.concatenate([split.EA, split.EB]))[:2])
+    cutoff = lows[1] if len(lows) > 1 else math.inf
+    for _, tot in split.blocks(split.candidates(cutoff)):
+        m0 = tot.min()
+        tot[tot == m0] = math.inf
+        m1 = tot.min()
+        lows += [m0] if m1 == math.inf else [m0, m1]
+    return [int(v) for v in np.unique(lows)[:2]]
+
+
+def ground_state(model) -> SampleSet:
+    """Exact minimum via pruned meet-in-the-middle; one argmin configuration.
+    The reference for the golden `ground_state_d6` and the acceptance floor.
+
+    Splits variables into halves, bounds the cross term per half-assignment
+    by its attainable minimum, and scans only half-assignments whose bound
+    beats the best attained energy. Exact for any model whose scaled
+    coefficients fit integer float64; its memory grows as 2**(dim / 2).
+    """
+    split = _HalfSplit(model)
+    EA, EB = split.EA, split.EB
+    # attained energies at xB = 0 / xA = 0 give the initial incumbent
+    if EA.min() <= EB.min():
+        best = EA.min()
+        arg = (int(np.argmin(EA)), 0)
+    else:
+        best = EB.min()
+        arg = (0, int(np.argmin(EB)))
+    cand = split.candidates(best)
+    for rows, tot in split.blocks(cand):
+        i, j = np.unravel_index(np.argmin(tot), tot.shape)
+        if tot[i, j] < best:
+            best = tot[i, j]
+            arg = (int(rows[i]), int(j))
+    meta = {"sampler": "ground_state", "candidates": int(len(cand))}
+    return SampleSet.from_configs(split.form, split.configs(np.array([arg[0]]), np.array([arg[1]])), meta)
 
 
 def apply_gauge(model: IsingModel, gauge) -> IsingModel:

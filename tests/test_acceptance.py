@@ -28,13 +28,12 @@ from postman.samplers import (
     SampleSet,
     Schedule,
     brute_force,
-    ground_state,
     simulated_annealing,
     spectral_gap_large,
     tabu_search,
 )
 
-from conftest import DEMO_EDGES, apply_gauge, enumerate_matchings, exhaustive, graph_stream, num_quadratic
+from conftest import DEMO_EDGES, apply_gauge, enumerate_matchings, exhaustive, graph_stream, ground_state, num_quadratic
 
 
 def report(line: str):

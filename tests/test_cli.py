@@ -387,10 +387,13 @@ class TestExitCodes:
             ("bad.qubo", "p qubo 0 x 1 0\n"),
             ("bad.qubo", "p qubo 0 2 1 0\n0 zero 1\n"),
             ("bad.qubo", "p qubo 0 -5 0 0\n"),
+            ("bad.qubo", "p qubo 0 2 2 1\n0 0 1\n0 0 -5\n0 1 2\n"),
+            ("bad.qubo", "p qubo 0 2 1 2\n0 0 1\n0 1 2\n0 1 3\n"),
             ("samples.json", '{"metadata": {}}'),
             ("samples.json", '{"records": [{"config": "ab", "energy": 1, "multiplicity": 1}]}'),
             ("qubo.json", '{"dim": 2}'),
             ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [[0, 5, 1]], "offset": 0}'),
+            ("qubo.json", '{"dim": 2, "linear": [1, 2], "quadratic": [[0, 1, 1], [0, 1, -3]], "offset": 0}'),
             ("graph.json", '{"n": "x", "edges": []}'),
             ("graph.json", '{"n": 3, "edges": [[0, 1.5, 2], [1, 2, 1]]}'),
             ("graph.json", '{"n": 3.0, "edges": [[0, 1, 2], [1, 2, 1]]}'),
@@ -401,6 +404,9 @@ class TestExitCodes:
             ("samples.json", '{"records": [{"config": [1, 0.5], "energy": 1, "multiplicity": 1}]}'),
             ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 2.7}]}'),
             ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": true}]}'),
+            ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": -1}, {"config": [0, 0], "energy": 5, "multiplicity": 2}]}'),
+            ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 0}, {"config": [0, 0], "energy": 5, "multiplicity": 2}]}'),
+            ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 3}, {"config": null, "energy": null, "multiplicity": 0}]}'),
             ("samples.json", '{"metadata": {"n_sweeps": 2.5}, "records": [{"config": [1, 0], "energy": 1, "multiplicity": 1}]}'),
         ],
     )
@@ -414,6 +420,19 @@ class TestExitCodes:
             "graph.json": ["exact", str(path)],
         }[name]
         assert_domain_error(*run(capsys, *argv)[::2])
+
+    @pytest.mark.parametrize("multiplicity", [-1, 0])
+    def test_multiplicity_below_one_is_refused(self, capsys, tmp_path, multiplicity):
+        # a negative count once printed 45 reads from the golden's 50 and bootstrapped
+        # over the indicators of the other records
+        payload = json.loads((Path(__file__).parent / "golden" / "samples.json").read_text())
+        payload["records"][0]["multiplicity"] = multiplicity
+        path = tmp_path / "samples.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "metrics", str(path), "--reference", "5")
+        assert_domain_error(code, err)
+        assert out == ""
+        assert err == f"error: malformed sample set: multiplicity {multiplicity} is below 1\n"
 
     @pytest.mark.parametrize(
         "argv",

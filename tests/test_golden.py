@@ -1,6 +1,6 @@
 """Byte-for-byte golden outputs of the CLI, of the experiment scripts (the
 presets of it and the two library studies, whose output directories are
-pinned file by file), of the exact ground-state search and of the Chimera
+pinned file by file), of the reference ground-state search and of the Chimera
 embedding layer.
 
 Inputs and expected outputs live in tests/golden/. After a deliberate change
@@ -25,7 +25,7 @@ from postman import chimera, exact, graphs, metrics, qubo, samplers
 from postman.cli import main
 from postman.numbers import to_jsonable
 
-from conftest import enumerate_matchings, ising_to_json
+from conftest import enumerate_matchings, ground_state, ising_to_json
 
 ROOT = Path(__file__).parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -111,9 +111,10 @@ def run_script(name: str, out: Path) -> bytes:
 
 
 def _ground_states() -> str:
-    """Argmin configurations and candidate counts of the exact search, both forms."""
+    """Argmin configurations and candidate counts of the reference ground-state
+    search (`conftest.ground_state`), both forms."""
     model = qubo.build_qubo(exact.odd_pair_distances(graphs.read_edge_list(Path(D6).read_text())), 6)
-    sets = {"qubo": samplers.ground_state(model), "ising": samplers.ground_state(qubo.to_ising(model))}
+    sets = {"qubo": ground_state(model), "ising": ground_state(qubo.to_ising(model))}
     return json.dumps({k: v.to_json() for k, v in sets.items()}, indent=2, sort_keys=True) + "\n"
 
 

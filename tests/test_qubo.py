@@ -376,6 +376,25 @@ class TestFiles:
         with pytest.raises(ParseError, match="line 1: problem header dim must be nonnegative"):
             read_qubo("p qubo 0 -5 0 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # the header count matches, so only the repeat shows: the last entry won
+            ("p qubo 0 2 2 1\n0 0 1\n0 0 -5\n0 1 2\n", "line 3: repeated entry 0 0"),
+            ("p qubo 0 2 1 2\n0 0 1\n0 1 2\nc note\n0 1 2\n", "line 5: repeated entry 0 1"),
+        ],
+    )
+    def test_repeated_entry(self, text, message):
+        with pytest.raises(ParseError, match=f"^{message}$"):
+            read_qubo(text)
+
+    def test_json_repeated_quadratic_entry(self):
+        obj = {"dim": 3, "linear": [1, 2, 0], "quadratic": [[0, 1, 1], [1, 2, 4], [0, 1, -3]], "offset": 0}
+        with pytest.raises(ParseError, match=r"^bad QUBO JSON: repeated quadratic entry \[0, 1\]$"):
+            qubo_from_json(obj)
+        obj["quadratic"].pop()
+        assert qubo_from_json(obj).quadratic == {(0, 1): 1, (1, 2): 4}
+
     def test_json_round_trips(self, demo):
         model = build_qubo(demo_table(demo), 8)
         assert qubo_from_json(qubo_to_json(model)) == model

@@ -24,7 +24,6 @@ from postman.samplers import (
     _HalfSplit,
     _branch_levels,
     _gap,
-    _split_levels,
     _exact_floats,
     _int_form,
     _level_plan,
@@ -34,12 +33,13 @@ from postman.samplers import (
     SampleSet,
     Schedule,
     brute_force,
-    ground_state,
     simulated_annealing,
     tabu_search,
 )
 
-from conftest import NEAR_GUARD_QUBO, apply_gauge, enumerate_matchings, exhaustive, levels, reference_tabu
+from conftest import (
+    NEAR_GUARD_QUBO, apply_gauge, enumerate_matchings, exhaustive, ground_state, levels, reference_tabu, split_levels,
+)
 from test_metrics import fractional_embedded
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -168,7 +168,9 @@ class TestSpectralGap:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_large_variant_matches_exhaustive(self, seed):
-        model = random_ising(13, seed=300 + seed)
+        # mixed-sign fields, couplings J >= 0 (4 J >= 0 in the bit basis)
+        spins = random_ising(13, seed=300 + seed)
+        model = dataclasses.replace(spins, couplings={k: abs(v) for k, v in spins.couplings.items()})
         e0, e1 = levels(exhaustive(model))[:2]
         assert spectral_gap_large(model) == (e0, e1, e1 - e0)
 
@@ -180,7 +182,7 @@ class TestSpectralGap:
         )
         e0, e1, gap = spectral_gap_large(model)
         assert (e0, e1) == (weights[0], weights[1])
-        # the scan holds one block of about BLOCK_FLOATS floats at a time
+        # brute force's split scan holds one block of about BLOCK_FLOATS floats at a time
         sizes = [(len(rows), tot.size) for rows, tot in _HalfSplit(model).blocks(np.arange(200))]
         assert sum(rows for rows, _ in sizes) == 200
         assert max(size for _, size in sizes) == BLOCK_FLOATS
@@ -213,12 +215,17 @@ def pair_qubos(draw):
     return build_qubo(dist, draw(st.builds(Fraction, st.integers(d, 8 * d), st.integers(1, 2)).filter(lambda p: p >= d)))
 
 
+def x_form_of(model):
+    """The integer form over bits x in {0, 1}: an Ising model's rebased form."""
+    form = model.int_form
+    return form.rebased() if form.kind == "ising" else form
+
+
 def assert_gap_is_exhaustive(model):
     """The gap of both routes into the branch and bound, against the exhaustive
     spectrum: equal values, and equal int/Fraction types."""
     e0, e1 = levels(exhaustive(model))[:2]
-    form = model.int_form
-    x_form = form.rebased() if form.kind == "ising" else form
+    x_form = x_form_of(model)
     for got in (spectral_gap_large(model), _gap(x_form, _branch_levels(x_form))):
         assert got == (e0, e1, e1 - e0)
         assert list(map(type, got)) == list(map(type, (e0, e1, normalize(e1 - e0))))
@@ -272,27 +279,29 @@ class TestBranchLevels:
         else:
             model = build_qubo(odd_pair_distances(read_edge_list((GOLDEN / source).read_text())), p)
         for m in (model, to_ising(model)):
-            split = _HalfSplit(m)
-            want = _gap(split.x_form, _split_levels(split))
+            want = _gap(x_form_of(m), split_levels(_HalfSplit(m)))
             got = spectral_gap_large(m)
             assert got == want
             assert list(map(type, got)) == list(map(type, want))
 
     def test_routing(self, monkeypatch, demo):
-        # the split scan serves only models with a negative bit-basis coupling
-        mixed = random_ising(9, seed=8)
-        assert min(mixed.int_form.rebased().quad.tolist()) < 0
-        e0, e1 = levels(exhaustive(mixed))[:2]
+        # a model with a negative bit-basis coupling is refused before any search,
+        # at any size; brute force gives its levels up to 26 variables
+        def refuse(x_form):
+            raise AssertionError("search started")
 
-        def refuse(model):
-            raise AssertionError("split scan built")
-
+        monkeypatch.setattr(samplers, "_branch_levels", refuse)
         monkeypatch.setattr(samplers, "_HalfSplit", refuse)
-        assert spectral_gap_large(demo_qubo(demo)) == (5, 10, 5)
-        with pytest.raises(AssertionError):
-            spectral_gap_large(mixed)
+        for n in (9, 33, 100):
+            mixed = random_ising(n, seed=8)
+            assert min(mixed.int_form.rebased().quad.tolist()) < 0
+            with pytest.raises(InvalidArgumentError, match=r"^the gap search needs every bit-basis coupling >= 0; "
+                               r"use brute_force\(model, keep=2\) for this model$"):
+                spectral_gap_large(mixed)
+        with pytest.raises(AssertionError, match="search started"):
+            spectral_gap_large(demo_qubo(demo))
         monkeypatch.undo()
-        assert spectral_gap_large(mixed) == (e0, e1, e1 - e0)
+        assert spectral_gap_large(demo_qubo(demo)) == (5, 10, 5)
 
     def test_guard(self):
         assert BRANCH_GUARD == 90  # d = 10 pair-QUBOs take 0.3-1.4 s per call, d = 12 13-19 s
@@ -301,13 +310,17 @@ class TestBranchLevels:
         past = QuboModel(dim=BRANCH_GUARD + 1, linear=(1,) * (BRANCH_GUARD + 1), quadratic={(0, 1): 1})
         with pytest.raises(TooLargeError, match="dim 91 exceeds branch-and-bound guard 90"):
             spectral_gap_large(past)
-        # a negative coupling keeps the split scan and its guard of 32
-        mixed = QuboModel(dim=33, linear=(1,) * 33, quadratic={(0, 1): -1})
-        with pytest.raises(TooLargeError, match="dim 33 exceeds ground-state guard 32"):
-            spectral_gap_large(mixed)
+        # a negative coupling is refused at any size, before the size guard
+        for n in (33, BRANCH_GUARD + 1):
+            mixed = QuboModel(dim=n, linear=(1,) * n, quadratic={(0, 1): -1})
+            with pytest.raises(InvalidArgumentError, match="the gap search needs every bit-basis coupling >= 0"):
+                spectral_gap_large(mixed)
 
 
 class TestGroundState:
+    """The reference ground-state search that the golden `ground_state_d6` and
+    the acceptance floor read."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_matches_brute_force(self, seed):
         model = random_ising(11, seed=seed)
@@ -332,11 +345,6 @@ class TestGroundState:
         gs = ground_state(model)
         assert gs.best().energy == exhaustive(model).best().energy
         assert model.energy(gs.best().config) == gs.best().energy
-
-    def test_guard(self):
-        model = IsingModel(n=33, h=(0,) * 33, couplings={}, offset=0)
-        with pytest.raises(TooLargeError):
-            ground_state(model)
 
 
 class TestSimulatedAnnealing:
@@ -605,12 +613,17 @@ class TestBoundedMemory:
     """Working memory is set by BLOCK_FLOATS, and no result depends on it."""
 
     def test_gap_scan_peak(self):
-        # one negative coupling sends the d = 6 pair-QUBO to the split scan:
-        # 2**15 x 15 cross fields and B-assignments take 7.5 MB; a full-width
-        # scan block was 16 MB, held up to three times
+        # one negative coupling makes the d = 6 pair-QUBO's gap a refusal, which
+        # builds no search: the split scan's cross fields alone took 7.5 MB
         model, _ = d6_pair_qubo()
         mixed = dataclasses.replace(model, quadratic={**model.quadratic, (0, 1): -1})
-        assert traced_peak_mb(lambda: spectral_gap_large(mixed)) < 24
+        mixed.int_form  # built and kept on the model before the trace starts
+
+        def refused():
+            with pytest.raises(InvalidArgumentError):
+                spectral_gap_large(mixed)
+
+        assert traced_peak_mb(refused) < 1
 
     def test_branch_search_peak(self):
         # the d = 8 pair-QUBO's search holds its fields and coupling lists alone
@@ -661,12 +674,12 @@ class TestBoundedMemory:
 
     @pytest.mark.parametrize("budget", [1, 64, 1 << 12])
     def test_exact_scans_ignore_the_budget(self, monkeypatch, demo, budget):
-        # the demo QUBO has four ground states, so ground_state's pick is a tie-break
+        # the demo QUBO has four ground states, and the 18-spin model's levels
+        # are many configurations wide
         models = [demo_qubo(demo), random_ising(13, seed=301), random_ising(18, seed=302, lo=-1, hi=1)]
 
         def results():
-            out = [(spectral_gap_large(m), ground_state(m).records) for m in models]
-            return out + [brute_force(m, keep=3).records for m in models[:2]]
+            return [brute_force(m, keep=3).records for m in models]
 
         want = results()
         monkeypatch.setattr(samplers, "BLOCK_FLOATS", budget)
@@ -846,8 +859,11 @@ class TestNearGuard:
         every = exhaustive(model)
         e0, e1 = levels(every)[:2]
         assert brute_force(model, keep=2).records == tuple(r for r in every.records if r.energy <= e1)
-        assert ground_state(model).best().energy == e0
-        assert spectral_gap_large(model) == (e0, e1, e1 - e0)
+        if min(x_form_of(model).quad.tolist(), default=0) >= 0:
+            assert spectral_gap_large(model) == (e0, e1, e1 - e0)
+        else:
+            with pytest.raises(InvalidArgumentError):
+                spectral_gap_large(model)
 
     @settings(max_examples=60, deadline=None)
     @given(model=near_guard_models(), tenure=st.integers(1, 9), restarts=st.integers(1, 4), seed=st.integers(0, 2**16))
