@@ -392,34 +392,26 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
         raise InvalidArgumentError("need at least one read")
     if args.restarts < 1:
         raise InvalidArgumentError("need at least one restart")
-    # every model and its exact gap (whose e0 the success rates need) in grid
-    # order here; the sampler runs of each p are one unit over the cores
-    models, gaps = [], []
-    for p in grid:
-        models.append(qubo.build_qubo(table, p))
-        gaps.append(samplers.spectral_gap_large(models[-1]))
+    # every model in grid order here, so a bad p is refused before any search;
+    # each p's gap, SA and tabu runs are then one unit over the cores
+    models = [qubo.build_qubo(table, p) for p in grid]
 
-    def successes(k: int) -> tuple[float, float]:
-        model, e0 = models[k], gaps[k][0]
+    def row(model: qubo.QuboModel) -> dict:
+        e0, _e1, gap = samplers.spectral_gap_large(model)
         sa = samplers.simulated_annealing(
             qubo.to_ising(model), schedule=schedule, reads=args.reads, seed=args.seed
         )
         tabu = samplers.tabu_search(model, max_restarts=args.restarts, seed=args.seed)
-        return float(metrics.p_gs(sa, e0)), float(metrics.p_gs(tabu, e0))
-
-    rows = [
-        {
-            "p": to_jsonable(p),
-            "p_over_n": float(p) / g.n,
+        return {
+            "p": to_jsonable(model.penalty),
+            "p_over_n": float(model.penalty) / g.n,
             "gap": float(gap),
             "e0": to_jsonable(e0),
-            "p_gs_sa": p_gs_sa,
-            "p_gs_tabu": p_gs_tabu,
+            "p_gs_sa": float(metrics.p_gs(sa, e0)),
+            "p_gs_tabu": float(metrics.p_gs(tabu, e0)),
         }
-        for p, (e0, _e1, gap), (p_gs_sa, p_gs_tabu) in zip(
-            grid, gaps, samplers._fan_out(successes, range(len(grid)))
-        )
-    ]
+
+    rows = samplers._fan_out(row, models)
     if args.fmt == "json":
         _emit(_json_dump({"seed": args.seed, "rows": rows}), args.out)
     else:

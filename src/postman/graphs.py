@@ -35,6 +35,8 @@ MAX_NODES = 1 << 20
 # peaked at 565 MB RSS in 4.0 s). 2**20 pairs is n = 1448.
 MAX_PAIRS = 1 << 20
 
+MAX_ATTEMPTS = 10_000  # rejected draws (disconnected or Eulerian) before an ensemble spec is infeasible
+
 
 def _canonical_edges(n: int, edges: Iterable[Sequence]) -> tuple[Edge, ...]:
     seen = set()
@@ -256,7 +258,7 @@ class EnsembleSpec:
 
     Each graph index derives its own RNG stream from the master seed, so
     generation is deterministic and order-independent. Graphs that come out
-    disconnected or Eulerian are rejected; after max_attempts rejections the
+    disconnected or Eulerian are rejected; after `MAX_ATTEMPTS` rejections the
     spec is declared infeasible.
     """
 
@@ -266,7 +268,6 @@ class EnsembleSpec:
     seed: int
     w_lo: int = 1
     w_hi: int = 1
-    max_attempts: int = 10_000
 
     def __post_init__(self):
         if self.n < 3:
@@ -298,12 +299,12 @@ def _sample_graph(spec: EnsembleSpec, rng: np.random.Generator) -> Graph:
 def random_graph(spec: EnsembleSpec, index: int) -> Graph:
     """The index-th graph of the ensemble: connected and non-Eulerian."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(spec.seed, index)))
-    for _ in range(spec.max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         g = _sample_graph(spec, rng)
         if g.edges and is_connected(g) and odd_nodes(g):
             return g
     raise InfeasibleSpecError(
-        f"no connected non-Eulerian graph in {spec.max_attempts} attempts "
+        f"no connected non-Eulerian graph in {MAX_ATTEMPTS} attempts "
         f"(n={spec.n}, p={spec.edge_prob})"
     )
 

@@ -151,9 +151,17 @@ class SampleSet:
             metadata = dict(obj.get("metadata", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"malformed sample set: {type(exc).__name__}: {exc}") from None
-        for r in records:
+        seen: dict[tuple, int] = {}  # configuration -> the record that lists it
+        for i, r in enumerate(records):
             if r.multiplicity < 1:
                 raise ParseError(f"malformed sample set: multiplicity {r.multiplicity} is below 1")
+            if r.config is None:
+                continue
+            if seen and len(r.config) != len(first := next(iter(seen))):
+                raise ParseError(f"malformed sample set: record {i} has {len(r.config)} variables, "
+                                 f"record {seen[first]} has {len(first)}")
+            if seen.setdefault(r.config, i) != i:
+                raise ParseError(f"malformed sample set: record {i} repeats the configuration of record {seen[r.config]}")
         return SampleSet(records=records, metadata=metadata)
 
     def to_csv(self) -> str:
@@ -758,9 +766,9 @@ def _fan_out(fn, items) -> list:
     """[fn(x) for x in items], in input order, each item run in this process
     or in a forked worker.
 
-    With W = min(len(items), `_cores()`) >= 2 and a fork start method, this
-    process runs items 0, W, 2W, ... itself, and each of W - 1 forked workers
-    runs another such stride and sends its results back through a pipe.
+    With W = min(len(items), `_cores()`) >= 2, this process runs items 0, W,
+    2W, ... itself, and each of W - 1 forked workers runs another such stride
+    and sends its results back through a pipe.
     A stride stops at its first exception, which comes back as a value. Once
     every worker is collected, the exception of the lowest failing index is
     raised, the one the plain loop would raise. A worker that ends without
@@ -778,9 +786,7 @@ def _fan_out(fn, items) -> list:
         return [fn(x) for x in items]
     import multiprocessing  # here, not at the top: it would add to every `import postman`
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
-    context = multiprocessing.get_context("fork")
+    context = multiprocessing.get_context("fork")  # `_cores` >= 2 only on Linux, which always forks
     allowed = os.sched_getaffinity(0)  # `_cores` is 1 without the affinity calls
     cpus = sorted(allowed)
 

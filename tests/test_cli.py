@@ -408,6 +408,8 @@ class TestExitCodes:
             ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 0}, {"config": [0, 0], "energy": 5, "multiplicity": 2}]}'),
             ("samples.json", '{"records": [{"config": [1, 0], "energy": 1, "multiplicity": 3}, {"config": null, "energy": null, "multiplicity": 0}]}'),
             ("samples.json", '{"metadata": {"n_sweeps": 2.5}, "records": [{"config": [1, 0], "energy": 1, "multiplicity": 1}]}'),
+            ("samples.json", '{"metadata": {"n_sweeps": 10}, "records": [{"config": [1, 0], "energy": 5, "multiplicity": 2}, {"config": [1, 0, 1, 1], "energy": 7, "multiplicity": 1}]}'),
+            ("samples.json", '{"metadata": {"n_sweeps": 10}, "records": [{"config": [1, 0], "energy": 5, "multiplicity": 2}, {"config": [1, 0], "energy": 7, "multiplicity": 1}]}'),
         ],
     )
     def test_malformed_parser_input_is_domain(self, capsys, tmp_path, name, text):
@@ -596,6 +598,28 @@ class TestSplitSweeps:
             message = "error: refused at p 8\n"
         argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS[command]]
         assert self.at_each_worker_count(capsys, monkeypatch, argv) == (3, "", message)
+
+    def test_gap_runs_first_in_each_unit(self, capsys, monkeypatch, tmp_path):
+        # the K1,12 star of `test_gap_search_guard`: every p's gap refuses before its samplers run
+        path = tmp_path / "star.edgelist"
+        path.write_text(write_edge_list(Graph(13, [(0, v, 1) for v in range(1, 13)])))
+
+        def refuse(*args, **kwargs):
+            raise InvalidArgumentError("a sampler ran before its p's gap")
+
+        monkeypatch.setattr(samplers, "simulated_annealing", refuse)
+        monkeypatch.setattr(samplers, "tabu_search", refuse)
+        argv = ["penalty-sweep", str(path), "--p-grid", "12,24"]
+        assert self.at_each_worker_count(capsys, monkeypatch, argv) == (
+            3, "", "error: dim 132 exceeds branch-and-bound guard 90\n")
+
+    def test_bad_p_refused_before_the_split(self, capsys, monkeypatch, demo_file):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the split started before every model was built")
+
+        monkeypatch.setattr(samplers, "_fan_out", refuse)
+        code, out, err = run(capsys, "penalty-sweep", demo_file, "--p-grid", "4,2")
+        assert (code, out, err) == (3, "", "error: penalty 2 is below the bound d=4\n")
 
     def test_piped_stdout_prints_each_line_once(self, capsys, monkeypatch, demo_file):
         argv = [demo_file if a == "DEMO" else a for a in self.SWEEPS["penalty-sweep"]]

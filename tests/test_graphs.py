@@ -4,6 +4,7 @@ from itertools import islice, permutations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from postman import graphs
 from postman.errors import DisconnectedGraphError, InfeasibleSpecError, ParseError, TooLargeError
 from postman.graphs import (
     MAX_NODES,
@@ -255,10 +256,11 @@ class TestEnsemble:
         with pytest.raises(TooLargeError, match=f"has 1049076 candidate pairs, over the pair guard {MAX_PAIRS}$"):
             EnsembleSpec(n=1449, edge_prob=0.5, count=0, seed=0)
 
-    def test_infeasible_spec(self):
+    def test_infeasible_spec(self, monkeypatch):
         # a triangle-only space cannot fail, so force failure via attempt cap 0
-        spec = EnsembleSpec(n=5, edge_prob=0.5, count=1, seed=0, max_attempts=0)
-        with pytest.raises(InfeasibleSpecError):
+        monkeypatch.setattr(graphs, "MAX_ATTEMPTS", 0)
+        spec = EnsembleSpec(n=5, edge_prob=0.5, count=1, seed=0)
+        with pytest.raises(InfeasibleSpecError, match=r"^no connected non-Eulerian graph in 0 attempts \(n=5, p=0.5\)$"):
             random_graph(spec, 0)
 
     def test_feature_row_realizable(self):

@@ -901,6 +901,20 @@ class TestSampleSet:
         again = SampleSet.from_json(result.to_json())
         assert again.records == result.records
 
+    @pytest.mark.parametrize(
+        "configs, message",
+        [
+            ([[1, 0], None, [1, 0, 1, 1]], "record 2 has 4 variables, record 0 has 2"),
+            ([None, [1, 0], [0, 1], [1, 0]], "record 3 repeats the configuration of record 1"),
+        ],
+    )
+    def test_json_records_must_agree(self, configs, message):
+        # a rejected read (config null) has no width and may sit anywhere
+        records = [{"config": c, "energy": None if c is None else 5 + k, "multiplicity": 1}
+                   for k, c in enumerate(configs)]
+        with pytest.raises(ParseError, match=f"^malformed sample set: {message}$"):
+            SampleSet.from_json({"records": records})
+
     def test_json_with_rejected_and_fraction(self):
         records = (
             SampleRecord(config=(1, -1), energy=Fraction(3, 2), multiplicity=2),
