@@ -11,7 +11,9 @@ import argparse
 from pathlib import Path
 
 from postman.defects import DEFAULT_DELTAS, defect_map, heatmap_csv
+from postman.errors import PostmanError
 from postman.graphs import EnsembleSpec, graph_features, random_graph, write_edge_list
+from postman.numbers import format_number, parse_number
 
 
 def find_reference(spec: EnsembleSpec, predicate, scan_limit=20_000):
@@ -23,11 +25,12 @@ def find_reference(spec: EnsembleSpec, predicate, scan_limit=20_000):
 
 
 def scan_and_write(tag, g, deltas, out_dir: Path):
+    scan = defect_map(g, deltas=deltas, k=1)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"{tag}.edgelist").write_text(write_edge_list(g, comments=[tag]))
-    scan = defect_map(g, deltas=deltas, k=1)
     for delta in scan.deltas:
-        path = out_dir / f"{tag}_delta_{delta}.csv"
+        name = format_number(delta).replace("/", "_")  # 7/2 -> <tag>_delta_7_2.csv
+        path = out_dir / f"{tag}_delta_{name}.csv"
         path.write_text(heatmap_csv(scan, delta))
     print(f"{tag}: base M_min={scan.base}, {len(scan.deltas)} heatmaps -> {out_dir}")
 
@@ -38,16 +41,21 @@ def main():
     ap.add_argument("--deltas", default=",".join(str(d) for d in DEFAULT_DELTAS))
     ap.add_argument("--out", default="results/defects")
     args = ap.parse_args()
-    deltas = [int(x) for x in args.deltas.split(",") if x]
     out_dir = Path(args.out)
+    # a refused delta (malformed, repeated, negative) ends the run with one error
+    # line; each scan runs before its files are written, so it leaves none
+    try:
+        deltas = [parse_number(x) for x in args.deltas.split(",") if x]
 
-    unit_spec = EnsembleSpec(n=10, edge_prob=0.35, count=1, seed=args.seed)
-    g10, idx = find_reference(unit_spec, lambda f: f.d == 8 and f.c_1 >= 1)
-    scan_and_write("n10_d8_unit", g10, deltas, out_dir)
+        unit_spec = EnsembleSpec(n=10, edge_prob=0.35, count=1, seed=args.seed)
+        g10, idx = find_reference(unit_spec, lambda f: f.d == 8 and f.c_1 >= 1)
+        scan_and_write("n10_d8_unit", g10, deltas, out_dir)
 
-    weighted_spec = EnsembleSpec(n=14, edge_prob=0.18, count=1, seed=args.seed, w_lo=1, w_hi=5)
-    g14, idx = find_reference(weighted_spec, lambda f: f.d == 4 and f.c_1 == 2)
-    scan_and_write("n14_d4_weighted", g14, deltas, out_dir)
+        weighted_spec = EnsembleSpec(n=14, edge_prob=0.18, count=1, seed=args.seed, w_lo=1, w_hi=5)
+        g14, idx = find_reference(weighted_spec, lambda f: f.d == 4 and f.c_1 == 2)
+        scan_and_write("n14_d4_weighted", g14, deltas, out_dir)
+    except PostmanError as exc:
+        raise SystemExit(f"error: {exc}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
-from .exact import OddPairDistances, m_min, minimum_matching
+from .exact import _min_pairing, m_min
 from .graphs import Graph, _pair_distances, graph_features, is_connected, odd_nodes
 from .numbers import Number, as_exact, format_number, normalize
 
@@ -53,9 +53,13 @@ def defect_map(
     """Exact M_min of g with every k-combination of edges bumped by each delta.
 
     A bump changes edge weights only, never the connectivity, the degrees or
-    the odd nodes, so those are found once. Each cell patches the bumped
-    weights into one copy of the adjacency, searches the odd-pair distances
-    on it, re-matches the odd nodes and restores the weights.
+    the odd nodes, so those are found once, and the base solve checks the
+    table and the matching guard once. Each delta's bumped weights are
+    normalised once. Each cell patches its edges' bumped weights into one
+    copy of the adjacency, searches the odd-pair distances on it
+    (`graphs._pair_distances`), runs the pairing search on that raw table
+    (`exact._min_pairing`) and restores the weights; a cell builds no
+    `OddPairDistances` and no `Matching`.
     """
     if k not in (1, 2, 3):
         raise InvalidArgumentError("defects per configuration must be 1, 2, or 3")
@@ -78,13 +82,14 @@ def defect_map(
     odd = tuple(odd_nodes(g))
     adj = [dict(nbrs) for nbrs in g.adjacency]
     combos = list(combinations([(u, v) for u, v, _ in g.edges], k))
-    results: dict[Number, dict[Combo, Number]] = {d: {} for d in exact_deltas}
+    results: dict[Number, dict[Combo, Number]] = {}
     for delta in exact_deltas:
+        bumped = {(u, v): normalize(w + delta) for u, v, w in g.edges}
+        cells = results[delta] = {}
         for combo in combos:
             for u, v in combo:
-                adj[u][v] = adj[v][u] = normalize(g.adjacency[u][v] + delta)
-            table = OddPairDistances(nodes=odd, dist=_pair_distances(adj, odd))
-            results[delta][combo] = minimum_matching(table).weight
+                adj[u][v] = adj[v][u] = bumped[u, v]
+            cells[combo] = _min_pairing(_pair_distances(adj, odd))[1]
             for u, v in combo:
                 adj[u][v] = adj[v][u] = g.adjacency[u][v]
     return DefectScan(graph=g, deltas=exact_deltas, k=k, base=base, results=results)
@@ -105,12 +110,14 @@ def heatmap_csv(scan: DefectScan, delta: Number) -> str:
 
 
 def combos_csv(scan: DefectScan) -> str:
-    """Long form: one row per (delta, edge combination)."""
+    """Long form: one row per (delta, edge combination). Every delta scans
+    the same combinations, so each one's edge label is formatted once."""
     lines = ["delta,edges,m_min"]
+    labels = {combo: ";".join(f"{u}-{v}" for u, v in combo) for combo in scan.results[scan.deltas[0]]}
     for delta in scan.deltas:
+        head = format_number(delta)
         for combo, value in scan.results[delta].items():
-            edges = ";".join(f"{u}-{v}" for u, v in combo)
-            lines.append(f"{format_number(delta)},{edges},{format_number(value)}")
+            lines.append(f"{head},{labels[combo]},{format_number(value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -101,19 +101,34 @@ class CppSolution:
 
 
 def minimum_matching(table: OddPairDistances) -> Matching:
-    """Minimum-weight perfect pairing by a pruned depth-first search.
+    """Minimum-weight perfect pairing of the table's odd nodes.
 
-    Pairings are visited in canonical order (the lowest free index pairs with
-    each later one, ascending) and summed pair by pair from 0. A branch is
-    abandoned once its partial weight reaches the best total; entries are
-    >= 0, so none of its completions is lower. Ties go to the first optimum.
+    Checks that d is even and within `MATCHING_GUARD`, runs `_min_pairing`
+    on the raw table and names each pair by its nodes, lower node first.
     """
     d = table.d
     if d % 2 == 1:
         raise ValueError(f"d must be even, got {d}")
     if d > MATCHING_GUARD:
         raise TooLargeError(f"refusing to enumerate pairings for d={d} > {MATCHING_GUARD}")
-    dist = table.dist
+    pairing, weight = _min_pairing(table.dist)
+    node_pairs = tuple(
+        tuple(sorted((table.nodes[i], table.nodes[j]))) for i, j in pairing
+    )
+    return Matching(pairs=node_pairs, weight=weight)
+
+
+def _min_pairing(
+    dist: tuple[tuple[Number, ...], ...],
+) -> tuple[tuple[tuple[int, int], ...], Number]:
+    """(pairing, weight) of a minimum-weight perfect pairing of a raw table's
+    indices, by a pruned depth-first search; d must be even.
+
+    Pairings are visited in canonical order (the lowest free index pairs with
+    each later one, ascending) and summed pair by pair from 0. A branch is
+    abandoned once its partial weight reaches the best total; entries are
+    >= 0, so none of its completions is lower. Ties go to the first optimum.
+    """
     chosen: list[tuple[int, int]] = []
     best_pairing: tuple[tuple[int, int], ...] = ()
     best_weight: Number | None = None
@@ -132,11 +147,8 @@ def minimum_matching(table: OddPairDistances) -> Matching:
                 search(rest[:k] + rest[k + 1:], w)
                 chosen.pop()
 
-    search(tuple(range(d)), 0)
-    node_pairs = tuple(
-        tuple(sorted((table.nodes[i], table.nodes[j]))) for i, j in best_pairing
-    )
-    return Matching(pairs=node_pairs, weight=best_weight)
+    search(tuple(range(len(dist))), 0)
+    return best_pairing, best_weight
 
 
 def m_min(g: Graph) -> CppSolution:

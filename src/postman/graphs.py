@@ -177,7 +177,8 @@ def _pair_distances(
     `adj` holds per-node neighbor -> weight dicts: a Graph's adjacency, or a
     defect scan's patched copy of it. The search from nodes[i] stops once
     nodes[i+1:] are settled, so the last node runs none, and no predecessors
-    are kept. Weights are positive, so a distance is final when its node
+    are kept. Tentative distances sit in a list indexed by node (None until
+    reached). Weights are positive, so a distance is final when its node
     leaves the heap. The nodes must be distinct and reachable from each
     other; callers check connectivity.
     """
@@ -186,7 +187,8 @@ def _pair_distances(
     for i in range(d - 1):
         s = nodes[i]
         wanted = {v: j for j, v in enumerate(nodes[i + 1:], start=i + 1)}
-        best: dict[int, Number] = {s: 0}
+        best: list[Number | None] = [None] * len(adj)
+        best[s] = 0
         heap: list[tuple[Number, int]] = [(0, s)]
         while True:
             du, u = heapq.heappop(heap)
@@ -199,7 +201,7 @@ def _pair_distances(
                     break
             for v, w in adj[u].items():
                 nd = du + w
-                if v not in best or nd < best[v]:
+                if best[v] is None or nd < best[v]:
                     best[v] = nd
                     heapq.heappush(heap, (nd, v))
     return tuple(map(tuple, table))

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from postman.defects import (
     DEFAULT_DELTAS,
+    DefectScan,
     combos_csv,
     defect_map,
     group_by_d,
@@ -13,7 +18,8 @@ from postman.defects import (
     scatter_csv,
 )
 from postman.errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
-from postman.exact import m_min
+from postman import graphs
+from postman.exact import Matching, OddPairDistances, m_min
 from postman.graphs import Graph, odd_nodes
 
 from conftest import graph_stream, reference_defect_map
@@ -99,14 +105,18 @@ class TestReferenceDefectMap:
     DELTAS = (0, 1, Fraction(7, 2), 10)
 
     def assert_matches_reference(self, g, k):
+        """Same cells in the same order, each of the same value and type:
+        `==` alone holds Fraction(4, 1) equal to 4."""
         before = [dict(nbrs) for nbrs in g.adjacency]
         scan = defect_map(g, deltas=self.DELTAS, k=k)
         base, results = reference_defect_map(g, self.DELTAS, k)
-        assert scan.base == base
-        assert scan.results == results
+        assert (type(scan.base), scan.base) == (type(base), base)
         assert list(scan.results) == list(results)
         for delta in results:
-            assert list(scan.results[delta]) == list(results[delta])
+            got = [(combo, type(v), v) for combo, v in scan.results[delta].items()]
+            assert got == [(combo, type(v), v) for combo, v in results[delta].items()]
+        reference = DefectScan(graph=g, deltas=scan.deltas, k=k, base=base, results=results)
+        assert combos_csv(scan) == combos_csv(reference)
         assert [dict(nbrs) for nbrs in g.adjacency] == before
         return scan
 
@@ -144,6 +154,43 @@ class TestReferenceDefectMap:
             defect_map(demo, deltas=deltas, k=1)
 
 
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name to record each call, also under every name a postman
+    module binds the same function to; returns the list of calls."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for modname, module in list(sys.modules.items()):
+        if modname == "postman" or modname.startswith("postman."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestCellKernel:
+    """A scan checks one table and builds one Matching, both for the base
+    solve; every cell runs one distance search and the raw pairing search."""
+
+    @pytest.mark.parametrize("g, k", [("demo", 1), ("demo", 2), ("bridge", 2), ("halved", 3)])
+    def test_one_checked_table_per_scan(self, monkeypatch, demo, g, k):
+        g = {"demo": demo, "bridge": bridged_triangles(), "halved": halved(demo)}[g]
+        tables = count_calls(monkeypatch, OddPairDistances, "__init__")
+        matchings = count_calls(monkeypatch, Matching, "__init__")
+        searches = count_calls(monkeypatch, graphs, "_pair_distances")
+        scan = defect_map(g, deltas=(0, 1, Fraction(7, 2)), k=k)
+        cells = sum(len(row) for row in scan.results.values())
+        assert cells == 3 * len(scan.results[0])
+        assert len(tables) == 1
+        assert len(matchings) == 1
+        assert len(searches) == 1 + cells
+
+
 class TestHeatmapCsv:
     def test_structure(self, demo):
         scan = defect_map(demo, deltas=[2], k=1)
@@ -170,6 +217,43 @@ class TestHeatmapCsv:
         assert lines[0] == "delta,edges,m_min"
         n_combos = len(demo.edges) * (len(demo.edges) - 1) // 2
         assert len(lines) == 1 + 2 * n_combos
+
+
+class TestDefectStudyScript:
+    """scripts/run_defect_study.py reads --deltas as `postman defects` does."""
+
+    SCRIPT = Path(__file__).parent.parent / "scripts" / "run_defect_study.py"
+
+    def run(self, deltas, out):
+        path = os.pathsep.join([str(self.SCRIPT.parent.parent / "src"), os.environ.get("PYTHONPATH", "")])
+        return subprocess.run(
+            [sys.executable, str(self.SCRIPT), "--deltas", deltas, "--out", str(out)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+
+    def test_fractional_delta_names_its_heatmap_without_the_slash(self, tmp_path):
+        proc = self.run("1,7/2", tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        names = sorted(f.name for f in tmp_path.iterdir())
+        assert "n10_d8_unit_delta_7_2.csv" in names and "n14_d4_weighted_delta_7_2.csv" in names
+        assert len(names) == 6
+
+    @pytest.mark.parametrize(
+        "deltas, message",
+        [
+            ("1,x", "not a number: 'x'"),
+            ("1,2/0", "not a number: '2/0'"),
+            ("1,1", "delta 1 is repeated"),
+            ("3,6/2", "delta 3 is repeated"),
+            ("1,-2", "deltas must be nonnegative"),
+            (",", "need at least one delta"),
+        ],
+    )
+    def test_refused_delta_is_one_error_line(self, tmp_path, deltas, message):
+        out = tmp_path / "out"
+        proc = self.run(deltas, out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestScatter:
