@@ -10,10 +10,10 @@ CSV per bump value. Degree-1 edges show the characteristic base+delta ridge.
 import argparse
 from pathlib import Path
 
-from postman.defects import DEFAULT_DELTAS, defect_map, heatmap_csv
+from postman.defects import DEFAULT_DELTAS, defect_map, write_heatmaps
 from postman.errors import PostmanError
 from postman.graphs import EnsembleSpec, graph_features, random_graph, write_edge_list
-from postman.numbers import format_number, parse_number
+from postman.numbers import parse_grid
 
 
 def find_reference(spec: EnsembleSpec, predicate, scan_limit=20_000):
@@ -26,12 +26,8 @@ def find_reference(spec: EnsembleSpec, predicate, scan_limit=20_000):
 
 def scan_and_write(tag, g, deltas, out_dir: Path):
     scan = defect_map(g, deltas=deltas, k=1)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    write_heatmaps(scan, out_dir, tag)
     (out_dir / f"{tag}.edgelist").write_text(write_edge_list(g, comments=[tag]))
-    for delta in scan.deltas:
-        name = format_number(delta).replace("/", "_")  # 7/2 -> <tag>_delta_7_2.csv
-        path = out_dir / f"{tag}_delta_{name}.csv"
-        path.write_text(heatmap_csv(scan, delta))
     print(f"{tag}: base M_min={scan.base}, {len(scan.deltas)} heatmaps -> {out_dir}")
 
 
@@ -42,10 +38,10 @@ def main():
     ap.add_argument("--out", default="results/defects")
     args = ap.parse_args()
     out_dir = Path(args.out)
-    # a refused delta (malformed, repeated, negative) ends the run with one error
-    # line; each scan runs before its files are written, so it leaves none
+    # a refused delta ends the run with the error line of `postman defects`; each
+    # scan runs before its files are written, so it leaves none
     try:
-        deltas = [parse_number(x) for x in args.deltas.split(",") if x]
+        deltas = parse_grid("--deltas", args.deltas)
 
         unit_spec = EnsembleSpec(n=10, edge_prob=0.35, count=1, seed=args.seed)
         g10, idx = find_reference(unit_spec, lambda f: f.d == 8 and f.c_1 >= 1)

@@ -10,6 +10,7 @@ import argparse
 from pathlib import Path
 
 from postman.defects import group_by_d, mmin_vs_cmax, scatter_csv
+from postman.errors import PostmanError
 from postman.graphs import EnsembleSpec, random_graph
 
 
@@ -22,11 +23,12 @@ def main():
     ap.add_argument("--out", default="results/mmin_vs_cmax")
     args = ap.parse_args()
 
-    spec = EnsembleSpec(
-        n=args.n, edge_prob=args.edge_prob, count=args.count, seed=args.seed
-    )
-    graphs = (random_graph(spec, i) for i in range(spec.count))
-    points = mmin_vs_cmax(graphs)
+    # a refused argument or ensemble is one error line, before any directory is made
+    try:
+        spec = EnsembleSpec(n=args.n, edge_prob=args.edge_prob, count=args.count, seed=args.seed)
+        points = mmin_vs_cmax(random_graph(spec, i) for i in range(spec.count))
+    except PostmanError as exc:
+        raise SystemExit(f"error: {exc}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,10 +164,9 @@ class Embedding:
         }
 
     @staticmethod
-    def from_json(obj, topology: ChimeraTopology | None = None) -> "Embedding":
-        """Inverse of `to_json`; raises ParseError on a missing or ill-typed field."""
-        if isinstance(obj, str):
-            obj = json.loads(obj)
+    def from_json(obj) -> "Embedding":
+        """Inverse of `to_json` on the parsed object, whose own `m` and `faulty` make the
+        topology; raises ParseError on a missing or ill-typed field."""
         if not isinstance(obj, dict) or not isinstance(obj.get("chains"), dict) or "m" not in obj:
             raise ParseError("embedding needs a grid size 'm' and a 'chains' object")
         chains = obj["chains"]
@@ -177,8 +175,7 @@ class Embedding:
         lists = [[obj["m"]], obj.get("faulty", []), *chains.values()]
         if any(not isinstance(v, list) or any(type(q) is not int for q in v) for v in lists):
             raise ParseError("grid size, faulty qubits and chain qubits must be integers")
-        if topology is None:
-            topology = chimera_graph(obj["m"], obj.get("faulty", []))
+        topology = chimera_graph(obj["m"], obj.get("faulty", []))
         return Embedding(tuple(tuple(chains[str(i)]) for i in range(len(chains))), topology)
 
 
@@ -442,8 +439,9 @@ def spin_reversal(n: int, gauges: int, seed: int = 0) -> list[tuple[int, ...]]:
 
 
 class DecodePolicy(enum.Enum):
-    DISCARD_BROKEN = "discard"
+    """Listed in output order: `tuple(DecodePolicy)` is "both"."""
     MAJORITY_VOTE = "majority"
+    DISCARD_BROKEN = "discard"
 
 
 def decode_chains(

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import chimera, defects, exact, graphs, metrics, qubo, samplers
 from .errors import InvalidArgumentError, ParseError, PenaltyTooSmallError, PostmanError
-from .numbers import finite_or_str, format_number, parse_number, to_jsonable
+from .numbers import finite_or_str, parse_grid, parse_number, to_jsonable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +48,7 @@ _SHARED = {
     "--m": dict(type=int, default=12, help="Chimera grid size"),
     "--embedding": dict(help="embedding JSON to use instead of the built-in clique embedding"),
     "--gauges": dict(type=int, default=0),
-    "--policy": dict(choices=("majority", "discard", "both"), default="both"),
+    "--policy": dict(choices=(*(p.value for p in chimera.DecodePolicy), "both"), default="both"),
     "--anneal-time": dict(type=float, default=metrics.DEFAULT_ANNEAL_TIME),
     "--restarts": dict(type=int, default=20),
 }
@@ -135,22 +135,25 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _read_json(path: str):
+    """The one parse of every JSON input; a syntax error exits 3 (`main`)."""
+    return json.loads(Path(path).read_text())
+
+
 def _load_graph(path: str) -> graphs.Graph:
-    text = Path(path).read_text()
-    return graphs.graph_from_json(text) if path.endswith(".json") else graphs.read_edge_list(text)
+    if path.endswith(".json"):
+        return graphs.graph_from_json(_read_json(path))
+    return graphs.read_edge_list(Path(path).read_text())
 
 
 def _load_qubo(path: str) -> qubo.QuboModel:
-    text = Path(path).read_text()
-    return qubo.qubo_from_json(text) if path.endswith(".json") else qubo.read_qubo(text)
+    if path.endswith(".json"):
+        return qubo.qubo_from_json(_read_json(path))
+    return qubo.read_qubo(Path(path).read_text())
 
 
 def _policies(name: str) -> tuple[chimera.DecodePolicy, ...]:
-    if name == "both":
-        return (chimera.DecodePolicy.MAJORITY_VOTE, chimera.DecodePolicy.DISCARD_BROKEN)
-    if name == "majority":
-        return (chimera.DecodePolicy.MAJORITY_VOTE,)
-    return (chimera.DecodePolicy.DISCARD_BROKEN,)
+    return tuple(chimera.DecodePolicy) if name == "both" else (chimera.DecodePolicy(name),)
 
 
 def _json_dump(obj) -> str:
@@ -167,21 +170,6 @@ def _schedule(args: argparse.Namespace) -> samplers.Schedule:
 
 def _penalty(args: argparse.Namespace):
     return None if args.penalty is None else parse_number(args.penalty)
-
-
-def _grid(flag: str, text: str, parse=parse_number) -> list:
-    """The values of a comma list, each read by `parse`; a value equal to an
-    earlier one once parsed (`1,1.0`, `8,16/2`) is refused."""
-    try:
-        grid = [parse(x) for x in text.split(",") if x]
-    except ValueError:
-        grid = []
-    if not grid:
-        raise ParseError(f"{flag} needs a comma list of numbers, got {text!r}")
-    for i, x in enumerate(grid):
-        if x in grid[:i]:
-            raise InvalidArgumentError(f"{flag} value {x} is repeated")
-    return grid
 
 
 # --- subcommand handlers ----------------------------------------------------
@@ -310,7 +298,7 @@ def _pipeline_pieces(args: argparse.Namespace):
     model = qubo.build_qubo(table, _penalty(args))
     logical = qubo.to_ising(model)
     if args.embedding:
-        emb = chimera.Embedding.from_json(json.loads(Path(args.embedding).read_text()))
+        emb = chimera.Embedding.from_json(_read_json(args.embedding))
     else:
         emb = chimera.clique_embedding(model.dim, chimera.chimera_graph(args.m))
     return model, logical, emb, _exact_reference(table, model)
@@ -354,7 +342,7 @@ def cmd_jf_sweep(args: argparse.Namespace) -> int:
     points = metrics.jf_sweep(
         logical,
         emb,
-        _grid("--jf-grid", args.jf_grid, float),
+        parse_grid("--jf-grid", args.jf_grid, float),
         reference,
         schedule=_schedule(args),
         reads=args.reads,
@@ -386,7 +374,7 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
     table = exact.odd_pair_distances(g)
     d = table.d
-    grid = _grid("--p-grid", args.p_grid) if args.p_grid else [d, 2 * d, 4 * d, 8 * d]
+    grid = parse_grid("--p-grid", args.p_grid) if args.p_grid else [d, 2 * d, 4 * d, 8 * d]
     schedule = _schedule(args)
     if args.reads < 1:
         raise InvalidArgumentError("need at least one read")
@@ -426,15 +414,10 @@ def cmd_penalty_sweep(args: argparse.Namespace) -> int:
 
 def cmd_defects(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    scan = defects.defect_map(g, _grid("--deltas", args.deltas), k=args.k)
+    scan = defects.defect_map(g, parse_grid("--deltas", args.deltas), k=args.k)
     if args.k == 1 and args.out and not args.out.endswith(".csv"):
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for delta in scan.deltas:
-            name = format_number(delta).replace("/", "_")  # 7/2 -> defects_delta_7_2.csv
-            (out_dir / f"defects_delta_{name}.csv").write_text(
-                defects.heatmap_csv(scan, delta)
-            )
+        defects.write_heatmaps(scan, out_dir, "defects")
         sys.stdout.write(f"wrote {len(scan.deltas)} heatmaps to {out_dir}\n")
     else:
         _emit(defects.combos_csv(scan), args.out)
@@ -442,8 +425,7 @@ def cmd_defects(args: argparse.Namespace) -> int:
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    payload = json.loads(Path(args.input).read_text())
-    samples = samplers.SampleSet.from_json(payload)
+    samples = samplers.SampleSet.from_json(_read_json(args.input))
     reference = parse_number(args.reference)
     prob = metrics.p_gs(samples, reference)
     indicators = metrics.success_indicators(samples, reference)

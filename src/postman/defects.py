@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
@@ -107,6 +108,16 @@ def heatmap_csv(scan: DefectScan, delta: Number) -> str:
             row.append(format_number(cells[key]) if i != j and key in cells else "")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
+
+
+def write_heatmaps(scan: DefectScan, out_dir: Path, stem: str) -> None:
+    """Make out_dir and write one `heatmap_csv` per delta of a single-defect scan as
+    `<stem>_delta_<delta>.csv`, a fractional delta without its slash (7/2 -> `_7_2`):
+    the heatmap files of `postman defects` (stem `defects`) and of the defect script."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for delta in scan.deltas:
+        name = format_number(delta).replace("/", "_")
+        (out_dir / f"{stem}_delta_{name}.csv").write_text(heatmap_csv(scan, delta))
 
 
 def combos_csv(scan: DefectScan) -> str:

@@ -11,7 +11,6 @@ adjacency views once, on the instance; no module-level cache holds graphs.
 from __future__ import annotations
 
 import heapq
-import json
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -355,8 +354,7 @@ def read_edge_list(text: str) -> Graph:
 
 
 def graph_from_json(obj) -> Graph:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    """A graph from its parsed JSON object `{"n": ..., "edges": [[u, v, w], ...]}`."""
     try:
         n = json_int(obj["n"])
         edges = [(json_int(e[0]), json_int(e[1]), as_exact(e[2])) for e in obj["edges"]]

@@ -212,7 +212,7 @@ def jf_sweep(
     reference_energy: Number,
     schedule: Schedule | None = None,
     reads: int = 1000,
-    policies: Sequence[DecodePolicy] = (DecodePolicy.MAJORITY_VOTE, DecodePolicy.DISCARD_BROKEN),
+    policies: Sequence[DecodePolicy] = tuple(DecodePolicy),
     gauges: int = 0,
     seed: int = 0,
     anneal_time: float = DEFAULT_ANNEAL_TIME,

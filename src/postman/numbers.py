@@ -61,6 +61,22 @@ def parse_number(text: str, line: int | None = None) -> Number:
         raise ParseError(f"not a number: {text!r}", line) from None
 
 
+def parse_grid(flag: str, text: str, parse=parse_number) -> list:
+    """The values of a comma list, each read by `parse`: the one reader of the CLI's
+    `--jf-grid`, `--p-grid` and `--deltas` and of the defect script's `--deltas`. No
+    value, or one equal to an earlier one once parsed (`1,1.0`, `8,16/2`), is refused."""
+    try:
+        grid = [parse(x) for x in text.split(",") if x]
+    except ValueError:
+        grid = []
+    if not grid:
+        raise ParseError(f"{flag} needs a comma list of numbers, got {text!r}")
+    for i, x in enumerate(grid):
+        if x in grid[:i]:
+            raise InvalidArgumentError(f"{flag} value {x} is repeated")
+    return grid
+
+
 def format_number(value: Number) -> str:
     if type(value) is int:
         return str(value)

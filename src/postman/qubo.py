@@ -22,7 +22,6 @@ ints/Fractions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -429,8 +428,7 @@ def _quadratic_from_json(entries) -> dict[tuple[int, int], Number]:
 
 
 def qubo_from_json(obj) -> QuboModel:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
+    """Inverse of `qubo_to_json`, on the parsed object."""
     try:
         return QuboModel(
             dim=json_int(obj["dim"]),

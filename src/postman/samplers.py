@@ -386,11 +386,7 @@ def _branch_levels(x_form: _IntForm) -> list[int]:
             return
         u = min(free, key=phi.__getitem__)
         f = phi[u]
-        if f > 0:
-            keep(e)
-            keep(e + f)
-            return
-        if f == 0:
+        if f >= 0:
             keep(e)
             zero = {v for v in free if phi[v] == 0}
             rises = [phi[v] for v in free if phi[v]]
@@ -676,17 +672,14 @@ def tabu_search(
         delta = sx * g  # the energy change of each flip
         blocked = np.zeros(n)  # +inf on the tabu variables
         masked = np.empty(n)
-        tabu_until = [0] * n  # the last move at which each variable is tabu
         flips: deque[int] = deque()  # the variable of each recent move, oldest first
-        it = 0
         best_sx = sx.copy()
         best_e = energy
         since_improve = 0
         while since_improve < stagnation_limit:
-            it += 1
-            if len(flips) > tenure:  # the flip of move it - tenure - 1 expires, unless repeated since
+            if len(flips) > tenure:  # the oldest flip expires, unless repeated in the last tenure moves
                 j = flips.popleft()
-                if tabu_until[j] < it:
+                if j not in flips:
                     blocked[j] = 0.0
             k = int(delta.argmin())
             if not delta[k] < global_best - energy:  # no flip aspires
@@ -702,7 +695,6 @@ def tabu_search(
             sx[k] = -sx[k]
             np.multiply(sx, g, out=delta)
             blocked[k] = np.inf
-            tabu_until[k] = it + tenure
             flips.append(k)
             global_best = min(global_best, energy)
             if energy < best_e:

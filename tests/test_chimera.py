@@ -283,9 +283,11 @@ class TestStats:
         )
 
     def test_embedding_json_round_trip(self):
-        emb = clique_embedding(5, chimera_graph(3))
-        again = Embedding.from_json(emb.to_json())
-        assert again == emb
+        # the topology comes back from the object's own grid size and faulty qubits
+        for topo in (chimera_graph(3), chimera_graph(4, faulty=[127, 120])):
+            emb = clique_embedding(5, topo)
+            again = Embedding.from_json(emb.to_json())
+            assert again == emb and again.topology == topo
 
 
 class TestEmbedIsing:

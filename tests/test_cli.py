@@ -410,9 +410,11 @@ class TestExitCodes:
             ("samples.json", '{"metadata": {"n_sweeps": 2.5}, "records": [{"config": [1, 0], "energy": 1, "multiplicity": 1}]}'),
             ("samples.json", '{"metadata": {"n_sweeps": 10}, "records": [{"config": [1, 0], "energy": 5, "multiplicity": 2}, {"config": [1, 0, 1, 1], "energy": 7, "multiplicity": 1}]}'),
             ("samples.json", '{"metadata": {"n_sweeps": 10}, "records": [{"config": [1, 0], "energy": 5, "multiplicity": 2}, {"config": [1, 0], "energy": 7, "multiplicity": 1}]}'),
+            ("graph.json", '{"n": 3, "edges": [[0, 1, 2], [1, 2, 1]'),
+            ("embedding.json", '{"m": 3, "chains": {"0": [0], "1": [4]'),
         ],
     )
-    def test_malformed_parser_input_is_domain(self, capsys, tmp_path, name, text):
+    def test_malformed_parser_input_is_domain(self, capsys, tmp_path, demo_file, name, text):
         path = tmp_path / name
         path.write_text(text)
         argv = {
@@ -420,6 +422,7 @@ class TestExitCodes:
             "qubo.json": ["sample", str(path), "--sampler", "brute"],
             "samples.json": ["metrics", str(path), "--reference", "5"],
             "graph.json": ["exact", str(path)],
+            "embedding.json": ["simulate", demo_file, "--embedding", str(path), "--reads", "4", "--sweeps", "4"],
         }[name]
         assert_domain_error(*run(capsys, *argv)[::2])
 

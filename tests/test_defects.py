@@ -18,7 +18,7 @@ from postman.defects import (
     scatter_csv,
 )
 from postman.errors import CombinationExplosionError, DisconnectedGraphError, InvalidArgumentError
-from postman import graphs
+from postman import cli, graphs
 from postman.exact import Matching, OddPairDistances, m_min
 from postman.graphs import Graph, odd_nodes
 
@@ -219,17 +219,22 @@ class TestHeatmapCsv:
         assert len(lines) == 1 + 2 * n_combos
 
 
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def run_script(name, *args):
+    path = os.pathsep.join([str(SCRIPTS.parent / "src"), os.environ.get("PYTHONPATH", "")])
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, args)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+
+
 class TestDefectStudyScript:
     """scripts/run_defect_study.py reads --deltas as `postman defects` does."""
 
-    SCRIPT = Path(__file__).parent.parent / "scripts" / "run_defect_study.py"
-
     def run(self, deltas, out):
-        path = os.pathsep.join([str(self.SCRIPT.parent.parent / "src"), os.environ.get("PYTHONPATH", "")])
-        return subprocess.run(
-            [sys.executable, str(self.SCRIPT), "--deltas", deltas, "--out", str(out)],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120,
-        )
+        return run_script("run_defect_study.py", "--deltas", deltas, "--out", out)
 
     def test_fractional_delta_names_its_heatmap_without_the_slash(self, tmp_path):
         proc = self.run("1,7/2", tmp_path)
@@ -239,7 +244,7 @@ class TestDefectStudyScript:
         assert len(names) == 6
 
     @pytest.mark.parametrize(
-        "deltas, message",
+        "deltas, reason",  # the reason only names the case; the expected message is the CLI's
         [
             ("1,x", "not a number: 'x'"),
             ("1,2/0", "not a number: '2/0'"),
@@ -249,9 +254,32 @@ class TestDefectStudyScript:
             (",", "need at least one delta"),
         ],
     )
-    def test_refused_delta_is_one_error_line(self, tmp_path, deltas, message):
+    def test_refused_delta_is_one_error_line(self, capsys, tmp_path, demo, deltas, reason):
+        graph = tmp_path / "demo.edgelist"
+        graph.write_text(graphs.write_edge_list(demo))
+        assert cli.main(["defects", str(graph), "--deltas", deltas]) == 3
+        message = capsys.readouterr().err
+        assert message.startswith("error: ") and len(message.splitlines()) == 1
         out = tmp_path / "out"
         proc = self.run(deltas, out)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
+        assert not out.exists()
+
+
+class TestMminEnsembleScript:
+    """scripts/run_mmin_ensemble.py refuses an argument with one error line."""
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--n", "2", "ensemble graphs need n >= 3"),
+            ("--count", "-1", "count must be nonnegative"),
+            ("--edge-prob", "1.5", "edge probability must be in (0,1)"),
+        ],
+    )
+    def test_refused_argument_is_one_error_line(self, tmp_path, flag, value, message):
+        out = tmp_path / "out"
+        proc = run_script("run_mmin_ensemble.py", flag, value, "--out", out)
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
         assert not out.exists()
 
